@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactdiag import (
-    DENSE_DIM_LIMIT,
-    diagonalize,
-    number_sector_indices,
-    project_to_sector,
-)
+from .exactdiag import diagonalize, number_sector_indices, project_to_sector
 from .fciqmc import (
     FciqmcError,
     RunConfig,
@@ -32,6 +27,7 @@ from .fciqmc import (
 from .matelem import ExactBackend, MatelemError, SampledBackend
 from .nsi import NsiError, nsi_report, transformed_nsi
 from .operators import (
+    DENSE_LIMIT,
     HubbardSpec,
     OperatorError,
     PauliSum,
@@ -460,12 +456,16 @@ def _write_json(cfg: ExperimentConfig, name: str, record: dict) -> Path:
     return path
 
 
-def _sector_ground_energy(model: BuiltModel) -> float:
+def _dense_hamiltonian(model: BuiltModel) -> np.ndarray:
+    """The model's real dense matrix; a model error above the dense limit."""
     dim = 1 << model.n_qubits
-    if dim > DENSE_DIM_LIMIT:
-        raise ModelError(f"dense dimension {dim} exceeds limit {DENSE_DIM_LIMIT}")
-    dense = to_dense(model.h).real
-    sub = project_to_sector(dense, model.sector)
+    if dim > 1 << DENSE_LIMIT:
+        raise ModelError(f"dense dimension {dim} exceeds limit {1 << DENSE_LIMIT}")
+    return to_dense(model.h).real
+
+
+def _sector_ground_energy(model: BuiltModel) -> float:
+    sub = project_to_sector(_dense_hamiltonian(model), model.sector)
     return diagonalize(sub).ground_energy()
 
 
@@ -551,11 +551,8 @@ def cmd_vqe(cfg: ExperimentConfig) -> dict:
 
 def cmd_nsi(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
-    dim = 1 << model.n_qubits
-    if dim > DENSE_DIM_LIMIT:
-        raise ModelError(f"dense dimension {dim} exceeds limit {DENSE_DIM_LIMIT}")
     phi0 = cfg.nsi_phi0 if cfg.nsi_phi0 is not None else model.reference
-    dense = to_dense(model.h).real
+    dense = _dense_hamiltonian(model)
     identity_rep = nsi_report(dense, cfg.nsi_beta, phi0=phi0)
     record = {
         "command": "nsi",
@@ -613,10 +610,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     if not cfg.sweep_depths:
         raise ConfigError("sweep.depths is required for the sweep command")
     model = build_model(cfg)
-    dim = 1 << model.n_qubits
-    if dim > DENSE_DIM_LIMIT:
-        raise ModelError(f"dense dimension {dim} exceeds limit {DENSE_DIM_LIMIT}")
-    dense = to_dense(model.h).real
+    dense = _dense_hamiltonian(model)
     rows = []
     for index, depth in enumerate(cfg.sweep_depths):
         seed = cfg.seed + index  # derived seed, one independent stream per point

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DENSE_DIM_LIMIT = 1 << 12
+from .operators import DENSE_LIMIT
 
 
 class ExactDiagError(ValueError):
@@ -34,12 +34,12 @@ class Spectrum:
         return self.eigenvectors[:, 0]
 
 
-def diagonalize(h: np.ndarray, dim_limit: int = DENSE_DIM_LIMIT) -> Spectrum:
+def diagonalize(h: np.ndarray) -> Spectrum:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ExactDiagError("need a square matrix")
-    if h.shape[0] > dim_limit:
-        raise ExactDiagError(f"dimension {h.shape[0]} exceeds dense limit {dim_limit}")
+    if h.shape[0] > 1 << DENSE_LIMIT:
+        raise ExactDiagError(f"dimension {h.shape[0]} exceeds dense limit {1 << DENSE_LIMIT}")
     scale = max(np.abs(h).max(), 1.0)
     if np.abs(h - h.conj().T).max() > 1e-10 * scale:
         raise ExactDiagError("matrix is not Hermitian to 1e-10")

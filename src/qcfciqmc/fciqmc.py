@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matelem import ElementSource, get_element, signed_row
+from .matelem import ElementSource, get_element, row_arrays, signed_row
 from .simulator import Circuit
 
 
@@ -139,21 +139,6 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 # single update rules
 # ---------------------------------------------------------------------------
 
-def _row_arrays(src: ElementSource, i: int):
-    """(indices, |H'_ji| , signs) of row i as arrays, memoized on the source."""
-    cached = getattr(src, "_engine_rows", None)
-    if cached is None:
-        cached = src._engine_rows = {}
-    arrays = cached.get(i)
-    if arrays is None:
-        row = signed_row(src, i)
-        idx = np.array([j for (j, _) in row], dtype=np.int64)
-        vals = np.array([v for (_, v) in row], dtype=float)
-        arrays = (idx, np.abs(vals), np.where(vals > 0, -1, 1).astype(np.int64))
-        cached[i] = arrays
-    return arrays
-
-
 def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
                rng: np.random.Generator) -> dict:
     """Children spawned off every occupied index; accumulated apart from parents.
@@ -167,7 +152,7 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
         c_i = pop.counts[i]
         n_i = abs(c_i)
         parent_sign = 1 if c_i > 0 else -1
-        idx, mags, csigns = _row_arrays(src, i)
+        idx, mags, csigns = row_arrays(src, i)
         if len(idx) == 0:
             continue
         p = mags * delta_tau

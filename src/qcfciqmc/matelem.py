@@ -13,9 +13,12 @@ Sampling is keyed per basis index from the source seed, so every backend call
 is a pure function of (source, indices): repeated queries reproduce the same
 draw and results never depend on call order.
 
-Elements are measured once and cached.  The cache stores the symmetric key
-(min(i,j), max(i,j)) because the engine-facing Hamiltonians are real
-symmetric; it can be persisted to a small versioned binary file between runs.
+Each row is measured once: one transformed column and one magnitude draw go
+into a per-row record on the source, which then serves magnitudes, signs,
+the diagonal, the signed row and the engine's spawning arrays.  Signed
+elements are cached under the symmetric key (min(i,j), max(i,j)) because the
+engine-facing Hamiltonians are real symmetric; the first stored value wins.
+Nothing is persisted between runs.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import PauliSum, apply_pauli_sum
-from .simulator import (
-    Circuit,
-    Statevector,
-    amplitude_vector,
-    apply_circuit,
-    prepare_basis_state,
-)
+from .operators import PauliSum
+from .simulator import Circuit, transformed_columns
 
 
 class MatelemError(ValueError):
@@ -83,58 +80,66 @@ class ConnectionList:
     connections: list  # [(j, |H'_ji| estimate)], j != source, above floor
 
 
+@dataclass
+class RowRecord:
+    """What one measurement of row i yields, plus what is derived from it."""
+
+    column: np.ndarray  # Re H'_ji over all j
+    nu_sq: float  # <i|U^dag H^2 U|i>, the row's squared norm
+    magnitudes: ConnectionList  # the row's one magnitude draw
+    signed: list | None = None  # [(j, H'_ji)] with signs resolved, once asked for
+    arrays: tuple | None = None  # (indices, |H'_ji|, -sign(H'_ji)) of `signed`
+
+
 class ElementSource:
     """Matrix elements of U^dag H U with a fixed circuit and parameter set."""
 
     def __init__(self, hamiltonian: PauliSum, circuit: Circuit, params=(),
-                 backend=None, cache: MatrixElementCache | None = None, seed: int = 0):
+                 backend=None, seed: int = 0):
         if not hamiltonian.is_hermitian():
             raise MatelemError("Hamiltonian must be Hermitian")
         self.hamiltonian = hamiltonian
         self.circuit = circuit
         self.params = tuple(float(p) for p in params)  # immutable for the run
         self.backend = backend if backend is not None else ExactBackend()
-        self.cache = cache if cache is not None else MatrixElementCache()
+        self.cache = MatrixElementCache()
         self.seed = int(seed)
         self.n_qubits = circuit.n_qubits
         self._lock = threading.Lock()
-        self._columns: dict = {}
-        self._rows: dict = {}
-
-    # -- dense plumbing ----------------------------------------------------
+        self._rows: dict = {}  # i -> RowRecord
 
     def transformed_column(self, i: int) -> np.ndarray:
         """Column i of H': entry j equals <j|U^dag H U|i>."""
-        dim = 1 << self.n_qubits
-        if not (0 <= i < dim):
+        if not (0 <= i < 1 << self.n_qubits):
             raise MatelemError(f"basis index {i} out of range")
-        col = self._columns.get(i)
-        if col is None:
-            state = apply_circuit(prepare_basis_state(self.n_qubits, i), self.circuit, self.params)
-            w = Statevector(self.n_qubits, apply_pauli_sum(self.hamiltonian, state.amplitudes))
-            col = amplitude_vector(w, self.circuit, self.params)
+        return transformed_columns(self.hamiltonian, self.circuit, self.params, [i])[:, 0]
+
+    def row(self, i: int) -> RowRecord:
+        """The record of row i, measured on first request."""
+        rec = self._rows.get(i)
+        if rec is None:
+            rec = self._measure(i)
             with self._lock:
-                self._columns.setdefault(i, col)
-        return col
+                rec = self._rows.setdefault(i, rec)
+        return rec
 
-    def _rng(self, *key) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in key))
-        return np.random.Generator(np.random.Philox(ss))
-
-    # -- magnitudes --------------------------------------------------------
-
-    def _row_exact(self, i: int) -> ConnectionList:
-        col = self.transformed_column(i)
-        mags = np.abs(col)
-        floor = self.backend.magnitude_floor
-        out = [(int(j), float(mags[j])) for j in np.nonzero(mags >= floor)[0] if j != i]
-        return ConnectionList(i, out)
-
-    def _row_sampled(self, i: int) -> ConnectionList:
+    def _measure(self, i: int) -> RowRecord:
         col = self.transformed_column(i)
         nu_sq = float(np.vdot(col, col).real)  # exactly <i|U^dag H^2 U|i>
+        if isinstance(self.backend, ExactBackend):
+            mags = np.abs(col)
+            keep = mags >= self.backend.magnitude_floor
+        else:
+            mags, keep = self._draw_magnitudes(i, col, nu_sq)
+        keep[i] = False
+        found = np.nonzero(keep)[0]
+        connections = list(zip(found.tolist(), mags[found].tolist()))
+        return RowRecord(col.real.copy(), nu_sq, ConnectionList(i, connections))
+
+    def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
+        """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
         if nu_sq <= 0.0:
-            return ConnectionList(i, [])
+            return np.zeros(len(col)), np.zeros(len(col), dtype=bool)
         q = np.abs(col) ** 2 / nu_sq
         q = q / q.sum()
         shots = self.backend.shots_magnitude
@@ -143,59 +148,49 @@ class ElementSource:
         # binomial standard error of each |H'_ji|^2 estimate
         se = nu_sq * np.sqrt(counts / shots * (1.0 - counts / shots) / shots)
         keep = estimates >= np.maximum(self.backend.magnitude_floor**2, 3.0 * se)
-        out = [
-            (int(j), float(np.sqrt(estimates[j])))
-            for j in np.nonzero(keep)[0]
-            if j != i and counts[j] > 0
-        ]
-        return ConnectionList(i, out)
+        return np.sqrt(estimates), keep & (counts > 0)
 
-    # -- signs -------------------------------------------------------------
-
-    def _sign_exact(self, i: int, j: int) -> int:
-        re = float(self.transformed_column(i)[j].real)
-        if re == 0.0:
-            raise SignAmbiguityError(f"Re H'[{j},{i}] is exactly zero")
-        return 1 if re > 0.0 else -1
-
-    def _sign_sampled(self, i: int, j: int) -> int:
-        col = self.transformed_column(i)
-        nu = float(np.sqrt(np.vdot(col, col).real))
-        if nu == 0.0:
-            raise SignAmbiguityError("zero row norm; no sign to estimate")
-        p = 0.5 * (1.0 + float(col[j].real) / nu)
-        p = min(1.0, max(0.0, p))
-        shots = self.backend.shots_sign
-        successes = int(self._rng(min(i, j), max(i, j), 1).binomial(shots, p))
-        margin = abs(2 * successes - shots)
-        if margin <= self.backend.ambiguity_z * np.sqrt(shots):
-            raise SignAmbiguityError(
-                f"sign margin {margin} within {self.backend.ambiguity_z} sigma of a coin flip"
-            )
-        return 1 if 2 * successes > shots else -1
+    def _rng(self, *key) -> np.random.Generator:
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in key))
+        return np.random.Generator(np.random.Philox(ss))
 
 
 def row_magnitudes(src: ElementSource, i: int) -> ConnectionList:
-    if isinstance(src.backend, ExactBackend):
-        return src._row_exact(i)
-    return src._row_sampled(i)
+    """The magnitude draw of row i."""
+    return src.row(i).magnitudes
 
 
 def element_sign(src: ElementSource, i: int, j: int) -> int:
+    """sign(Re H'_ji), read from column i; exact, or a Hadamard-test estimate."""
+    rec = src.row(i)
+    re = float(rec.column[j])
     if isinstance(src.backend, ExactBackend):
-        return src._sign_exact(i, j)
-    return src._sign_sampled(i, j)
+        if re == 0.0:
+            raise SignAmbiguityError(f"Re H'[{j},{i}] is exactly zero")
+        return 1 if re > 0.0 else -1
+    nu = float(np.sqrt(rec.nu_sq))
+    if nu == 0.0:
+        raise SignAmbiguityError("zero row norm; no sign to estimate")
+    p = min(1.0, max(0.0, 0.5 * (1.0 + re / nu)))
+    shots = src.backend.shots_sign
+    successes = int(src._rng(min(i, j), max(i, j), 1).binomial(shots, p))
+    margin = abs(2 * successes - shots)
+    if margin <= src.backend.ambiguity_z * np.sqrt(shots):
+        raise SignAmbiguityError(
+            f"sign margin {margin} within {src.backend.ambiguity_z} sigma of a coin flip"
+        )
+    return 1 if 2 * successes > shots else -1
 
 
 def diagonal_element(src: ElementSource, i: int) -> float:
     """<phi_i|H|phi_i>; exact expectation, or shot-averaged on the sampled backend."""
-    col = src.transformed_column(i)
-    exact = float(col[i].real)
+    rec = src.row(i)
+    exact = float(rec.column[i])
     if isinstance(src.backend, ExactBackend):
         return exact
     # Hadamard-test emulation of the same estimation circuit at j = i:
     # nu * (2 p_hat - 1) with p = (1 + H'_ii/nu)/2
-    nu = float(np.sqrt(np.vdot(col, col).real))
+    nu = float(np.sqrt(rec.nu_sq))
     if nu == 0.0:
         return 0.0
     p = min(1.0, max(0.0, 0.5 * (1.0 + exact / nu)))
@@ -206,17 +201,13 @@ def diagonal_element(src: ElementSource, i: int) -> float:
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
     """Signed real H'_ji, measured once then served from the symmetric cache."""
-    if i == j:
-        cached = src.cache.lookup(i, i)
-        if cached is not None:
-            return cached
-        return src.cache.store(i, i, diagonal_element(src, i))
     cached = src.cache.lookup(i, j)
     if cached is not None:
         return cached
-    row = row_magnitudes(src, i)
+    if i == j:
+        return src.cache.store(i, i, diagonal_element(src, i))
     mag = 0.0
-    for (k, m) in row.connections:
+    for (k, m) in src.row(i).magnitudes.connections:
         if k == j:
             mag = m
             break
@@ -229,57 +220,37 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
     return src.cache.store(i, j, sign * mag)
 
 
-def signed_row(src: ElementSource, i: int) -> list:
-    """All (j, H'_ji) connections from i with signs resolved, cache-backed.
-
-    The walker engine's spawning step consumes this; rows are memoized on the
-    source so each basis index is measured once per run."""
-    row = src._rows.get(i)
-    if row is None:
-        row = []
+def _resolved(src: ElementSource, i: int) -> RowRecord:
+    """Row i's record with its signed row and spawning arrays filled in."""
+    rec = src.row(i)
+    if rec.signed is None:
+        signed = []
+        # the one read of the row's draw as a whole; get_element looks up
+        # single entries in the record, so each row reports one draw
         for (j, _) in row_magnitudes(src, i).connections:
             val = get_element(src, i, j)
             if val != 0.0:
-                row.append((j, val))
+                signed.append((j, val))
+        vals = np.array([v for (_, v) in signed], dtype=float)
+        arrays = (
+            np.array([j for (j, _) in signed], dtype=np.int64),
+            np.abs(vals),
+            np.where(vals > 0, -1, 1).astype(np.int64),
+        )
         with src._lock:
-            src._rows.setdefault(i, row)
-    return row
+            if rec.signed is None:
+                rec.signed, rec.arrays = signed, arrays
+    return rec
 
 
-# ---------------------------------------------------------------------------
-# cache persistence: versioned little-endian sorted (i, j, value) triples
-# ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = b"QCME"
-_CACHE_VERSION = 1
-_CACHE_DTYPE = np.dtype([("i", "<u8"), ("j", "<u8"), ("value", "<f8")])
+def signed_row(src: ElementSource, i: int) -> list:
+    """All (j, H'_ji) connections from i with signs resolved, cache-backed."""
+    return _resolved(src, i).signed
 
 
-def save_cache(cache: MatrixElementCache, path) -> None:
-    keys = sorted(cache.entries)
-    table = np.zeros(len(keys), dtype=_CACHE_DTYPE)
-    for n, (i, j) in enumerate(keys):
-        table[n] = (i, j, cache.entries[(i, j)])
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(np.uint32(_CACHE_VERSION).tobytes())
-        fh.write(np.uint64(len(keys)).tobytes())
-        fh.write(table.tobytes())
+def row_arrays(src: ElementSource, i: int) -> tuple:
+    """Signed row i as arrays (indices, |H'_ji|, -sign(H'_ji)).
 
-
-def load_cache(path) -> MatrixElementCache:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise MatelemError(f"not an element-cache file: bad magic {magic!r}")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != _CACHE_VERSION:
-            raise MatelemError(f"unsupported cache version {version}")
-        count = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        table = np.frombuffer(fh.read(count * _CACHE_DTYPE.itemsize), dtype=_CACHE_DTYPE)
-        if len(table) != count:
-            raise MatelemError("truncated cache file")
-    cache = MatrixElementCache()
-    for rec in table:
-        cache.entries[(int(rec["i"]), int(rec["j"]))] = float(rec["value"])
-    return cache
+    The last array is the child-sign factor of the spawning step: the
+    projector's off-diagonal weight is -H'_ji."""
+    return _resolved(src, i).arrays

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactdiag
-from .operators import PauliSum, apply_pauli_sum
-from .simulator import Circuit, Statevector, amplitude_vector, apply_circuit, prepare_basis_state
+from .operators import DENSE_LIMIT, PauliSum
+from .simulator import Circuit, transformed_columns
 
 SPLIT_TOL = 1e-12  # off-diagonal sign classification threshold
 IMAG_TOL = 1e-9  # transformed matrices must be real to this tolerance
@@ -189,29 +189,21 @@ def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
 
 
 def transformed_dense(h: PauliSum, u: Circuit, params=(), imag_tol: float = IMAG_TOL) -> np.ndarray:
-    """Dense similarity transform U^dag H U, built column by column.
+    """Dense similarity transform U^dag H U, all columns in one batched pass.
 
-    Column j is the circuit-basis resolution of H U|j>.  The result must be
-    real to imag_tol (the real-Hamiltonian scope of this package); residual
-    imaginary parts below the tolerance are truncated."""
+    The result must be real to imag_tol (the real-Hamiltonian scope of this
+    package); residual imaginary parts below the tolerance are truncated."""
     n = u.n_qubits
-    if n > 12:
+    if n > DENSE_LIMIT:
         raise NsiError("qubit count exceeds dense limit")
-    dim = 1 << n
-    out = np.empty((dim, dim), dtype=float)
-    worst = 0.0
-    for j in range(dim):
-        basis = apply_circuit(prepare_basis_state(n, j), u, params)
-        w = apply_pauli_sum(h, basis.amplitudes)
-        col = amplitude_vector(Statevector(n, w), u, params)
-        worst = max(worst, float(np.abs(col.imag).max()))
-        out[:, j] = col.real
+    hp = transformed_columns(h, u, params, range(1 << n))
+    worst = float(np.abs(hp.imag).max())
     if worst > imag_tol:
         raise NsiError(
             f"transformed Hamiltonian has imaginary residue {worst:.3e} above "
             f"{imag_tol:.0e}; complex-valued bases are out of scope"
         )
-    return out
+    return hp.real.copy()
 
 
 def transformed_nsi(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PRUNE_TOL = 1e-12
-DENSE_LIMIT = 12  # qubits; 4096^2 complex doubles is the desk ceiling
+DENSE_LIMIT = 12  # qubits; 4096^2 complex doubles is the desk ceiling of every dense path
 
 _PAULI_LABELS = "IXYZ"
 
@@ -104,19 +104,23 @@ def word_index_action(w: PauliWord, i: int):
     return i ^ w.x_mask, phase
 
 
+def _word_action(w: PauliWord):
+    """(targets, phases) over all basis indices: W|i> = phases[i] |targets[i]>."""
+    idx = np.arange(1 << w.n_qubits)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & w.z_mask) & 1)
+    return idx ^ w.x_mask, ((1j) ** w.y_count) * signs
+
+
 def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
     """Vectorized W|psi> for a statevector of length 2^n, or column-wise for a
     (2^n, m) batch of statevectors."""
-    dim = 1 << w.n_qubits
-    if vec.shape[0] != dim:
+    if vec.shape[0] != 1 << w.n_qubits:
         raise OperatorError("dimension mismatch")
-    idx = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & w.z_mask) & 1)
+    targets, phases = _word_action(w)
     if vec.ndim == 2:
-        signs = signs[:, None]
+        phases = phases[:, None]
     out = np.empty_like(vec, dtype=complex)
-    # out[i ^ x] = phase(i) * vec[i]
-    out[idx ^ w.x_mask] = ((1j) ** w.y_count) * signs * vec
+    out[targets] = phases * vec
     return out
 
 
@@ -202,23 +206,22 @@ def diagonal_entry(h: PauliSum, index: int) -> float:
     return float(val)
 
 
-def to_dense(h: PauliSum, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def to_dense(h: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a PauliSum.
 
-    Built column by column through the same vectorized Pauli action used by the
-    statevector simulator, so dense-path and circuit-path constructions of the
-    same operator agree bit for bit.
+    Each term scatters its word's (target index, phase) pairs into the matrix,
+    one O(2^n) pass per term.  The word action is the one apply_word uses, so
+    the dense and statevector constructions of an operator agree bit for bit.
     """
     n = h.n_qubits
-    if n > dense_limit:
-        raise OperatorError(f"{n} qubits exceeds dense limit {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise OperatorError(f"{n} qubits exceeds dense limit {DENSE_LIMIT}")
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=complex)
-    col = np.zeros(dim, dtype=complex)
-    for j in range(dim):
-        col[:] = 0.0
-        col[j] = 1.0
-        mat[:, j] = apply_pauli_sum(h, col)
+    cols = np.arange(dim)
+    for t in h.terms:
+        targets, phases = _word_action(t.word)
+        mat[targets, cols] += t.coefficient * phases
     return mat
 
 

@@ -22,7 +22,7 @@ class SimulatorError(ValueError):
 @dataclass
 class Statevector:
     n_qubits: int
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray  # length 2^n, or a (2^n, k) batch of column states
 
     @property
     def dim(self) -> int:
@@ -68,14 +68,6 @@ class Circuit:
     def n_slots(self) -> int:
         slots = [g.slot for g in self.gates if isinstance(g, PauliRotation) and g.slot is not None]
         return max(slots) + 1 if slots else 0
-
-    @property
-    def parameter_slots(self) -> dict:
-        out: dict = {}
-        for pos, g in enumerate(self.gates):
-            if isinstance(g, PauliRotation) and g.slot is not None:
-                out.setdefault(g.slot, []).append(pos)
-        return out
 
 
 def prepare_basis_state(n_qubits: int, index: int) -> Statevector:
@@ -136,18 +128,26 @@ def amplitude_vector(state: Statevector, circuit: Circuit, params=()) -> np.ndar
     )
 
 
-def sample_counts(probabilities, shots: int, rng: np.random.Generator) -> dict:
-    """Seeded multinomial draw over basis indices; returns index -> count."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.min() < -1e-9:
-        raise SimulatorError("negative probability beyond tolerance")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9 and not np.isclose(total, 1.0, rtol=1e-9):
-        raise SimulatorError("probabilities must sum to 1 within 1e-9")
-    if shots == 0:
-        return {}
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    counts = rng.multinomial(shots, p)
-    nz = np.nonzero(counts)[0]
-    return {int(j): int(counts[j]) for j in nz}
+# columns per batch in transformed_columns: bounds the working set at
+# 2^n x 256 complex doubles per temporary, 16 MB at the 12-qubit dense limit
+_COLUMN_BLOCK = 256
+
+
+def transformed_columns(h: PauliSum, circuit: Circuit, params, indices) -> np.ndarray:
+    """Columns of H' = U^dag H U at the given basis indices, as a (2^n, k) matrix.
+
+    Entry (j, m) equals <j|U^dag H U|indices[m]>.  The basis columns go
+    through the circuit as one batch, then H, then the inverse circuit; every
+    step is elementwise per column, so a column comes out bit for bit the
+    same whatever batch it rides in."""
+    n = circuit.n_qubits
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.empty((1 << n, len(indices)), dtype=complex)
+    for start in range(0, len(indices), _COLUMN_BLOCK):
+        block = indices[start:start + _COLUMN_BLOCK]
+        basis = np.zeros((1 << n, len(block)), dtype=complex)
+        basis[block, np.arange(len(block))] = 1.0
+        state = apply_circuit(Statevector(n, basis), circuit, params)
+        w = Statevector(n, apply_pauli_sum(h, state.amplitudes))
+        out[:, start:start + len(block)] = amplitude_vector(w, circuit, params)
+    return out

@@ -1,11 +1,12 @@
 """Ansatz construction and variational optimization of the walker-basis circuit.
 
-Two ansatz families are provided.  hv_ansatz alternates Trotterized
-exponentials of caller-chosen Hamiltonian term groups (one shared parameter per
-layer and group); with the natural Hubbard partition its unitary is complex,
-which the NSI diagnostics reject, so layered_ansatz offers the real-rotation
-counterpart driven by anti-Hermitian fermionic generator groups.  adapt_vqe
-grows a circuit greedily from a generator pool by gradient magnitude.
+Two ansatz families are provided.  layered_ansatz repeats Trotterized
+exponentials of anti-Hermitian fermionic generator groups, one shared
+parameter per layer and group; every gate is a real rotation, so the
+transformed Hamiltonian stays real, as the NSI diagnostics require.  For the
+Hubbard model the groups follow the Hamiltonian's structure
+(hubbard_hv_generator_groups).  adapt_vqe grows a circuit greedily from a
+generator pool by gradient magnitude.
 
 The optimizer is plain gradient descent with Armijo backtracking: deterministic
 and dependency-free, adequate at desk scale.  Gradients use the parameter-shift
@@ -68,14 +69,11 @@ class VqeResult:
 class AnsatzSpec:
     """What circuit family to optimize: layered exponentials or greedy growth.
 
-    kind "hv" uses `partition` (Hermitian term groups, complex circuit) when
-    given, else real generator groups built from the model; kind "adapt" grows
-    from `pool` (anti-Hermitian generators)."""
+    kind "hv" layers the real generator groups built from the model; kind
+    "adapt" grows from the singles-doubles pool."""
 
     kind: str = "adapt"  # "hv" | "adapt"
     layers: int = 3
-    partition: list | None = None
-    pool: list | None = None
     max_operators: int = 8
     gradient_tol: float = 1e-3
 
@@ -122,29 +120,6 @@ def molecular_reference(n_modes: int, n_electrons: int, ms2: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # ansatz builders
 # ---------------------------------------------------------------------------
-
-def hv_ansatz(h_parts, layers: int, reference: int, n_qubits: int) -> Circuit:
-    """Hamiltonian-variational circuit: exp(-i theta_l,p H_p) per layer and part.
-
-    Each part contributes one Trotterized exponential, one rotation per term,
-    all sharing the (layer, part) parameter slot with scale 2 * coefficient.
-    Identity terms produce global-phase rotations and are kept so the gate
-    count stays layers * sum of part sizes."""
-    if not h_parts:
-        raise VqaError("empty Hamiltonian partition")
-    gates = preparation_gates(reference, n_qubits)
-    n_parts = len(h_parts)
-    for layer in range(layers):
-        for p, part in enumerate(h_parts):
-            slot = layer * n_parts + p
-            for t in part.terms:
-                if abs(np.imag(t.coefficient)) > 1e-12:
-                    raise VqaError("hv_ansatz parts must be Hermitian")
-                gates.append(
-                    PauliRotation(t.word, slot=slot, scale=2.0 * float(np.real(t.coefficient)))
-                )
-    return Circuit(n_qubits, gates)
-
 
 def generator_gates(gen: PauliSum, slot: int) -> list:
     """Rotation gates realizing exp(theta G) for an anti-Hermitian generator.
@@ -249,28 +224,6 @@ def hubbard_hv_generator_groups(spec: HubbardSpec) -> list:
     if not groups:
         raise VqaError("lattice has no edges; layered ansatz undefined")
     return groups
-
-
-def hubbard_hv_parts(spec: HubbardSpec) -> list:
-    """Hermitian term groups for the Hamiltonian-variational ansatz.
-
-    Interaction part first, then one hopping part covering all lattice edges
-    in edge order.  Trotter order inside a layer follows this list order."""
-    inter = FermionSum(
-        [FermionTerm(spec.u, ((2 * s, True), (2 * s, False), (2 * s + 1, True), (2 * s + 1, False)))
-         for s in range(spec.n_sites)],
-        spec.n_qubits,
-    )
-    hops = []
-    for (i, j) in spec.edges():
-        for sp in (0, 1):
-            hops.append(FermionTerm(-spec.t, ((2 * i + sp, True), (2 * j + sp, False))))
-            hops.append(FermionTerm(-spec.t, ((2 * j + sp, True), (2 * i + sp, False))))
-    parts = [jordan_wigner(inter)]
-    hop_sum = jordan_wigner(FermionSum(hops, spec.n_qubits))
-    if hop_sum.terms:
-        parts.append(hop_sum)
-    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -469,7 +469,7 @@ sweep.depths = 4, 8
     )
     assert cli.main(["sweep", str(conf)]) == 0
     rows = json.loads((out / "sweep.json").read_text())["rows"]
-    ok_rows = [r for r in rows if r.get("error") is None]
+    ok_rows = [r for r in rows if not r["error"]]
     assert ok_rows, "every sweep point failed"
     best = min(r["e_qmc_mean"] for r in ok_rows)
     e_vqe = ok_rows[-1]["e_vqe"]

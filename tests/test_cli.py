@@ -18,7 +18,19 @@ from qcfciqmc.cli import (
 )
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.fciqmc import trajectory_from_csv
-from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord
+from qcfciqmc.operators import (
+    FcidumpData,
+    HubbardSpec,
+    PauliSum,
+    PauliTerm,
+    PauliWord,
+    build_hubbard,
+    build_molecular,
+    jordan_wigner,
+    parse_fcidump,
+    serialize_fcidump,
+    to_dense,
+)
 from qcfciqmc.simulator import (
     BasisFlip,
     Circuit,
@@ -267,6 +279,33 @@ ansatz.layers = 0
     # reference determinant is singly occupied on each site: diagonal 0
     assert abs(record["energy"]) < 1e-12
     assert record["n_parameters"] == 0
+
+
+def test_fcidump_hubbard_lattice_matches_hubbard_model(tmp_path):
+    """The molecular path end to end, on a 2x2 Hubbard lattice written as
+    integrals: h1 = -t * adjacency and (ii|ii) = U."""
+    spec = HubbardSpec(shape=(2, 2), t=1.0, u=4.0)
+    data = FcidumpData(n_orbitals=spec.n_sites, n_electrons=spec.n_sites, ms2=0)
+    for (i, j) in spec.edges():
+        data.set_h1(i + 1, j + 1, -spec.t)
+    for i in range(1, spec.n_sites + 1):
+        data.set_eri(i, i, i, i, spec.u)
+    path = tmp_path / "hubbard2x2.fcidump"
+    path.write_text(serialize_fcidump(data))
+    molecular = to_dense(jordan_wigner(build_molecular(parse_fcidump(path.read_text()))))
+    lattice = to_dense(jordan_wigner(build_hubbard(spec)))
+    assert np.abs(molecular - lattice).max() < 1e-12
+
+    energies = {}
+    for name, model in (
+        ("hubbard", "model.hubbard.shape = 2x2\nmodel.hubbard.t = 1.0\nmodel.hubbard.u = 4.0"),
+        ("fcidump", f"model.fcidump.path = {path}"),
+    ):
+        out = tmp_path / name
+        conf = write_conf(tmp_path, f"output.dir = {out}\n{model}\n", name=f"{name}.conf")
+        assert cli.main(["ed", conf]) == 0
+        energies[name] = json.loads((out / "ed.json").read_text())["energy"]
+    assert abs(energies["fcidump"] - energies["hubbard"]) < 1e-10
 
 
 def test_vqe_hv_requires_hubbard(tmp_path, n2_missing=None):

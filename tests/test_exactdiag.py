@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qcfciqmc import exactdiag
 from qcfciqmc.exactdiag import (
     ExactDiagError,
     Spectrum,
@@ -62,11 +63,12 @@ def test_phase_convention():
     assert not np.iscomplexobj(spec_r.eigenvectors)
 
 
-def test_rejects_non_hermitian_and_overflow():
+def test_rejects_non_hermitian_and_overflow(monkeypatch):
     with pytest.raises(ExactDiagError):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    monkeypatch.setattr(exactdiag, "DENSE_LIMIT", 2)  # 4 dimensions
     with pytest.raises(ExactDiagError):
-        diagonalize(np.eye(8), dim_limit=4)
+        diagonalize(np.eye(8))
 
 
 def test_thermal_trace_trivial():

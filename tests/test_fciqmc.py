@@ -27,7 +27,8 @@ from qcfciqmc.fciqmc import (
     trajectory_to_csv,
     update_shift,
 )
-from qcfciqmc.matelem import ElementSource
+import qcfciqmc.matelem as matelem
+from qcfciqmc.matelem import ElementSource, ExactBackend, SampledBackend
 from qcfciqmc.operators import (
     HubbardSpec,
     PauliSum,
@@ -407,6 +408,35 @@ def test_run_classical_1x2_converges_to_ed():
     shifts = np.asarray([r.shift for r in records])
     _, plateau = blocking_analysis(shifts)
     assert abs(shifts.mean() - exact) < 3 * plateau.std_error
+
+
+@pytest.mark.parametrize("backend", [
+    ExactBackend(),
+    SampledBackend(shots_magnitude=10**4, shots_sign=10**3),
+])
+def test_run_measures_each_row_once(monkeypatch, backend):
+    """One transformed column and one magnitude draw per distinct row."""
+    from qcfciqmc.vqa import hubbard_hv_generator_groups, layered_ansatz
+
+    spec, h = hubbard_1x2_source()
+    circuit = layered_ansatz(hubbard_hv_generator_groups(spec), 1, 0b0110, spec.n_qubits)
+    params = 0.3 * np.ones(circuit.n_slots)
+    requested, measured, drawn = [], [], []
+    real_row, real_measure = ElementSource.row, ElementSource._measure
+    real_magnitudes = matelem.row_magnitudes
+    monkeypatch.setattr(ElementSource, "row",
+                        lambda self, i: requested.append(i) or real_row(self, i))
+    monkeypatch.setattr(ElementSource, "_measure",
+                        lambda self, i: measured.append(i) or real_measure(self, i))
+    monkeypatch.setattr(matelem, "row_magnitudes",
+                        lambda src, i: drawn.append(i) or real_magnitudes(src, i))
+    cfg = RunConfig(total_time=0.2, delta_tau=0.01, initial_walkers=200, seed=9,
+                    threshold=10**6)
+    src = ElementSource(h, circuit, params, backend=backend, seed=4)
+    run(h, circuit, params, cfg, source=src, phi0=0)
+    assert len(set(requested)) > 1
+    assert sorted(measured) == sorted(set(requested))
+    assert sorted(drawn) == sorted(set(requested))
 
 
 def test_run_extinction_raises(monkeypatch):

@@ -18,11 +18,10 @@ from qcfciqmc.matelem import (
     diagonal_element,
     element_sign,
     get_element,
-    load_cache,
     row_magnitudes,
-    save_cache,
     signed_row,
 )
+from qcfciqmc.nsi import transformed_dense
 from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord, to_dense
 from qcfciqmc.simulator import Circuit, PauliRotation
 
@@ -138,6 +137,22 @@ def test_exact_full_matrix_via_get_element(trial):
     np.testing.assert_allclose(built, hp.real, atol=1e-10)
 
 
+@pytest.mark.parametrize("trial", range(4))
+def test_transformed_column_is_a_column_of_transformed_dense(trial):
+    """nsi's dense H' and the element source's column come from one path."""
+    rng = np.random.default_rng(60 + trial)
+    h, fixed = real_instance(rng, n_gates=6)
+    # the same words as parametric gates, so the parameter path is covered too
+    circuit = Circuit(fixed.n_qubits, [
+        PauliRotation(g.word, slot=k % 3, scale=1.5) for k, g in enumerate(fixed.gates)
+    ])
+    params = rng.normal(size=3)
+    hp = transformed_dense(h, circuit, params)
+    src = ElementSource(h, circuit, params)
+    for i in range(1 << circuit.n_qubits):
+        assert hp[:, i].tobytes() == src.transformed_column(i).real.tobytes()
+
+
 def test_probability_conservation():
     rng = np.random.default_rng(77)
     h, circuit = random_instance(rng)
@@ -195,7 +210,7 @@ def test_cache_hit_skips_backend(monkeypatch):
     def boom(*a, **k):
         raise AssertionError("backend called on a cache hit")
 
-    monkeypatch.setattr(src, "_row_exact", boom)
+    monkeypatch.setattr(src, "_measure", boom)
     v2 = get_element(src, 0, 1)
     assert v1 == v2
     assert src.cache.misses == misses
@@ -223,23 +238,6 @@ def test_cache_transparency():
     for i in range(4):
         for j in range(4):
             assert get_element(cold, i, j) == get_element(warm, i, j)
-
-
-def test_cache_persistence_round_trip(tmp_path):
-    src = x0_source(0.5)
-    get_element(src, 0, 1)
-    get_element(src, 0, 0)
-    path = tmp_path / "elements.bin"
-    save_cache(src.cache, path)
-    loaded = load_cache(path)
-    assert loaded.entries == src.cache.entries
-
-
-def test_cache_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(MatelemError):
-        load_cache(path)
 
 
 def test_signed_row_matches_elements():

@@ -183,6 +183,28 @@ def test_to_dense_matches_kron_oracle():
     np.testing.assert_allclose(to_dense(h), oracle, atol=1e-12)
 
 
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    coeff = st.floats(-2.0, 2.0)
+    terms = draw(st.lists(st.tuples(mask, mask, coeff, coeff), min_size=1, max_size=8))
+    return PauliSum([PauliTerm(complex(re, im) if im else re, PauliWord(n, x, z))
+                     for (x, z, re, im) in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_sums())
+def test_to_dense_matches_column_oracle_bit_for_bit(h):
+    dim = 1 << h.n_qubits
+    oracle = np.empty((dim, dim), dtype=complex)
+    for j in range(dim):
+        basis = np.zeros(dim, dtype=complex)
+        basis[j] = 1.0
+        oracle[:, j] = apply_pauli_sum(h, basis)
+    assert to_dense(h).tobytes() == oracle.tobytes()
+
+
 def test_to_dense_respects_limit():
     h = PauliSum([PauliTerm(1.0, PauliWord(13, 0, 0))])
     with pytest.raises(OperatorError):

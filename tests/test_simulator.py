@@ -16,7 +16,6 @@ from qcfciqmc.simulator import (
     apply_circuit,
     expectation,
     prepare_basis_state,
-    sample_counts,
 )
 
 
@@ -102,7 +101,6 @@ def test_parametric_slots_and_scale():
         PauliRotation(w, slot=0, scale=-1.0),
     ])
     assert c.n_slots == 2
-    assert c.parameter_slots == {0: [0, 2], 1: [1]}
     params = [0.3, -0.8]
     out = apply_circuit(prepare_basis_state(2, 1), c, params)
     np.testing.assert_allclose(
@@ -179,32 +177,3 @@ def test_expectation_rejects_non_hermitian():
     h = PauliSum([PauliTerm(1.0j, PauliWord.from_label("X"))])
     with pytest.raises(SimulatorError):
         expectation(prepare_basis_state(1, 0), h)
-
-
-def test_sample_counts_point_mass():
-    rng = np.random.default_rng(1)
-    counts = sample_counts([0.0, 1.0, 0.0, 0.0], 500, rng)
-    assert counts == {1: 500}
-
-
-def test_sample_counts_zero_shots():
-    assert sample_counts([0.5, 0.5], 0, np.random.default_rng(0)) == {}
-
-
-def test_sample_counts_uniform_statistics():
-    rng = np.random.default_rng(123)
-    shots = 10**6
-    counts = sample_counts([0.25] * 4, shots, rng)
-    sigma = np.sqrt(shots * 0.25 * 0.75)
-    for j in range(4):
-        assert abs(counts[j] - shots * 0.25) < 5 * sigma
-
-
-def test_sample_counts_determinism_and_validation():
-    c1 = sample_counts([0.3, 0.7], 1000, np.random.default_rng(9))
-    c2 = sample_counts([0.3, 0.7], 1000, np.random.default_rng(9))
-    assert c1 == c2
-    with pytest.raises(SimulatorError):
-        sample_counts([-0.2, 1.2], 10, np.random.default_rng(0))
-    with pytest.raises(SimulatorError):
-        sample_counts([0.4, 0.4], 10, np.random.default_rng(0))

@@ -28,8 +28,6 @@ from qcfciqmc.vqa import (
     generator_gates,
     gradient,
     hubbard_hv_generator_groups,
-    hubbard_hv_parts,
-    hv_ansatz,
     layered_ansatz,
     lowest_diagonal_reference,
     molecular_reference,
@@ -94,35 +92,6 @@ def test_lowest_diagonal_reference_tie_breaks_low():
 # ---------------------------------------------------------------------------
 # ansatz structure
 # ---------------------------------------------------------------------------
-
-
-def test_hv_ansatz_gate_and_slot_counts():
-    spec, h = hubbard_1x2()
-    hop = PauliSum([t for t in h.terms if t.word.x_mask])
-    diag = PauliSum([t for t in h.terms if not t.word.x_mask])
-    ref = 0b0110
-    layers = 3
-    c = hv_ansatz([hop, diag], layers, ref, spec.n_qubits)
-    n_prep = bin(ref).count("1")
-    assert len(c.gates) == n_prep + layers * (len(hop.terms) + len(diag.terms))
-    assert c.n_slots == layers * 2
-
-
-def test_hv_ansatz_zero_params_gives_reference():
-    spec, h = hubbard_1x2()
-    hop = PauliSum([t for t in h.terms if t.word.x_mask])
-    ref = 0b0110
-    c = hv_ansatz([hop], 2, ref, spec.n_qubits)
-    state = apply_circuit(prepare_basis_state(spec.n_qubits, 0), c, np.zeros(c.n_slots))
-    expect = np.zeros(1 << spec.n_qubits)
-    expect[ref] = 1.0
-    np.testing.assert_allclose(state.amplitudes, expect, atol=1e-12)
-
-
-def test_hv_ansatz_rejects_non_hermitian_part():
-    part = PauliSum([PauliTerm(1j, PauliWord(2, 0b01, 0b10))])
-    with pytest.raises(VqaError):
-        hv_ansatz([part], 1, 0, 2)
 
 
 def test_layered_ansatz_real_orthogonal():
@@ -287,27 +256,6 @@ def test_adapt_outer_energies_monotone():
     )
     energies = [e for (_, e) in res.history]
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
-
-
-@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (1, 3)])
-def test_hv_parts_partition_the_hamiltonian(shape):
-    spec = HubbardSpec(shape=shape, t=1.0, u=4.0)
-    h = jordan_wigner(build_hubbard(spec))
-    parts = hubbard_hv_parts(spec)
-    total = sum((to_dense(p) for p in parts[1:]), start=to_dense(parts[0]))
-    np.testing.assert_allclose(total, to_dense(h), atol=1e-12)
-    # interaction part leads and is diagonal; hopping follows
-    inter = to_dense(parts[0])
-    assert np.allclose(inter, np.diag(np.diag(inter)))
-    assert len(parts) == 2
-
-
-def test_hv_parts_feed_hv_ansatz():
-    spec, h = hubbard_1x2()
-    ref = lowest_diagonal_reference(h, half_filling(spec))
-    c = hv_ansatz(hubbard_hv_parts(spec), 1, ref, spec.n_qubits)
-    assert c.n_slots == 2  # one shared parameter per (layer, part)
-    assert abs(circuit_energy(c, h, np.zeros(2)) - 0.0) < 1e-12
 
 
 def test_variational_bound_2x2():
