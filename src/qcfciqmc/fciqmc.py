@@ -11,11 +11,15 @@ is -H'_ji, so a child on j inherits sign(i) * (-sign(H'_ji)).  The diagonal
 step uses (H'_ii - S) directly.  Getting either sign wrong still "runs" but
 projects onto the wrong vector.
 
-Walkers are integers; fractional probabilities round stochastically.  All
-randomness for a step comes from one counter-based stream keyed by
-(seed, step), with occupied indices visited in ascending order, so a
-trajectory is a pure function of (config, seed) no matter how the host
-schedules threads.
+Walkers are integers; fractional probabilities round stochastically.  The
+population is two int64 arrays, the occupied indices in ascending order and
+their signed counts, and each update rule is a handful of array operations
+over them.  All randomness for a step comes from one counter-based stream
+keyed by (seed, step): one binomial call draws the children along the
+concatenated rows of every occupied parent, in ascending parent order, and a
+second one draws death/clone over the occupied indices.  A trajectory is
+therefore a pure function of (config, seed) no matter how the host schedules
+threads.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matelem import ElementSource, get_element, row_arrays, signed_row
+from .matelem import ElementSource, diagonal_elements, get_element, row_arrays, signed_row
 from .simulator import Circuit
 
 
@@ -40,23 +44,41 @@ class ExtinctionError(FciqmcError):
     """The walker population reached zero; the run cannot continue."""
 
 
-@dataclass
 class WalkerPopulation:
-    counts: dict = field(default_factory=dict)  # basis index -> signed count
+    """Signed walker counts: `indices` are the occupied basis indices in
+    ascending order and `signed` their nonzero signed counts, both int64.
+    Treated as immutable; the update rules return new populations."""
 
-    def __post_init__(self):
-        self.counts = {int(i): int(c) for i, c in self.counts.items() if c != 0}
+    def __init__(self, counts: dict | None = None):
+        items = sorted((int(i), int(c)) for i, c in (counts or {}).items() if c != 0)
+        self.indices = np.array([i for (i, _) in items], dtype=np.int64)
+        self.signed = np.array([c for (_, c) in items], dtype=np.int64)
+        self._counts = None
+
+    @classmethod
+    def from_arrays(cls, indices: np.ndarray, signed: np.ndarray) -> "WalkerPopulation":
+        """Wrap arrays that already hold ascending unique indices and nonzero counts."""
+        pop = cls.__new__(cls)
+        pop.indices, pop.signed, pop._counts = indices, signed, None
+        return pop
+
+    @property
+    def counts(self) -> dict:
+        """{basis index: signed count}, built on first use; read-only."""
+        if self._counts is None:
+            self._counts = dict(zip(self.indices.tolist(), self.signed.tolist()))
+        return self._counts
 
     @property
     def total_walkers(self) -> int:
-        return sum(abs(c) for c in self.counts.values())
+        return int(np.abs(self.signed).sum())
 
     @property
     def n_occupied(self) -> int:
-        return len(self.counts)
+        return len(self.indices)
 
     def occupied(self) -> list:
-        return sorted(self.counts)
+        return self.indices.tolist()
 
     @classmethod
     def single(cls, index: int, count: int) -> "WalkerPopulation":
@@ -126,9 +148,6 @@ class Trajectory:
     config: RunConfig | None = None
     reference: int = 0
 
-    def energies(self) -> list:
-        return [r.e_mixed for r in self.records]
-
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(step,))
@@ -139,30 +158,41 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 # single update rules
 # ---------------------------------------------------------------------------
 
+def _sum_by_index(idx: np.ndarray, vals: np.ndarray) -> tuple:
+    """Per-index int64 sums of `vals`, by ascending index; zero sums dropped."""
+    if len(idx) == 0:
+        return idx, vals
+    order = idx.argsort()
+    idx, vals = idx[order], vals[order]
+    starts = np.empty(len(idx), dtype=bool)
+    starts[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    sums = np.add.reduceat(vals, first)
+    keep = sums != 0
+    return idx[first[keep]], sums[keep]
+
+
 def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
                rng: np.random.Generator) -> dict:
     """Children spawned off every occupied index; accumulated apart from parents.
 
     Per parent walker on i and connection j: count floor(p) + Bernoulli(frac)
     with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)).  The
-    per-connection Bernoulli sums collapse to one binomial draw per (i, j),
-    taken in ascending index order from the step's stream."""
-    spawned: dict = {}
-    for i in pop.occupied():
-        c_i = pop.counts[i]
-        n_i = abs(c_i)
-        parent_sign = 1 if c_i > 0 else -1
-        idx, mags, csigns = row_arrays(src, i)
-        if len(idx) == 0:
-            continue
-        p = mags * delta_tau
-        base = np.floor(p)
-        counts = n_i * base.astype(np.int64) + rng.binomial(n_i, p - base)
-        for j, n_children, s in zip(idx, counts, csigns):
-            if n_children:
-                j = int(j)
-                spawned[j] = spawned.get(j, 0) + parent_sign * int(s) * int(n_children)
-    return {j: c for j, c in spawned.items() if c != 0}
+    per-connection Bernoulli sums collapse to one binomial draw per (i, j).
+    One binomial call covers the concatenated rows of all occupied parents in
+    ascending parent order, which consumes the step's stream exactly as one
+    call per parent would.  Returns {j: signed child count}, zeros dropped."""
+    targets, mags, csigns, lens = row_arrays(src, pop.indices)
+    if len(targets) == 0:
+        return {}
+    n = np.abs(pop.signed).repeat(lens)
+    p = mags * delta_tau
+    base = np.floor(p)
+    children = n * base.astype(np.int64) + rng.binomial(n, p - base)
+    children *= np.sign(pop.signed).repeat(lens) * csigns
+    idx, sums = _sum_by_index(targets, children)
+    return dict(zip(idx.tolist(), sums.tolist()))
 
 
 def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
@@ -170,34 +200,30 @@ def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
     """Diagonal step: die with probability (H'_ii - S) dt if positive, else clone.
 
     One vectorized binomial draw covers all occupied indices."""
-    occ = pop.occupied()
-    if not occ:
-        return WalkerPopulation({})
-    signed = np.array([pop.counts[i] for i in occ], dtype=np.int64)
-    n = np.abs(signed)
-    d = np.array([(get_element(src, i, i) - shift) * delta_tau for i in occ])
-    if np.any(np.abs(d) > 1.0):
-        worst = float(np.abs(d).max())
+    occ, signed = pop.indices, pop.signed
+    if len(occ) == 0:
+        return WalkerPopulation()
+    d = (diagonal_elements(src, occ) - shift) * delta_tau
+    p = np.abs(d)
+    if p.max() > 1.0:
         warnings.warn(
-            f"death/clone probability {worst:.3f} clamped to 1; reduce delta_tau",
+            f"death/clone probability {float(p.max()):.3f} clamped to 1; reduce delta_tau",
             stacklevel=2,
         )
-        d = np.clip(d, -1.0, 1.0)
-    flips = rng.binomial(n, np.abs(d))
-    n_new = np.where(d > 0, n - flips, n + flips)
-    out = {}
-    for i, c_old, nn in zip(occ, signed, n_new):
-        if nn:
-            out[i] = int(nn) if c_old > 0 else -int(nn)
-    return WalkerPopulation(out)
+        p = np.minimum(p, 1.0)
+    flips = rng.binomial(np.abs(signed), p)
+    # dying walkers move the count towards zero, cloned ones away from it
+    signed = signed - np.where(d > 0, flips, -flips) * np.sign(signed)
+    keep = signed != 0
+    return WalkerPopulation.from_arrays(occ[keep], signed[keep])
 
 
 def annihilate(parents: WalkerPopulation, spawned: dict) -> WalkerPopulation:
     """Signed per-index sum; exact cancellation removes the entry."""
-    out = dict(parents.counts)
-    for j, c in spawned.items():
-        out[j] = out.get(j, 0) + c
-    return WalkerPopulation(out)
+    k = len(spawned)
+    idx = np.concatenate([parents.indices, np.fromiter(spawned, np.int64, k)])
+    vals = np.concatenate([parents.signed, np.fromiter(spawned.values(), np.int64, k)])
+    return WalkerPopulation.from_arrays(*_sum_by_index(idx, vals))
 
 
 def update_shift(ctl: ShiftController, n_now: int, n_prev: int, delta_tau: float) -> float:
@@ -211,13 +237,16 @@ def update_shift(ctl: ShiftController, n_now: int, n_prev: int, delta_tau: float
 def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
     """E = H'_00 + sum_{j != 0} H'_{j,phi0} c_j / c_0 over occupied j.
 
-    Returns None while the reference is unoccupied (estimate undefined)."""
-    c_0 = pop.counts.get(phi0, 0)
+    Returns None while the reference is unoccupied (estimate undefined).  The
+    sum runs in the order of the reference's signed row, one term at a time,
+    so its rounding does not depend on how the population is stored."""
+    counts = pop.counts
+    c_0 = counts.get(phi0, 0)
     if c_0 == 0:
         return None
     e = get_element(src, phi0, phi0)
     for (j, h_j0) in signed_row(src, phi0):
-        c_j = pop.counts.get(j, 0)
+        c_j = counts.get(j, 0)
         if c_j:
             e += h_j0 * c_j / c_0
     return float(e)
@@ -227,19 +256,20 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
 # full evolution
 # ---------------------------------------------------------------------------
 
-def _check_timestep(src: ElementSource, i: int, delta_tau: float, shift: float,
-                    checked: set, warned: list) -> None:
-    if i in checked or warned:
-        return
-    checked.add(i)
-    l1 = abs(get_element(src, i, i) - shift) + sum(abs(v) for (_, v) in signed_row(src, i))
-    if delta_tau * l1 >= 1.0:
-        warnings.warn(
-            f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index {i}; "
-            "the stochastic propagator is a poor approximation at this step size",
-            stacklevel=3,
-        )
-        warned.append(True)
+def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
+                    shift: float) -> bool:
+    """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
+    newly occupied rows `fresh`; True once the warning is given."""
+    for i in fresh:
+        l1 = abs(get_element(src, i, i) - shift) + sum(abs(v) for (_, v) in signed_row(src, i))
+        if delta_tau * l1 >= 1.0:
+            warnings.warn(
+                f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index {i}; "
+                "the stochastic propagator is a poor approximation at this step size",
+                stacklevel=3,
+            )
+            return True
+    return False
 
 
 def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
@@ -260,15 +290,17 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         threshold=cfg.threshold,
     )
     traj = Trajectory(config=cfg, reference=phi0)
-    warned: list = []
-    checked: set = set()
+    warned = False
+    checked = np.zeros(1 << src.n_qubits, dtype=bool)  # rows seen occupied
     traj.records.append(TrajectoryRecord(
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, phi0)
     ))
     for step in range(1, cfg.n_steps + 1):
         rng = _step_rng(cfg.seed, step)
-        for i in pop.occupied():
-            _check_timestep(src, i, cfg.delta_tau, ctl.shift, checked, warned)
+        if not warned:
+            fresh = pop.indices[~checked[pop.indices]]
+            checked[fresh] = True
+            warned = _check_timestep(src, fresh.tolist(), cfg.delta_tau, ctl.shift)
         spawned = spawn_step(pop, src, cfg.delta_tau, rng)
         survivors = death_clone_step(pop, src, ctl.shift, cfg.delta_tau, rng)
         pop = annihilate(survivors, spawned)
@@ -329,11 +361,21 @@ def blocking_analysis(samples) -> tuple:
     return levels, plateau
 
 
-def statistics(traj: Trajectory, cfg: RunConfig | None = None) -> Statistics:
+def _post_equilibration(traj: Trajectory, cfg: RunConfig | None = None) -> list:
+    """The records from the first post-equilibration one on.
+
+    The cut drops the equilibration fraction of the records that carry a
+    mixed energy (the reference is unoccupied on the others), so the energy
+    samples and the shift tail start at the same record."""
     cfg = cfg if cfg is not None else traj.config
-    series = [e for e in traj.energies() if e is not None]
-    cut = int(cfg.equilibration_fraction * len(series))
-    samples = np.asarray(series[cut:], dtype=float)
+    valid = [k for k, r in enumerate(traj.records) if r.e_mixed is not None]
+    cut = int(cfg.equilibration_fraction * len(valid))
+    return traj.records[valid[cut]:] if cut < len(valid) else []
+
+
+def statistics(traj: Trajectory, cfg: RunConfig | None = None) -> Statistics:
+    post = _post_equilibration(traj, cfg)
+    samples = np.asarray([r.e_mixed for r in post if r.e_mixed is not None], dtype=float)
     if len(samples) < 16:
         raise FciqmcError(f"only {len(samples)} post-equilibration samples; need >= 16")
     levels, plateau = blocking_analysis(samples)
@@ -388,8 +430,7 @@ def trajectory_from_csv(text: str) -> Trajectory:
 
 def summary_record(traj: Trajectory, stats: Statistics) -> dict:
     cfg = traj.config
-    post = [r for r in traj.records[int(len(traj.records) * cfg.equilibration_fraction):]]
-    shift_tail = np.asarray([r.shift for r in post], dtype=float)
+    shift_tail = np.asarray([r.shift for r in _post_equilibration(traj)], dtype=float)
     return {
         "mean_e_mixed": stats.mean,
         "std_e_mixed": stats.std,

@@ -15,10 +15,17 @@ draw and results never depend on call order.
 
 Each row is measured once: one transformed column and one magnitude draw go
 into a per-row record on the source, which then serves magnitudes, signs,
-the diagonal, the signed row and the engine's spawning arrays.  Signed
-elements are cached under the symmetric key (min(i,j), max(i,j)) because the
-engine-facing Hamiltonians are real symmetric; the first stored value wins.
-Nothing is persisted between runs.
+the diagonal and the signed row.  Signed elements are cached under the
+symmetric key (min(i,j), max(i,j)) because the engine-facing Hamiltonians are
+real symmetric; the first stored value wins.
+
+The walker engine reads the source through two batched views that the source
+owns: a CSR of resolved rows (targets, |H'_ji| and child signs, with a start
+and a length per row; a row is appended when its signs are first resolved)
+and a vector of diagonal elements, each filled once through `get_element`.
+Both resolve unseen entries in the order the caller gives, so the element
+cache fills in the same order as one row at a time would.  Nothing is
+persisted between runs.
 """
 
 from __future__ import annotations
@@ -88,7 +95,6 @@ class RowRecord:
     nu_sq: float  # <i|U^dag H^2 U|i>, the row's squared norm
     magnitudes: ConnectionList  # the row's one magnitude draw
     signed: list | None = None  # [(j, H'_ji)] with signs resolved, once asked for
-    arrays: tuple | None = None  # (indices, |H'_ji|, -sign(H'_ji)) of `signed`
 
 
 class ElementSource:
@@ -107,6 +113,15 @@ class ElementSource:
         self.n_qubits = circuit.n_qubits
         self._lock = threading.Lock()
         self._rows: dict = {}  # i -> RowRecord
+        dim = 1 << self.n_qubits
+        # engine CSR: resolved row i occupies [_row_start[i], _row_start[i] +
+        # _row_len[i]) of the entry arrays; -1 marks a row not resolved yet
+        self._row_start = np.full(dim, -1, dtype=np.int64)
+        self._row_len = np.full(dim, -1, dtype=np.int64)
+        self._targets = np.zeros(0, dtype=np.int64)
+        self._mags = np.zeros(0)  # |H'_ji|
+        self._child_signs = np.zeros(0, dtype=np.int64)  # -sign(H'_ji)
+        self._diag = np.full(dim, np.nan)  # H'_ii once read; NaN until then
 
     def transformed_column(self, i: int) -> np.ndarray:
         """Column i of H': entry j equals <j|U^dag H U|i>."""
@@ -122,6 +137,17 @@ class ElementSource:
             with self._lock:
                 rec = self._rows.setdefault(i, rec)
         return rec
+
+    def _append_row(self, i: int, signed: list) -> None:
+        """Append resolved row i to the engine CSR; the caller holds the lock."""
+        vals = np.array([v for (_, v) in signed], dtype=float)
+        start = len(self._targets)
+        self._targets = np.concatenate(
+            [self._targets, np.array([j for (j, _) in signed], dtype=np.int64)])
+        self._mags = np.concatenate([self._mags, np.abs(vals)])
+        self._child_signs = np.concatenate(
+            [self._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
+        self._row_start[i], self._row_len[i] = start, len(signed)
 
     def _measure(self, i: int) -> RowRecord:
         col = self.transformed_column(i)
@@ -221,7 +247,7 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
 
 
 def _resolved(src: ElementSource, i: int) -> RowRecord:
-    """Row i's record with its signed row and spawning arrays filled in."""
+    """Row i's record with its signed row filled in and appended to the CSR."""
     rec = src.row(i)
     if rec.signed is None:
         signed = []
@@ -231,15 +257,10 @@ def _resolved(src: ElementSource, i: int) -> RowRecord:
             val = get_element(src, i, j)
             if val != 0.0:
                 signed.append((j, val))
-        vals = np.array([v for (_, v) in signed], dtype=float)
-        arrays = (
-            np.array([j for (j, _) in signed], dtype=np.int64),
-            np.abs(vals),
-            np.where(vals > 0, -1, 1).astype(np.int64),
-        )
         with src._lock:
             if rec.signed is None:
-                rec.signed, rec.arrays = signed, arrays
+                rec.signed = signed
+                src._append_row(i, signed)
     return rec
 
 
@@ -248,9 +269,34 @@ def signed_row(src: ElementSource, i: int) -> list:
     return _resolved(src, i).signed
 
 
-def row_arrays(src: ElementSource, i: int) -> tuple:
-    """Signed row i as arrays (indices, |H'_ji|, -sign(H'_ji)).
+def row_arrays(src: ElementSource, indices) -> tuple:
+    """Signed rows of `indices`, concatenated in the order given, as arrays
+    (targets j, |H'_ji|, -sign(H'_ji), row lengths).
 
-    The last array is the child-sign factor of the spawning step: the
-    projector's off-diagonal weight is -H'_ji."""
-    return _resolved(src, i).arrays
+    Rows not resolved yet are resolved first, in the order given.  The third
+    array is the child-sign factor of the spawning step: the projector's
+    off-diagonal weight is -H'_ji."""
+    indices = np.asarray(indices, dtype=np.int64)
+    lens = src._row_len[indices]
+    if (lens < 0).any():
+        for i in indices[lens < 0].tolist():
+            _resolved(src, i)
+        lens = src._row_len[indices]
+    ends = lens.cumsum()
+    # position k of the output reads entry start + (k - offset) of its row
+    pos = (src._row_start[indices] - ends + lens).repeat(lens)
+    pos += np.arange(len(pos))
+    return src._targets[pos], src._mags[pos], src._child_signs[pos], lens
+
+
+def diagonal_elements(src: ElementSource, indices) -> np.ndarray:
+    """H'_ii over `indices`; each entry is read once through get_element, in
+    the order given, and then served from the source's diagonal vector."""
+    indices = np.asarray(indices, dtype=np.int64)
+    d = src._diag[indices]
+    unseen = np.isnan(d)
+    if unseen.any():
+        for i in indices[unseen].tolist():
+            src._diag[i] = get_element(src, i, i)
+        d = src._diag[indices]
+    return d

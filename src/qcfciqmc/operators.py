@@ -98,12 +98,6 @@ def pauli_product(a: PauliWord, b: PauliWord):
     return (1j) ** k, PauliWord(a.n_qubits, x, z)
 
 
-def word_index_action(w: PauliWord, i: int):
-    """Sparse action on one basis state: W|i> = phase * |i ^ x_mask>."""
-    phase = (1j) ** w.y_count * (-1) ** (i & w.z_mask).bit_count()
-    return i ^ w.x_mask, phase
-
-
 def _word_action(w: PauliWord):
     """(targets, phases) over all basis indices: W|i> = phases[i] |targets[i]>."""
     idx = np.arange(1 << w.n_qubits)
@@ -181,12 +175,6 @@ class PauliSum:
                 phase, w = pauli_product(ta.word, tb.word)
                 out.append(PauliTerm(phase * ta.coefficient * tb.coefficient, w))
         return PauliSum(out).simplify()
-
-    def identity_coefficient(self) -> float:
-        for t in self.terms:
-            if t.word.is_identity:
-                return float(np.real(t.coefficient))
-        return 0.0
 
 
 def apply_pauli_sum(h: PauliSum, vec: np.ndarray) -> np.ndarray:

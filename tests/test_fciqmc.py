@@ -3,6 +3,8 @@
 Statistical oracles are binomial moments; dynamical oracles are dense
 linear-algebra results computed in the tests themselves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,13 @@ from qcfciqmc.fciqmc import (
     run,
     spawn_step,
     statistics,
+    summary_record,
     trajectory_from_csv,
     trajectory_to_csv,
     update_shift,
 )
 import qcfciqmc.matelem as matelem
-from qcfciqmc.matelem import ElementSource, ExactBackend, SampledBackend
+from qcfciqmc.matelem import ElementSource, ExactBackend, SampledBackend, get_element, signed_row
 from qcfciqmc.operators import (
     HubbardSpec,
     PauliSum,
@@ -345,6 +348,81 @@ def test_identity_basis_matches_classical_probabilities():
 
 
 # ---------------------------------------------------------------------------
+# stream order: the array engine against the per-parent loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def spawn_step_oracle(pop, src, delta_tau, rng):
+    """One binomial call per occupied parent, children summed in a dict."""
+    spawned = {}
+    for i in pop.occupied():
+        c_i = pop.counts[i]
+        row = signed_row(src, i)
+        if not row:
+            continue
+        vals = np.array([v for (_, v) in row])
+        p = np.abs(vals) * delta_tau
+        base = np.floor(p)
+        counts = abs(c_i) * base.astype(np.int64) + rng.binomial(abs(c_i), p - base)
+        for (j, v), n_children in zip(row, counts):
+            if n_children:
+                child = (1 if c_i > 0 else -1) * (-1 if v > 0 else 1) * int(n_children)
+                spawned[j] = spawned.get(j, 0) + child
+    return {j: c for j, c in spawned.items() if c != 0}
+
+
+def death_clone_oracle(pop, src, shift, delta_tau, rng):
+    """Survivor counts from per-index diagonal reads, as a dict."""
+    occ = pop.occupied()
+    signed = np.array([pop.counts[i] for i in occ], dtype=np.int64)
+    d = np.array([(get_element(src, i, i) - shift) * delta_tau for i in occ])
+    d = np.clip(d, -1.0, 1.0)
+    flips = rng.binomial(np.abs(signed), np.abs(d))
+    n_new = np.where(d > 0, np.abs(signed) - flips, np.abs(signed) + flips)
+    return {i: int(n) * (1 if c > 0 else -1) for i, c, n in zip(occ, signed, n_new) if n}
+
+
+def hubbard_2x2_sources(backend):
+    """Two fresh sources on the same 2x2 Hubbard H', seed and backend: the
+    identity basis on the exact backend, a layered basis on the sampled one."""
+    from qcfciqmc.vqa import hubbard_hv_generator_groups, layered_ansatz
+
+    spec = HubbardSpec(shape=(2, 2), t=1.0, u=4.0)
+    h = jordan_wigner(build_hubbard(spec))
+    sector = number_sector_indices(8, n_up=2, n_dn=2)
+    if isinstance(backend, ExactBackend):
+        circuit, params = Circuit(8, []), ()
+    else:
+        circuit = layered_ansatz(hubbard_hv_generator_groups(spec), 1, int(sector[0]), 8)
+        params = 0.3 * np.random.default_rng(3).standard_normal(circuit.n_slots)
+    return sector, [ElementSource(h, circuit, params, backend=backend, seed=5) for _ in range(2)]
+
+
+@pytest.mark.filterwarnings("ignore:death/clone probability")
+@pytest.mark.parametrize("backend", [
+    ExactBackend(),
+    SampledBackend(shots_magnitude=10**4, shots_sign=10**3),
+])
+def test_engine_consumes_the_stream_as_the_per_parent_loop(backend):
+    """Same children, survivors and final stream state as the per-parent loop,
+    on random populations with small and large counts and with p above 1."""
+    sector, (src_new, src_oracle) = hubbard_2x2_sources(backend)
+    pick = np.random.default_rng(17)
+    for trial in range(12):
+        occ = pick.choice(sector, size=int(pick.integers(1, len(sector) + 1)), replace=False)
+        counts = pick.integers(1, 3000, size=len(occ)) * pick.choice([-1, 1], size=len(occ))
+        pop = WalkerPopulation(dict(zip(occ.tolist(), counts.tolist())))
+        dt = float(pick.choice([0.003, 0.05, 0.7, 1.3]))
+        shift = float(pick.normal())
+        rng_new, rng_oracle = rng_for(trial), rng_for(trial)
+        spawned = spawn_step(pop, src_new, dt, rng_new)
+        survivors = death_clone_step(pop, src_new, shift, dt, rng_new)
+        assert spawned == spawn_step_oracle(pop, src_oracle, dt, rng_oracle)
+        assert survivors.counts == death_clone_oracle(pop, src_oracle, shift, dt, rng_oracle)
+        np.testing.assert_equal(rng_new.bit_generator.state, rng_oracle.bit_generator.state)
+
+
+# ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
@@ -439,6 +517,35 @@ def test_run_measures_each_row_once(monkeypatch, backend):
     assert sorted(drawn) == sorted(set(requested))
 
 
+def two_spin_source():
+    """H = 0.5 (X0 + X1) + Z0 + Z1.  With S = H'_00 = 2, the row L1 magnitude
+    |H'_ii - S| + sum_j |H'_ji| is 1 on row 0, 3 on rows 1 and 2, 5 on row 3."""
+    h = PauliSum([
+        PauliTerm(0.5, PauliWord(2, 0b01, 0)),
+        PauliTerm(0.5, PauliWord(2, 0b10, 0)),
+        PauliTerm(1.0, PauliWord(2, 0, 0b01)),
+        PauliTerm(1.0, PauliWord(2, 0, 0b10)),
+    ])
+    return h, Circuit(2, [])
+
+
+@pytest.mark.parametrize("delta_tau, n_warnings", [(0.19, 0), (0.2, 1), (0.35, 1)])
+def test_run_warns_once_when_a_row_l1_reaches_one_over_delta_tau(delta_tau, n_warnings):
+    """0.19: every row below the limit; 0.2: row 3 exactly at it; 0.35: rows
+    1, 2 and 3 above it, still one warning."""
+    h, circuit = two_spin_source()
+    cfg = RunConfig(total_time=12 * delta_tau, delta_tau=delta_tau, initial_walkers=200,
+                    seed=3, threshold=10**9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = run(h, circuit, (), cfg, phi0=0)
+    assert max(r.n_occupied for r in traj.records) == 4
+    l1 = [str(w.message) for w in caught if "row L1" in str(w.message)]
+    assert len(l1) == n_warnings
+    if delta_tau == 0.2:
+        assert l1[0].startswith("delta_tau * row L1 magnitude = 1.000 >= 1 on index 3")
+
+
 def test_run_extinction_raises(monkeypatch):
     """run() aborts with a diagnostic when every walker disappears."""
     import qcfciqmc.fciqmc as engine
@@ -506,6 +613,19 @@ def test_statistics_respects_equilibration_cut():
     traj.config = RunConfig(equilibration_fraction=0.5)
     stats = statistics(traj)
     assert stats.mean == -1.0
+
+
+def test_summary_shift_tail_starts_where_the_energy_samples_start():
+    """The reference is empty for the first 10 of 50 records: both cuts drop
+    half of the 40 energy records, so both tails start at record 30."""
+    traj = Trajectory(config=RunConfig(equilibration_fraction=0.5))
+    for k in range(50):
+        traj.records.append(TrajectoryRecord(k, k * 1e-3, float(k), 100, 4,
+                                             None if k < 10 else float(k)))
+    stats = statistics(traj)
+    summary = summary_record(traj, stats)
+    assert stats.n_samples == 20
+    assert stats.mean == summary["mean_shift"] == np.mean(np.arange(30, 50))
 
 
 # ---------------------------------------------------------------------------
