@@ -104,13 +104,19 @@ def _l1(m: np.ndarray) -> float:
     return float(np.abs(m).sum())
 
 
-def nsi_thermal(h, beta: float) -> float:
+def _spectra(h, beta: float):
+    """Set-up shared by the indicators: the beta check, the split (which
+    checks that H is real symmetric), and one diagonalization each of H and
+    H~."""
     if beta <= 0:
         raise NsiError("beta must be positive")
-    h = _check_real_symmetric(h)
-    tilde = bosonic_form(split(h))
-    spec_h = exactdiag.diagonalize(h)
-    spec_t = exactdiag.diagonalize(tilde)
+    sp = split(h)
+    spec_h = exactdiag.diagonalize(np.asarray(h))
+    spec_t = exactdiag.diagonalize(bosonic_form(sp))
+    return sp, spec_h, spec_t
+
+
+def _thermal(spec_h, spec_t, beta: float) -> float:
     shift = spec_t.ground_energy()  # common shift; the ratio is shift-invariant
     z_h = exactdiag.thermal_trace(spec_h, beta, shift=shift)
     z_t = exactdiag.thermal_trace(spec_t, beta, shift=shift)
@@ -119,24 +125,27 @@ def nsi_thermal(h, beta: float) -> float:
     return (z_t - z_h) / z_h
 
 
-def nsi_initial(h, phi0: int, beta: float) -> float:
-    if beta <= 0:
-        raise NsiError("beta must be positive")
-    h = _check_real_symmetric(h)
-    dim = h.shape[0]
-    if not (0 <= phi0 < dim):
+def _initial(spec_h, spec_t, phi0: int, beta: float) -> float:
+    if not (0 <= phi0 < spec_h.dim):
         raise NsiError("phi0 out of range")
-    tilde = bosonic_form(split(h))
-    spec_h = exactdiag.diagonalize(h)
-    spec_t = exactdiag.diagonalize(tilde)
     shift = spec_t.ground_energy()
-    v = np.zeros(dim)
+    v = np.zeros(spec_h.dim)
     v[phi0] = 1.0
     q_h = exactdiag.matrix_exponential_quadratic(spec_h, v, beta, shift=shift)
     q_t = exactdiag.matrix_exponential_quadratic(spec_t, v, beta, shift=shift)
     if not (np.isfinite(q_h) and np.isfinite(q_t)) or q_h == 0.0:
         raise NsiError("matrix-exponential overflow despite spectral shift")
     return (q_t - q_h) / q_h
+
+
+def nsi_thermal(h, beta: float) -> float:
+    _, spec_h, spec_t = _spectra(h, beta)
+    return _thermal(spec_h, spec_t, beta)
+
+
+def nsi_initial(h, phi0: int, beta: float) -> float:
+    _, spec_h, spec_t = _spectra(h, beta)
+    return _initial(spec_h, spec_t, phi0, beta)
 
 
 def theorem1_bound(s: StoquasticSplit, beta: float) -> float:
@@ -164,26 +173,22 @@ def theorem2_indicator(h, phi0: int) -> float:
 
 
 def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
-    """Full indicator bundle for one (H, beta) pair and optional reference."""
-    h = _check_real_symmetric(h)
-    sp = split(h)
-    s_th = nsi_thermal(h, beta)
-    bound = theorem1_bound(sp, beta)
-    avg_sign = 1.0 / (1.0 + s_th)
-    delta_f = np.log1p(s_th) / beta
-    dim = h.shape[0]
+    """Full indicator bundle for one (H, beta) pair and optional reference;
+    H and H~ are diagonalized once each."""
+    sp, spec_h, spec_t = _spectra(h, beta)
+    s_th = _thermal(spec_h, spec_t, beta)
     rep = NsiReport(
         beta=beta,
         s_thermal=s_th,
-        theorem1_bound=bound,
-        avg_sign=avg_sign,
-        delta_f=delta_f,
+        theorem1_bound=theorem1_bound(sp, beta),
+        avg_sign=1.0 / (1.0 + s_th),
+        delta_f=np.log1p(s_th) / beta,
         l1_h_plus=_l1(sp.h_plus),
-        l1_alpha_minus_h_minus=_l1(sp.alpha * np.eye(dim) - sp.h_minus),
+        l1_alpha_minus_h_minus=_l1(sp.alpha * np.eye(spec_h.dim) - sp.h_minus),
     )
     if phi0 is not None:
         rep.phi0 = int(phi0)
-        rep.s_initial = nsi_initial(h, phi0, beta)
+        rep.s_initial = _initial(spec_h, spec_t, phi0, beta)
         rep.theorem2_indicator = theorem2_indicator(h, phi0)
     return rep
 

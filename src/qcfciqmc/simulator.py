@@ -85,7 +85,9 @@ def _gate_angle(g: PauliRotation, params) -> float:
     return g.scale * float(params[g.slot])
 
 
-def _apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = False):
+def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = False):
+    """The gates applied in order to a statevector or (2^n, k) batch; with
+    invert, their inverses in reverse order (the adjoint of the sequence)."""
     seq = reversed(gates) if invert else gates
     for g in seq:
         if isinstance(g, PauliRotation):
@@ -107,7 +109,7 @@ def apply_circuit(state: Statevector, circuit: Circuit, params=()) -> Statevecto
         raise SimulatorError("state / circuit dimension mismatch")
     if circuit.n_slots > len(params):
         raise SimulatorError(f"need {circuit.n_slots} parameters, got {len(params)}")
-    vec = _apply_gates(state.amplitudes.astype(complex), circuit.n_qubits, circuit.gates, params)
+    vec = apply_gates(state.amplitudes.astype(complex), circuit.n_qubits, circuit.gates, params)
     return Statevector(state.n_qubits, vec)
 
 
@@ -123,7 +125,7 @@ def amplitude_vector(state: Statevector, circuit: Circuit, params=()) -> np.ndar
     """Entry j equals <j|U^dag|state>: the state resolved in the circuit basis."""
     if state.n_qubits != circuit.n_qubits:
         raise SimulatorError("state / circuit dimension mismatch")
-    return _apply_gates(
+    return apply_gates(
         state.amplitudes.astype(complex), circuit.n_qubits, circuit.gates, params, invert=True
     )
 

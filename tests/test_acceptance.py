@@ -362,7 +362,7 @@ def test_ac07_single_step_mean_matches_linear_propagator():
 
 
 def test_ac08_gradients_and_adapt():
-    # parameter-shift gradient against central finite differences
+    # adjoint-method gradient against central finite differences
     worst_rel = 0.0
     for k in range(2):
         rng = np.random.default_rng(2600 + k)

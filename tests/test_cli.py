@@ -308,6 +308,43 @@ def test_fcidump_hubbard_lattice_matches_hubbard_model(tmp_path):
     assert abs(energies["fcidump"] - energies["hubbard"]) < 1e-10
 
 
+def test_molecular_dimer_every_command(tmp_path):
+    """ed, vqe, nsi, qmc and sweep on the Hubbard dimer written as an FCIDUMP
+    (h1 = -t, (ii|ii) = U): Aufbau reference, ADAPT ansatz, trained basis."""
+    data = FcidumpData(n_orbitals=2, n_electrons=2, ms2=0)
+    data.set_h1(1, 2, -1.0)
+    for i in (1, 2):
+        data.set_eri(i, i, i, i, 4.0)
+    fcidump = tmp_path / "dimer.fcidump"
+    fcidump.write_text(serialize_fcidump(data))
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, f"""
+seed = 3
+output.dir = {out}
+model.fcidump.path = {fcidump}
+ansatz.kind = adapt
+ansatz.max_operators = 6
+ansatz.gradient_tol = 1e-4
+circuit.path = {out / 'circuit.txt'}
+qmc.total_time = 4.0
+qmc.delta_tau = 2e-3
+qmc.threshold = 400
+nsi.beta = 0.1
+sweep.depths = 0, 2
+""")
+    for command in ("ed", "vqe", "nsi", "qmc", "sweep"):
+        assert cli.main([command, conf]) == 0, command
+    e_ed = json.loads((out / "ed.json").read_text())["energy"]
+    assert abs(e_ed - E_1X2) < 1e-10
+    assert abs(json.loads((out / "vqe.json").read_text())["energy"] - e_ed) < 1e-6
+    assert abs(json.loads((out / "summary.json").read_text())["mean_e_mixed"] - e_ed) < 1e-6
+    nsi = json.loads((out / "nsi.json").read_text())
+    assert {"identity", "transformed", "ratio"} <= set(nsi)
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert [r["depth"] for r in rows] == [0, 2]
+    assert all(r["error"] == "" for r in rows)
+
+
 def test_vqe_hv_requires_hubbard(tmp_path, n2_missing=None):
     fake = tmp_path / "mol.fcidump"
     fake.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n"

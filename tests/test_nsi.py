@@ -226,6 +226,23 @@ def test_report_relations():
                       "s_initial", "theorem2_indicator"}
 
 
+def test_report_diagonalizes_h_and_bosonic_form_once_each(monkeypatch):
+    from qcfciqmc import nsi
+
+    rng = np.random.default_rng(13)
+    h = random_symmetric(rng, 6)
+    s_th, s_init = nsi_thermal(h, 0.3), nsi_initial(h, 2, 0.3)
+    seen = []
+    diagonalize = nsi.exactdiag.diagonalize
+    monkeypatch.setattr(nsi.exactdiag, "diagonalize", lambda m: seen.append(m) or diagonalize(m))
+    rep = nsi_report(h, 0.3, phi0=2)
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0], h)
+    np.testing.assert_array_equal(seen[1], bosonic_form(split(h)))
+    # the same spectra as the stand-alone indicators, so the same bits
+    assert (rep.s_thermal, rep.s_initial) == (s_th, s_init)
+
+
 def test_transformed_identity_is_bit_identical():
     rng = np.random.default_rng(12)
     labels = ["XXI", "ZIZ", "IYY", "ZZZ", "XIX"]

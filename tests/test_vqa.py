@@ -1,4 +1,7 @@
-"""Tests for ansatz construction, parameter-shift gradients, and VQE/ADAPT."""
+"""Tests for ansatz construction, adjoint-method gradients, and VQE/ADAPT.
+
+The gradient is checked against central finite differences and against a
+test-only parameter-shift rule, the exact rule that quantum hardware uses."""
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from qcfciqmc.operators import (
 )
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.simulator import (
+    BasisFlip,
     Circuit,
+    PauliApply,
     PauliRotation,
     apply_circuit,
     prepare_basis_state,
@@ -166,6 +171,73 @@ def test_gradient_matches_finite_difference(trial):
         dm[k] -= eps
         fd = (circuit_energy(c, h, dp) - circuit_energy(c, h, dm)) / (2 * eps)
         assert g[k] == pytest.approx(fd, abs=5e-9, rel=1e-6)
+
+
+def parameter_shift_gradient(circuit, h, params):
+    """Oracle: per parametric gate, half the energy difference at its resolved
+    angle shifted by +-pi/2, times the gate's scale, summed per slot."""
+    grad = np.zeros(circuit.n_slots)
+    for pos, g in enumerate(circuit.gates):
+        if not (isinstance(g, PauliRotation) and g.slot is not None):
+            continue
+        angle = g.scale * params[g.slot]
+        energies = []
+        for shift in (0.5 * np.pi, -0.5 * np.pi):
+            gates = list(circuit.gates)
+            gates[pos] = PauliRotation(g.word, angle=angle + shift)
+            energies.append(circuit_energy(Circuit(circuit.n_qubits, gates), h, params))
+        grad[g.slot] += g.scale * 0.5 * (energies[0] - energies[1])
+    return grad
+
+
+def random_mixed_circuit(n_qubits, rng):
+    """Parametric rotations on a few shared slots, interleaved with fixed-angle
+    rotations, Pauli applications and basis flips."""
+    n_slots = int(rng.integers(1, 4))
+    gates = []
+    for _ in range(int(rng.integers(4, 12))):
+        word = PauliWord(n_qubits, int(rng.integers(0, 1 << n_qubits)),
+                         int(rng.integers(0, 1 << n_qubits)))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            gates.append(PauliApply(word))
+        elif kind == 1:
+            gates.append(BasisFlip(int(rng.integers(0, n_qubits))))
+        elif kind == 2:
+            gates.append(PauliRotation(word, angle=float(rng.normal())))
+        else:
+            gates.append(PauliRotation(word, slot=int(rng.integers(0, n_slots)),
+                                       scale=float(rng.choice([-2.0, -1.0, 0.5, 1.5]))))
+    return Circuit(n_qubits, gates)
+
+
+def test_gradient_matches_parameter_shift_on_layered_2x2_ansatz():
+    spec, h = hubbard_2x2()
+    ref = lowest_diagonal_reference(h, half_filling(spec))
+    c = layered_ansatz(hubbard_hv_generator_groups(spec), 3, ref, spec.n_qubits)
+    params = 0.2 * np.random.default_rng(105).standard_normal(c.n_slots)
+    np.testing.assert_allclose(gradient(c, h, params), parameter_shift_gradient(c, h, params),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_gradient_matches_parameter_shift_on_mixed_circuits(trial):
+    rng = np.random.default_rng(900 + trial)
+    n_qubits = int(rng.integers(1, 4))
+    h = random_hermitian_sum(n_qubits, rng)
+    c = random_mixed_circuit(n_qubits, rng)
+    params = rng.normal(size=c.n_slots)
+    np.testing.assert_allclose(gradient(c, h, params), parameter_shift_gradient(c, h, params),
+                               rtol=0, atol=1e-12)
+
+
+def test_gradient_without_parametric_gates_is_empty():
+    w = PauliWord(2, 0b11, 0b01)
+    c = Circuit(2, [BasisFlip(0), PauliApply(w), PauliRotation(w, angle=0.3)])
+    h = random_hermitian_sum(2, np.random.default_rng(7))
+    g = gradient(c, h, np.zeros(0))
+    np.testing.assert_array_equal(g, np.zeros(c.n_slots))
+    np.testing.assert_array_equal(g, parameter_shift_gradient(c, h, np.zeros(0)))
 
 
 def test_pool_gradient_matches_finite_difference():
