@@ -6,7 +6,8 @@ statevector.  Two backends share one interface.  The exact backend evaluates
 entries from dense circuit applications.  The sampled backend emulates the
 one-ancilla estimation circuits at the level of their measurement statistics:
 magnitudes from a multinomial draw over the normalized distribution
-q(j) = |H'_ji|^2 / nu^2 with nu^2 = <i|U^dag H^2 U|i>, and signs from the
+q(j) = |H'_ji|^2 / nu^2 with nu^2 = <i|U^dag H^2 U|i> (zero where
+|H'_ji| < 1e-13 nu, which is roundoff residue), and signs from the
 Hadamard-test Bernoulli with success probability (1 + Re H'_ji / nu) / 2.
 
 Sampling is keyed per basis index from the source seed, so every backend call
@@ -37,6 +38,12 @@ import numpy as np
 
 from .operators import PauliSum
 from .simulator import Circuit, transformed_columns
+
+
+# |H'_ji| below this fraction of the row norm nu is roundoff residue to the
+# magnitude draw: its probability is under 1e-26, so at 1e6 shots its
+# expected count per row is below 1e-16
+RESIDUE_FLOOR = 1e-13
 
 
 class MatelemError(ValueError):
@@ -166,7 +173,11 @@ class ElementSource:
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
         if nu_sq <= 0.0:
             return np.zeros(len(col)), np.zeros(len(col), dtype=bool)
-        q = np.abs(col) ** 2 / nu_sq
+        mags = np.abs(col)
+        q = mags**2 / nu_sq
+        # roundoff residue gets probability exactly zero, so the multinomial
+        # consumes the same stream whichever residues the arithmetic left
+        q[mags < RESIDUE_FLOOR * np.sqrt(nu_sq)] = 0.0
         q = q / q.sum()
         shots = self.backend.shots_magnitude
         counts = self._rng(i).multinomial(shots, q)

@@ -354,3 +354,23 @@ def test_sampled_floor_drops_small_elements():
     row = dict(row_magnitudes(src, 0).connections)
     assert 1 in row
     assert 2 not in row  # |H| = 1e-3 sits far below the 0.1 floor
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_magnitude_draw_ignores_roundoff_residue(seed):
+    """Entries below RESIDUE_FLOOR * nu never reach the multinomial: moving
+    them by up to 1e-16 nu, exact zeros included, leaves every count as it was."""
+    rng = np.random.default_rng(300 + seed)
+    src = x0_source(0.5, backend=SampledBackend(), seed=seed)
+    col = np.zeros(64)
+    col[rng.choice(64, size=12, replace=False)] = rng.normal(size=12)
+    col[rng.choice(64, size=6, replace=False)] += 1e-17 * rng.normal(size=6)
+    nu_sq = float(col @ col)
+    below = np.abs(col) < me.RESIDUE_FLOOR * np.sqrt(nu_sq)
+    noisy = col.copy()
+    noisy[below] += rng.uniform(-1e-16, 1e-16, size=int(below.sum())) * np.sqrt(nu_sq)
+    for i in range(3):
+        mags, keep = src._draw_magnitudes(i, col, nu_sq)
+        mags_noisy, keep_noisy = src._draw_magnitudes(i, noisy, nu_sq)
+        assert mags.tobytes() == mags_noisy.tobytes()
+        assert (keep == keep_noisy).all()
