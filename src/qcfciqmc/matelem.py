@@ -14,8 +14,10 @@ Sampling is keyed per basis index from the source seed, so every backend call
 is a pure function of (source, indices): repeated queries reproduce the same
 draw and results never depend on call order.
 
-Each row is measured once: one transformed column and one magnitude draw go
-into a per-row record on the source, which then serves magnitudes, signs,
+The source compiles its circuit once, at its fixed parameters, into gate
+runs (`simulator.compile_circuit`); every column is computed from those runs
+and the grouped H.  Each row is measured once: one transformed column and one
+magnitude draw go into a per-row record on the source, which then serves magnitudes, signs,
 the diagonal and the signed row.  Signed elements are cached under the
 symmetric key (min(i,j), max(i,j)) because the engine-facing Hamiltonians are
 real symmetric; the first stored value wins.
@@ -31,13 +33,12 @@ persisted between runs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import PauliSum
-from .simulator import Circuit, transformed_columns
+from .simulator import Circuit, compile_circuit, transformed_columns
 
 
 # |H'_ji| below this fraction of the row norm nu is roundoff residue to the
@@ -112,13 +113,11 @@ class ElementSource:
         if not hamiltonian.is_hermitian():
             raise MatelemError("Hamiltonian must be Hermitian")
         self.hamiltonian = hamiltonian
-        self.circuit = circuit
-        self.params = tuple(float(p) for p in params)  # immutable for the run
         self.backend = backend if backend is not None else ExactBackend()
         self.cache = MatrixElementCache()
         self.seed = int(seed)
         self.n_qubits = circuit.n_qubits
-        self._lock = threading.Lock()
+        self._compiled = compile_circuit(circuit, params)  # fixed for the run
         self._rows: dict = {}  # i -> RowRecord
         dim = 1 << self.n_qubits
         # engine CSR: resolved row i occupies [_row_start[i], _row_start[i] +
@@ -134,19 +133,17 @@ class ElementSource:
         """Column i of H': entry j equals <j|U^dag H U|i>."""
         if not (0 <= i < 1 << self.n_qubits):
             raise MatelemError(f"basis index {i} out of range")
-        return transformed_columns(self.hamiltonian, self.circuit, self.params, [i])[:, 0]
+        return transformed_columns(self.hamiltonian, self._compiled, [i])[:, 0]
 
     def row(self, i: int) -> RowRecord:
         """The record of row i, measured on first request."""
         rec = self._rows.get(i)
         if rec is None:
-            rec = self._measure(i)
-            with self._lock:
-                rec = self._rows.setdefault(i, rec)
+            rec = self._rows[i] = self._measure(i)
         return rec
 
     def _append_row(self, i: int, signed: list) -> None:
-        """Append resolved row i to the engine CSR; the caller holds the lock."""
+        """Append resolved row i to the engine CSR."""
         vals = np.array([v for (_, v) in signed], dtype=float)
         start = len(self._targets)
         self._targets = np.concatenate(
@@ -268,10 +265,8 @@ def _resolved(src: ElementSource, i: int) -> RowRecord:
             val = get_element(src, i, j)
             if val != 0.0:
                 signed.append((j, val))
-        with src._lock:
-            if rec.signed is None:
-                rec.signed = signed
-                src._append_row(i, signed)
+        rec.signed = signed
+        src._append_row(i, signed)
     return rec
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exactdiag
 from .operators import DENSE_LIMIT, PauliSum
-from .simulator import Circuit, transformed_columns
+from .simulator import Circuit, compile_circuit, transformed_columns
 
 SPLIT_TOL = 1e-12  # off-diagonal sign classification threshold
 IMAG_TOL = 1e-9  # transformed matrices must be real to this tolerance
@@ -194,14 +194,15 @@ def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
 
 
 def transformed_dense(h: PauliSum, u: Circuit, params=(), imag_tol: float = IMAG_TOL) -> np.ndarray:
-    """Dense similarity transform U^dag H U, all columns in one batched pass.
+    """Dense similarity transform U^dag H U, all columns in one batched pass
+    through the circuit, compiled once for this call.
 
     The result must be real to imag_tol (the real-Hamiltonian scope of this
     package); residual imaginary parts below the tolerance are truncated."""
     n = u.n_qubits
     if n > DENSE_LIMIT:
         raise NsiError("qubit count exceeds dense limit")
-    hp = transformed_columns(h, u, params, range(1 << n))
+    hp = transformed_columns(h, compile_circuit(u, params), range(1 << n))
     worst = float(np.abs(hp.imag).max())
     if worst > imag_tol:
         raise NsiError(

@@ -5,6 +5,11 @@ an X factor iff bit q of x_mask is set, a Z factor iff bit q of z_mask is set,
 and a Y factor iff both are set.  Qubit 0 is the least significant bit of a
 basis index throughout the package.
 
+A PauliSum acts through its grouped form, built once per sum: the words are
+grouped by X mask, and each group is one phase vector E_x over all basis
+indices with (H v)[t] = sum_x E_x[t] v[t ^ x].  apply_pauli_sum, to_dense and
+diagonal_entry all read it.
+
 Fermionic operators use the mode convention: spin-orbital index = 2*site + spin
 with spin up = 0.  Jordan-Wigner places the Z parity string on modes below the
 acted-on mode: a^dag_p = (X_p - i Y_p)/2 (x) Z_{p-1} ... Z_0.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,11 +104,12 @@ def pauli_product(a: PauliWord, b: PauliWord):
     return (1j) ** k, PauliWord(a.n_qubits, x, z)
 
 
-def _word_action(w: PauliWord):
-    """(targets, phases) over all basis indices: W|i> = phases[i] |targets[i]>."""
+def word_phases(w: PauliWord) -> np.ndarray:
+    """The phases p of W in gather form, (W v)[t] = p[t] * v[t ^ x_mask]:
+    p[t] = i^{|x&z|} (-1)^{|(t ^ x) & z|}."""
     idx = np.arange(1 << w.n_qubits)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & w.z_mask) & 1)
-    return idx ^ w.x_mask, ((1j) ** w.y_count) * signs
+    signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ w.x_mask) & w.z_mask) & 1)
+    return ((1j) ** w.y_count) * signs
 
 
 def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
@@ -110,12 +117,10 @@ def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
     (2^n, m) batch of statevectors."""
     if vec.shape[0] != 1 << w.n_qubits:
         raise OperatorError("dimension mismatch")
-    targets, phases = _word_action(w)
+    phases = word_phases(w)
     if vec.ndim == 2:
         phases = phases[:, None]
-    out = np.empty_like(vec, dtype=complex)
-    out[targets] = phases * vec
-    return out
+    return phases * np.take(vec, np.arange(len(vec)) ^ w.x_mask, axis=0)
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,30 @@ class PauliTerm:
             raise OperatorError("non-finite coefficient")
 
 
+@dataclass(frozen=True)
+class PauliGroups:
+    """A Pauli sum grouped by X mask: (H v)[t] = sum_g phases[g, t] v[t ^ masks[g]].
+
+    Row g of `phases` sums c_k i^{|x&z|_k} (-1)^{|(t ^ x) & z_k|} over the
+    words k with X mask masks[g], in term order; it is float64 when every such
+    sum is real, as for the real Hubbard and molecular Hamiltonians."""
+
+    masks: tuple  # distinct X masks, in order of first appearance
+    phases: np.ndarray  # (len(masks), 2^n)
+    idx: np.ndarray  # arange(2^n), the gather base
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """<t|H|t> over all t (the x = 0 group), or None without such words."""
+        return self.phases[self.masks.index(0)] if 0 in self.masks else None
+
+
 @dataclass
 class PauliSum:
-    """Weighted sum of Pauli words, H = sum_k h_k P_k."""
+    """Weighted sum of Pauli words, H = sum_k h_k P_k.
+
+    `terms` is not mutated after construction: the grouped form is built from
+    it once, on first use, and kept."""
 
     terms: list = field(default_factory=list)
 
@@ -139,6 +165,23 @@ class PauliSum:
         if not self.terms:
             raise OperatorError("empty PauliSum has no qubit count")
         return self.terms[0].word.n_qubits
+
+    @cached_property
+    def grouped(self) -> PauliGroups:
+        """The sum grouped by X mask, built once per sum."""
+        if not self.terms:
+            return PauliGroups((), np.zeros((0, 0)), np.arange(0))
+        dim = 1 << self.n_qubits
+        acc: dict = {}
+        for t in self.terms:
+            x = t.word.x_mask
+            if x not in acc:
+                acc[x] = np.zeros(dim, dtype=complex)
+            acc[x] += t.coefficient * word_phases(t.word)
+        phases = np.array(list(acc.values()))
+        if not phases.imag.any():
+            phases = phases.real.copy()
+        return PauliGroups(tuple(acc), phases, np.arange(dim))
 
     def simplify(self, prune_tol: float = PRUNE_TOL) -> "PauliSum":
         acc: dict = {}
@@ -178,38 +221,39 @@ class PauliSum:
 
 
 def apply_pauli_sum(h: PauliSum, vec: np.ndarray) -> np.ndarray:
-    """H|psi> for a dense statevector (or batch), one vectorized pass per term."""
-    out = np.zeros(vec.shape, dtype=complex)
-    for t in h.terms:
-        out += t.coefficient * apply_word(t.word, vec)
+    """H|psi> for a dense statevector (or batch), one gather per X-mask group.
+
+    The result is real only when both the state and the grouped H are."""
+    g = h.grouped
+    if g.masks and vec.shape[0] != len(g.idx):
+        raise OperatorError("dimension mismatch")
+    out = np.zeros(vec.shape, dtype=np.result_type(vec, g.phases))
+    for x, phases in zip(g.masks, g.phases):
+        if vec.ndim == 2:
+            phases = phases[:, None]
+        out += phases * np.take(vec, g.idx ^ x, axis=0)
     return out
 
 
 def diagonal_entry(h: PauliSum, index: int) -> float:
-    """<i|H|i> without touching a statevector; only x_mask = 0 words contribute."""
-    val = 0.0
-    for t in h.terms:
-        if t.word.x_mask == 0:
-            val += np.real(t.coefficient) * (-1) ** (index & t.word.z_mask).bit_count()
-    return float(val)
+    """<i|H|i>, read from the grouped form's x = 0 group."""
+    diag = h.grouped.diagonal
+    return 0.0 if diag is None else float(diag[index].real)
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a PauliSum.
 
-    Each term scatters its word's (target index, phase) pairs into the matrix,
-    one O(2^n) pass per term.  The word action is the one apply_word uses, so
-    the dense and statevector constructions of an operator agree bit for bit.
-    """
+    Each X-mask group fills its entries H[t, t ^ x] in one scatter.  The
+    grouped form is the one apply_pauli_sum uses, so the dense and
+    statevector constructions of an operator agree bit for bit."""
     n = h.n_qubits
     if n > DENSE_LIMIT:
         raise OperatorError(f"{n} qubits exceeds dense limit {DENSE_LIMIT}")
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for t in h.terms:
-        targets, phases = _word_action(t.word)
-        mat[targets, cols] += t.coefficient * phases
+    g = h.grouped
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x, phases in zip(g.masks, g.phases):
+        mat[g.idx, g.idx ^ x] += phases
     return mat
 
 

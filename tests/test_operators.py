@@ -19,6 +19,7 @@ from qcfciqmc.operators import (
     apply_word,
     build_hubbard,
     build_molecular,
+    diagonal_entry,
     jordan_wigner,
     parse_fcidump,
     pauli_product,
@@ -199,6 +200,42 @@ def test_to_dense_matches_column_oracle_bit_for_bit(h):
         basis[j] = 1.0
         oracle[:, j] = apply_pauli_sum(h, basis)
     assert to_dense(h).tobytes() == oracle.tobytes()
+
+
+def per_word_sum(h, vec):
+    """Test-only H|v>: one apply_word per term, summed in term order."""
+    out = np.zeros(vec.shape, dtype=complex)
+    for t in h.terms:
+        out += t.coefficient * apply_word(t.word, vec)
+    return out
+
+
+def scalar_diagonal(h, index):
+    """Test-only <i|H|i>: a scalar loop over the x = 0 words."""
+    val = 0.0
+    for t in h.terms:
+        if t.word.x_mask == 0:
+            val += np.real(t.coefficient) * (-1) ** (index & t.word.z_mask).bit_count()
+    return float(val)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_sums(), st.integers(0, 2**32 - 1))
+def test_grouped_apply_matches_per_word_sum(h, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << h.n_qubits
+    vec = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    np.testing.assert_allclose(apply_pauli_sum(h, vec), per_word_sum(h, vec), atol=1e-12)
+    np.testing.assert_allclose(apply_pauli_sum(h, vec[:, 0]), per_word_sum(h, vec[:, 0]),
+                               atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_sums())
+def test_diagonal_entry_matches_scalar_loop_bit_for_bit(h):
+    for i in range(1 << h.n_qubits):
+        assert np.float64(diagonal_entry(h, i)).tobytes() == \
+            np.float64(scalar_diagonal(h, i)).tobytes()
 
 
 def test_to_dense_respects_limit():

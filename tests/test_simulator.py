@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord, to_dense
+from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord, apply_word, to_dense
 from qcfciqmc.simulator import (
     BasisFlip,
     Circuit,
@@ -14,8 +14,11 @@ from qcfciqmc.simulator import (
     Statevector,
     amplitude_vector,
     apply_circuit,
+    apply_gates,
+    compile_circuit,
     expectation,
     prepare_basis_state,
+    transformed_columns,
 )
 
 
@@ -177,3 +180,102 @@ def test_expectation_rejects_non_hermitian():
     h = PauliSum([PauliTerm(1.0j, PauliWord.from_label("X"))])
     with pytest.raises(SimulatorError):
         expectation(prepare_basis_state(1, 0), h)
+
+
+# ---------------------------------------------------------------------------
+# compiled circuits against the per-gate path
+# ---------------------------------------------------------------------------
+
+
+def run_heavy_circuit(rng, n_qubits, n_gates=14, n_slots=3):
+    """Random circuit whose words draw their X masks from a pool of two, so
+    equal masks sit both next to each other and apart (the second mask may be
+    0, a diagonal run); every gate kind appears: PauliApply with one Y, so a
+    complex phase, where the mask is not 0, basis flips in the middle
+    (two in a row, on the same qubit or not), fixed-angle rotations, and
+    slotted rotations sharing slots."""
+    pool = [int(rng.integers(1, 1 << n_qubits)), int(rng.integers(0, 1 << n_qubits))]
+    gates = []
+    for k in range(n_gates):
+        x = pool[int(rng.integers(0, 2))]
+        z = int(rng.integers(0, 1 << n_qubits))
+        w = PauliWord(n_qubits, x, z)
+        kind = k % 4
+        if kind == 0:
+            gates.append(PauliApply(PauliWord(n_qubits, x, (z & ~x) | (x & -x))))  # phase i^y
+        elif kind == 1:
+            gates.append(PauliRotation(w, angle=float(rng.normal())))
+        else:
+            gates.append(PauliRotation(w, slot=int(rng.integers(0, n_slots)),
+                                       scale=float(rng.normal())))
+        if k == n_gates // 2:
+            gates += [BasisFlip(int(q)) for q in rng.integers(0, n_qubits, size=2)]
+    return Circuit(n_qubits, gates), rng.normal(size=n_slots)
+
+
+def per_word_sum(h, vec):
+    """Test-only H|v>: one apply_word per term, summed in term order."""
+    out = np.zeros(vec.shape, dtype=complex)
+    for t in h.terms:
+        out += t.coefficient * apply_word(t.word, vec)
+    return out
+
+
+def random_complex_sum(rng, n_qubits, n_terms=6):
+    return PauliSum([
+        PauliTerm(complex(rng.normal(), rng.normal()),
+                  PauliWord(n_qubits, int(rng.integers(0, 1 << n_qubits)),
+                            int(rng.integers(0, 1 << n_qubits))))
+        for _ in range(n_terms)
+    ])
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_compiled_circuit_matches_per_gate_path(trial):
+    rng = np.random.default_rng(500 + trial)
+    n = 1 + trial % 4
+    c, params = run_heavy_circuit(rng, n)
+    compiled = compile_circuit(c, params)
+    assert len(compiled.runs) < len(c.gates)  # some gates did compose
+    dim = 1 << n
+    for shape in ((dim,), (dim, 3)):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for invert in (False, True):
+            np.testing.assert_allclose(compiled.apply(v, invert=invert),
+                                       apply_gates(v, n, c.gates, params, invert=invert),
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_transformed_columns_match_per_gate_oracle(trial):
+    """apply_circuit, a per-word H and amplitude_vector give every column."""
+    rng = np.random.default_rng(700 + trial)
+    n = 1 + trial % 4
+    c, params = run_heavy_circuit(rng, n)
+    if trial % 6 == 5:
+        c = Circuit(n, [])
+    h = random_complex_sum(rng, n)
+    dim = 1 << n
+    cols = transformed_columns(h, compile_circuit(c, params), range(dim))
+    for i in range(dim):
+        state = apply_circuit(prepare_basis_state(n, i), c, params)
+        w = Statevector(n, per_word_sum(h, state.amplitudes))
+        np.testing.assert_allclose(cols[:, i], amplitude_vector(w, c, params), atol=1e-12)
+
+
+def test_compile_rejects_missing_parameters():
+    c = Circuit(1, [PauliRotation(PauliWord.from_label("X"), slot=1)])
+    with pytest.raises(SimulatorError):
+        compile_circuit(c, [0.1])
+
+
+def test_real_circuit_compiles_to_real_runs():
+    """Odd-Y rotations are real orthogonal: runs and columns are float64."""
+    w = PauliWord.from_label("XY")
+    c = Circuit(2, [BasisFlip(0), PauliRotation(w, angle=0.3), PauliRotation(w, slot=0)])
+    compiled = compile_circuit(c, [0.7])
+    assert compiled.dtype == np.float64
+    assert [r.a is None for r in compiled.runs] == [True, False]
+    h = PauliSum([PauliTerm(0.5, PauliWord.from_label("XX")),
+                  PauliTerm(-1.0, PauliWord.from_label("ZI"))])
+    assert transformed_columns(h, compiled, [0, 3]).dtype == np.float64
