@@ -275,6 +275,12 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         "magnitude_floor": conf.get_float("backend.magnitude_floor"),
         "ambiguity_z": conf.get_float("backend.ambiguity_z"),
     }
+    try:  # the engine and the sampled backend own their range checks
+        RunConfig(**cfg.qmc)
+        if cfg.backend_kind == "sampled":
+            build_backend(cfg)
+    except (FciqmcError, MatelemError) as exc:
+        raise ConfigError(str(exc)) from None
 
     raw_circuit = conf.get_str("circuit.path")
     if raw_circuit is not None:

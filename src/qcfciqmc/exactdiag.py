@@ -30,9 +30,6 @@ class Spectrum:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
-    def ground_state(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
 
 def diagonalize(h: np.ndarray) -> Spectrum:
     h = np.asarray(h)

@@ -14,8 +14,10 @@ projects onto the wrong vector.
 Walkers are integers; fractional probabilities round stochastically.  The
 population is two int64 arrays, the occupied indices in ascending order and
 their signed counts, and each update rule is a handful of array operations
-over them.  All randomness for a step comes from one counter-based stream
-keyed by (seed, step): one binomial call draws the children along the
+over them and over the rows of the element source's CSR, which the mixed
+energy and the timestep check read in place.  All randomness for a step
+comes from one counter-based stream keyed by (seed, step) (`keyed_rng`, as
+for element draws): one binomial call draws the children along the
 concatenated rows of every occupied parent, in ascending parent order, and a
 second one draws death/clone over the occupied indices.  A trajectory is
 therefore a pure function of (config, seed) no matter how the host schedules
@@ -32,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matelem import ElementSource, diagonal_elements, get_element, row_arrays, signed_row
+from .matelem import (ElementSource, diagonal_elements, get_element, keyed_rng, resolved_row,
+                      row_arrays)
 from .simulator import Circuit
 
 
@@ -53,21 +56,13 @@ class WalkerPopulation:
         items = sorted((int(i), int(c)) for i, c in (counts or {}).items() if c != 0)
         self.indices = np.array([i for (i, _) in items], dtype=np.int64)
         self.signed = np.array([c for (_, c) in items], dtype=np.int64)
-        self._counts = None
 
     @classmethod
     def from_arrays(cls, indices: np.ndarray, signed: np.ndarray) -> "WalkerPopulation":
         """Wrap arrays that already hold ascending unique indices and nonzero counts."""
         pop = cls.__new__(cls)
-        pop.indices, pop.signed, pop._counts = indices, signed, None
+        pop.indices, pop.signed = indices, signed
         return pop
-
-    @property
-    def counts(self) -> dict:
-        """{basis index: signed count}, built on first use; read-only."""
-        if self._counts is None:
-            self._counts = dict(zip(self.indices.tolist(), self.signed.tolist()))
-        return self._counts
 
     @property
     def total_walkers(self) -> int:
@@ -76,9 +71,6 @@ class WalkerPopulation:
     @property
     def n_occupied(self) -> int:
         return len(self.indices)
-
-    def occupied(self) -> list:
-        return self.indices.tolist()
 
     @classmethod
     def single(cls, index: int, count: int) -> "WalkerPopulation":
@@ -124,6 +116,8 @@ class RunConfig:
     def __post_init__(self):
         if self.delta_tau <= 0:
             raise FciqmcError("delta_tau must be positive")
+        if self.update_interval < 1:
+            raise FciqmcError("update_interval must be at least 1")
         if not (0 <= self.equilibration_fraction < 1):
             raise FciqmcError("equilibration_fraction must lie in [0, 1)")
 
@@ -147,11 +141,6 @@ class Trajectory:
     records: list = field(default_factory=list)
     config: RunConfig | None = None
     reference: int = 0
-
-
-def _step_rng(seed: int, step: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(step,))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +227,22 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
     """E = H'_00 + sum_{j != 0} H'_{j,phi0} c_j / c_0 over occupied j.
 
     Returns None while the reference is unoccupied (estimate undefined).  The
-    sum runs in the order of the reference's signed row, one term at a time,
-    so its rounding does not depend on how the population is stored."""
-    counts = pop.counts
-    c_0 = counts.get(phi0, 0)
-    if c_0 == 0:
+    reference's row is found in the population by binary search, and the sum
+    runs in the row's order, one term at a time, so its rounding does not
+    depend on how the population is stored."""
+    idx = pop.indices
+    k = idx.searchsorted(phi0)
+    if k == len(idx) or idx[k] != phi0:
         return None
     e = get_element(src, phi0, phi0)
-    for (j, h_j0) in signed_row(src, phi0):
-        c_j = counts.get(j, 0)
+    targets, mags, csigns = resolved_row(src, phi0)
+    pos = idx.searchsorted(targets)
+    c = pop.signed.take(pos, mode="clip") * (idx.take(pos, mode="clip") == targets)
+    c_0 = int(pop.signed[k])
+    # -s * m is H'_{j,phi0} exactly; the child sign s is -sign(H'_{j,phi0})
+    for s, m, c_j in zip(csigns.tolist(), mags.tolist(), c.tolist()):
         if c_j:
-            e += h_j0 * c_j / c_0
+            e += -s * m * c_j / c_0
     return float(e)
 
 
@@ -261,7 +255,7 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
     """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
     newly occupied rows `fresh`; True once the warning is given."""
     for i in fresh:
-        l1 = abs(get_element(src, i, i) - shift) + sum(abs(v) for (_, v) in signed_row(src, i))
+        l1 = abs(get_element(src, i, i) - shift) + sum(resolved_row(src, i)[1].tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
                 f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index {i}; "
@@ -296,7 +290,7 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, phi0)
     ))
     for step in range(1, cfg.n_steps + 1):
-        rng = _step_rng(cfg.seed, step)
+        rng = keyed_rng(cfg.seed, step)
         if not warned:
             fresh = pop.indices[~checked[pop.indices]]
             checked[fresh] = True

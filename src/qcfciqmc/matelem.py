@@ -10,25 +10,25 @@ q(j) = |H'_ji|^2 / nu^2 with nu^2 = <i|U^dag H^2 U|i> (zero where
 |H'_ji| < 1e-13 nu, which is roundoff residue), and signs from the
 Hadamard-test Bernoulli with success probability (1 + Re H'_ji / nu) / 2.
 
-Sampling is keyed per basis index from the source seed, so every backend call
-is a pure function of (source, indices): repeated queries reproduce the same
-draw and results never depend on call order.
+Sampling is keyed per basis index from the source seed (`keyed_rng`, which
+also builds the engine's per-step stream), so every backend call is a pure
+function of (source, indices): repeated queries reproduce the same draw and
+results never depend on call order.
 
 The source compiles its circuit once, at its fixed parameters, into gate
 runs (`simulator.compile_circuit`); every column is computed from those runs
 and the grouped H.  Each row is measured once: one transformed column and one
-magnitude draw go into a per-row record on the source, which then serves magnitudes, signs,
-the diagonal and the signed row.  Signed elements are cached under the
-symmetric key (min(i,j), max(i,j)) because the engine-facing Hamiltonians are
-real symmetric; the first stored value wins.
+magnitude draw (ascending target and magnitude arrays) go into a per-row
+record, which serves magnitudes, signs and the diagonal.  Signed elements
+are cached under the symmetric key (min(i,j), max(i,j)) because the
+engine-facing Hamiltonians are real symmetric; the first stored value wins.
 
-The walker engine reads the source through two batched views that the source
-owns: a CSR of resolved rows (targets, |H'_ji| and child signs, with a start
-and a length per row; a row is appended when its signs are first resolved)
-and a vector of diagonal elements, each filled once through `get_element`.
-Both resolve unseen entries in the order the caller gives, so the element
-cache fills in the same order as one row at a time would.  Nothing is
-persisted between runs.
+Each signed row is kept once, in the CSR the source owns for the engine
+(targets, |H'_ji| and child signs, with a start and a length per row),
+appended when the row's signs are first resolved; diagonal elements sit in a
+vector, each filled once through `get_element`.  Unseen entries resolve in
+the order the caller gives, so the element cache fills in the same order as
+one row at a time would.  Nothing is persisted between runs.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ class SignAmbiguityError(MatelemError):
     """Re H'_ji statistically indistinguishable from zero; treat the element as zero."""
 
 
+def keyed_rng(seed: int, *key) -> np.random.Generator:
+    """The counter-based stream of (seed, key): Philox over a SeedSequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 @dataclass(frozen=True)
 class ExactBackend:
     magnitude_floor: float = 1e-8
@@ -66,6 +72,10 @@ class SampledBackend:
     shots_sign: int = 10**4
     magnitude_floor: float = 0.0  # extra user floor on top of the 3-SE cut
     ambiguity_z: float = 3.0
+
+    def __post_init__(self):
+        if self.shots_magnitude < 1 or self.shots_sign < 1:
+            raise MatelemError("shots_magnitude and shots_sign must be at least 1")
 
 
 @dataclass
@@ -89,20 +99,19 @@ class MatrixElementCache:
         return self.entries.setdefault(key, float(value))
 
 
-@dataclass
-class ConnectionList:
-    source: int
-    connections: list  # [(j, |H'_ji| estimate)], j != source, above floor
-
-
-@dataclass
+@dataclass(frozen=True)
 class RowRecord:
-    """What one measurement of row i yields, plus what is derived from it."""
+    """What one measurement of row i yields."""
 
     column: np.ndarray  # Re H'_ji over all j
     nu_sq: float  # <i|U^dag H^2 U|i>, the row's squared norm
-    magnitudes: ConnectionList  # the row's one magnitude draw
-    signed: list | None = None  # [(j, H'_ji)] with signs resolved, once asked for
+    targets: np.ndarray  # the draw's kept j != i, ascending
+    mags: np.ndarray  # the draw's |H'_ji| estimates at `targets`
+
+    @property
+    def connections(self) -> list:
+        """The draw as [(j, |H'_ji|)] pairs, ascending in j."""
+        return list(zip(self.targets.tolist(), self.mags.tolist()))
 
 
 class ElementSource:
@@ -142,17 +151,6 @@ class ElementSource:
             rec = self._rows[i] = self._measure(i)
         return rec
 
-    def _append_row(self, i: int, signed: list) -> None:
-        """Append resolved row i to the engine CSR."""
-        vals = np.array([v for (_, v) in signed], dtype=float)
-        start = len(self._targets)
-        self._targets = np.concatenate(
-            [self._targets, np.array([j for (j, _) in signed], dtype=np.int64)])
-        self._mags = np.concatenate([self._mags, np.abs(vals)])
-        self._child_signs = np.concatenate(
-            [self._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
-        self._row_start[i], self._row_len[i] = start, len(signed)
-
     def _measure(self, i: int) -> RowRecord:
         col = self.transformed_column(i)
         nu_sq = float(np.vdot(col, col).real)  # exactly <i|U^dag H^2 U|i>
@@ -163,8 +161,7 @@ class ElementSource:
             mags, keep = self._draw_magnitudes(i, col, nu_sq)
         keep[i] = False
         found = np.nonzero(keep)[0]
-        connections = list(zip(found.tolist(), mags[found].tolist()))
-        return RowRecord(col.real.copy(), nu_sq, ConnectionList(i, connections))
+        return RowRecord(col.real.copy(), nu_sq, found, mags[found])
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
@@ -177,21 +174,23 @@ class ElementSource:
         q[mags < RESIDUE_FLOOR * np.sqrt(nu_sq)] = 0.0
         q = q / q.sum()
         shots = self.backend.shots_magnitude
-        counts = self._rng(i).multinomial(shots, q)
+        counts = keyed_rng(self.seed, i).multinomial(shots, q)
         estimates = nu_sq * counts / shots
         # binomial standard error of each |H'_ji|^2 estimate
         se = nu_sq * np.sqrt(counts / shots * (1.0 - counts / shots) / shots)
         keep = estimates >= np.maximum(self.backend.magnitude_floor**2, 3.0 * se)
         return np.sqrt(estimates), keep & (counts > 0)
 
-    def _rng(self, *key) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in key))
-        return np.random.Generator(np.random.Philox(ss))
+
+def row_magnitudes(src: ElementSource, i: int) -> RowRecord:
+    """The record of row i, whose `targets` and `mags` are its magnitude draw."""
+    return src.row(i)
 
 
-def row_magnitudes(src: ElementSource, i: int) -> ConnectionList:
-    """The magnitude draw of row i."""
-    return src.row(i).magnitudes
+def _hadamard_test(src: ElementSource, re: float, nu: float, key: tuple) -> int:
+    """Successes of the keyed Hadamard test with p = (1 + re / nu) / 2."""
+    p = min(1.0, max(0.0, 0.5 * (1.0 + re / nu)))
+    return int(keyed_rng(src.seed, *key).binomial(src.backend.shots_sign, p))
 
 
 def element_sign(src: ElementSource, i: int, j: int) -> int:
@@ -205,9 +204,8 @@ def element_sign(src: ElementSource, i: int, j: int) -> int:
     nu = float(np.sqrt(rec.nu_sq))
     if nu == 0.0:
         raise SignAmbiguityError("zero row norm; no sign to estimate")
-    p = min(1.0, max(0.0, 0.5 * (1.0 + re / nu)))
     shots = src.backend.shots_sign
-    successes = int(src._rng(min(i, j), max(i, j), 1).binomial(shots, p))
+    successes = _hadamard_test(src, re, nu, (min(i, j), max(i, j), 1))
     margin = abs(2 * successes - shots)
     if margin <= src.backend.ambiguity_z * np.sqrt(shots):
         raise SignAmbiguityError(
@@ -222,15 +220,12 @@ def diagonal_element(src: ElementSource, i: int) -> float:
     exact = float(rec.column[i])
     if isinstance(src.backend, ExactBackend):
         return exact
-    # Hadamard-test emulation of the same estimation circuit at j = i:
-    # nu * (2 p_hat - 1) with p = (1 + H'_ii/nu)/2
+    # the same estimation circuit at j = i gives nu * (2 p_hat - 1)
     nu = float(np.sqrt(rec.nu_sq))
     if nu == 0.0:
         return 0.0
-    p = min(1.0, max(0.0, 0.5 * (1.0 + exact / nu)))
-    shots = src.backend.shots_sign
-    successes = int(src._rng(i, 3).binomial(shots, p))
-    return nu * (2.0 * successes / shots - 1.0)
+    successes = _hadamard_test(src, exact, nu, (i, 3))
+    return nu * (2.0 * successes / src.backend.shots_sign - 1.0)
 
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
@@ -240,11 +235,9 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
         return cached
     if i == j:
         return src.cache.store(i, i, diagonal_element(src, i))
-    mag = 0.0
-    for (k, m) in src.row(i).magnitudes.connections:
-        if k == j:
-            mag = m
-            break
+    rec = src.row(i)
+    k = int(rec.targets.searchsorted(j))
+    mag = float(rec.mags[k]) if k < len(rec.targets) and rec.targets[k] == j else 0.0
     if mag == 0.0:
         return src.cache.store(i, j, 0.0)
     try:
@@ -254,25 +247,32 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
     return src.cache.store(i, j, sign * mag)
 
 
-def _resolved(src: ElementSource, i: int) -> RowRecord:
-    """Row i's record with its signed row filled in and appended to the CSR."""
-    rec = src.row(i)
-    if rec.signed is None:
-        signed = []
-        # the one read of the row's draw as a whole; get_element looks up
-        # single entries in the record, so each row reports one draw
-        for (j, _) in row_magnitudes(src, i).connections:
-            val = get_element(src, i, j)
-            if val != 0.0:
-                signed.append((j, val))
-        rec.signed = signed
-        src._append_row(i, signed)
-    return rec
+def resolved_row(src: ElementSource, i: int) -> tuple:
+    """Row i of the engine CSR as views (targets j, |H'_ji|, -sign(H'_ji)).
+
+    On first request every entry of the row's draw is read through
+    get_element in ascending j, and the nonzero ones are appended.  That is
+    the one read of the draw as a whole; get_element looks up single entries
+    in the record, so each row reports one draw."""
+    if src._row_len[i] < 0:
+        rec = row_magnitudes(src, i)
+        vals = np.array([get_element(src, i, j) for j in rec.targets.tolist()], dtype=float)
+        nonzero = vals != 0.0
+        vals = vals[nonzero]
+        src._row_start[i], src._row_len[i] = len(src._targets), len(vals)
+        src._targets = np.concatenate([src._targets, rec.targets[nonzero]])
+        src._mags = np.concatenate([src._mags, np.abs(vals)])
+        src._child_signs = np.concatenate(
+            [src._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
+    start = src._row_start[i]
+    end = start + src._row_len[i]
+    return src._targets[start:end], src._mags[start:end], src._child_signs[start:end]
 
 
 def signed_row(src: ElementSource, i: int) -> list:
-    """All (j, H'_ji) connections from i with signs resolved, cache-backed."""
-    return _resolved(src, i).signed
+    """All (j, H'_ji) connections from i with signs resolved, from the CSR."""
+    targets, mags, csigns = resolved_row(src, i)
+    return list(zip(targets.tolist(), (-csigns * mags).tolist()))
 
 
 def row_arrays(src: ElementSource, indices) -> tuple:
@@ -286,7 +286,7 @@ def row_arrays(src: ElementSource, indices) -> tuple:
     lens = src._row_len[indices]
     if (lens < 0).any():
         for i in indices[lens < 0].tolist():
-            _resolved(src, i)
+            resolved_row(src, i)
         lens = src._row_len[indices]
     ends = lens.cumsum()
     # position k of the output reads entry start + (k - offset) of its row

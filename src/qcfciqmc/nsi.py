@@ -15,7 +15,6 @@ a diagnostic at desk scale rather than an inner-loop quantity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +66,6 @@ class NsiReport:
             out["s_initial"] = self.s_initial
             out["theorem2_indicator"] = self.theorem2_indicator
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_real_symmetric(h) -> np.ndarray:

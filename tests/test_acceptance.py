@@ -337,8 +337,9 @@ def test_ac07_single_step_mean_matches_linear_propagator():
         spawned = spawn_step(pop0, src, dt, rng)
         survivors = death_clone_step(pop0, src, shift, dt, rng)
         new = annihilate(survivors, spawned)
+        counts = dict(zip(new.indices.tolist(), new.signed.tolist()))
         for i in range(4):
-            acc[i] += new.counts.get(i, 0)
+            acc[i] += counts.get(i, 0)
     elapsed = time.perf_counter() - t0
     mean = acc / n_trials
     expected = c0 - dt * (hd - shift * np.eye(4)) @ c0

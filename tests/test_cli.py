@@ -473,6 +473,18 @@ def test_qmc_requires_circuit_unless_identity(tmp_path):
     assert cli.main(["qmc", conf]) == 2
 
 
+@pytest.mark.parametrize("setting", [
+    "qmc.update_interval = 0",
+    "backend.shots_magnitude = -1",
+    "backend.shots_sign = 0",
+])
+def test_qmc_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
+    conf = write_conf(tmp_path, BASE_1X2.format(out=tmp_path / "out")
+                      + "backend.kind = sampled\n" + setting + "\n")
+    assert cli.main(["qmc", conf, "--identity-basis"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_qmc_circuit_qubit_mismatch(tmp_path):
     out = tmp_path / "out"
     out.mkdir()

@@ -49,6 +49,11 @@ def rng_for(step):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def counts_of(pop):
+    """{basis index: signed count} of a population."""
+    return dict(zip(pop.indices.tolist(), pop.signed.tolist()))
+
+
 def x_source(coeff, n_qubits=1):
     h = PauliSum([PauliTerm(coeff, PauliWord(n_qubits, 1, 0))])
     return ElementSource(h, Circuit(n_qubits, []))
@@ -71,10 +76,10 @@ def diag_source(values):
 
 def test_population_drops_zero_entries():
     pop = WalkerPopulation({3: 0, 5: -2, 1: 4})
-    assert pop.counts == {5: -2, 1: 4}
+    assert counts_of(pop) == {5: -2, 1: 4}
     assert pop.total_walkers == 6
     assert pop.n_occupied == 2
-    assert pop.occupied() == [1, 5]
+    assert pop.indices.tolist() == [1, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +139,14 @@ def test_death_noop_at_shift_equal_diagonal():
     src = diag_source([0.7, 0.0])
     pop = WalkerPopulation.single(0, 1234)
     out = death_clone_step(pop, src, 0.7, 0.05, rng_for(4))
-    assert out.counts == {0: 1234}
+    assert counts_of(out) == {0: 1234}
 
 
 def test_death_certain_at_probability_one():
     src = diag_source([2.0, 0.0])
     pop = WalkerPopulation.single(0, 999)
     out = death_clone_step(pop, src, 0.0, 0.5, rng_for(5))  # (2-0)*0.5 = 1
-    assert out.counts == {}
+    assert counts_of(out) == {}
 
 
 def test_clone_growth_statistics():
@@ -151,14 +156,14 @@ def test_clone_growth_statistics():
     out = death_clone_step(pop, src, 0.0, 1.0, rng_for(6))
     mean = 10**5 * 1.2
     sigma = np.sqrt(10**5 * 0.2 * 0.8)
-    assert abs(out.counts[0] - mean) < 3 * sigma
+    assert abs(counts_of(out)[0] - mean) < 3 * sigma
 
 
 def test_death_never_flips_sign():
     src = diag_source([5.0, 0.0])
     pop = WalkerPopulation({0: -50})
     out = death_clone_step(pop, src, 0.0, 0.19, rng_for(7))
-    assert out.counts.get(0, 0) <= 0
+    assert counts_of(out).get(0, 0) <= 0
 
 
 def test_death_clamps_and_warns():
@@ -166,7 +171,7 @@ def test_death_clamps_and_warns():
     pop = WalkerPopulation.single(0, 100)
     with pytest.warns(UserWarning, match="clamped"):
         out = death_clone_step(pop, src, 0.0, 0.5, rng_for(8))  # d = 2 -> 1
-    assert out.counts == {}
+    assert counts_of(out) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +181,17 @@ def test_death_clamps_and_warns():
 
 def test_annihilate_exact_cancellation():
     out = annihilate(WalkerPopulation({4: 3}), {4: -3})
-    assert out.counts == {}
+    assert counts_of(out) == {}
 
 
 def test_annihilate_partial():
     out = annihilate(WalkerPopulation({4: 5}), {4: -2})
-    assert out.counts == {4: 3}
+    assert counts_of(out) == {4: 3}
 
 
 def test_annihilate_disjoint_union():
     out = annihilate(WalkerPopulation({1: 2, 3: -1}), {0: 7})
-    assert out.counts == {1: 2, 3: -1, 0: 7}
+    assert counts_of(out) == {1: 2, 3: -1, 0: 7}
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +317,7 @@ def test_single_step_expectation_matches_linear_propagator():
         survivors = death_clone_step(pop0, src, shift, dt, rng)
         new = annihilate(survivors, spawned)
         for i in range(4):
-            acc[i] += new.counts.get(i, 0)
+            acc[i] += counts_of(new).get(i, 0)
     mean = acc / n_trials
     expected = c0 - dt * (hd - shift * np.eye(4)) @ c0
     # per-component sigma bounded by binomial variances of each contribution
@@ -355,8 +360,7 @@ def test_identity_basis_matches_classical_probabilities():
 def spawn_step_oracle(pop, src, delta_tau, rng):
     """One binomial call per occupied parent, children summed in a dict."""
     spawned = {}
-    for i in pop.occupied():
-        c_i = pop.counts[i]
+    for i, c_i in counts_of(pop).items():
         row = signed_row(src, i)
         if not row:
             continue
@@ -373,8 +377,9 @@ def spawn_step_oracle(pop, src, delta_tau, rng):
 
 def death_clone_oracle(pop, src, shift, delta_tau, rng):
     """Survivor counts from per-index diagonal reads, as a dict."""
-    occ = pop.occupied()
-    signed = np.array([pop.counts[i] for i in occ], dtype=np.int64)
+    counts = counts_of(pop)
+    occ = list(counts)
+    signed = np.array([counts[i] for i in occ], dtype=np.int64)
     d = np.array([(get_element(src, i, i) - shift) * delta_tau for i in occ])
     d = np.clip(d, -1.0, 1.0)
     flips = rng.binomial(np.abs(signed), np.abs(d))
@@ -418,8 +423,51 @@ def test_engine_consumes_the_stream_as_the_per_parent_loop(backend):
         spawned = spawn_step(pop, src_new, dt, rng_new)
         survivors = death_clone_step(pop, src_new, shift, dt, rng_new)
         assert spawned == spawn_step_oracle(pop, src_oracle, dt, rng_oracle)
-        assert survivors.counts == death_clone_oracle(pop, src_oracle, shift, dt, rng_oracle)
+        assert counts_of(survivors) == death_clone_oracle(pop, src_oracle, shift, dt, rng_oracle)
         np.testing.assert_equal(rng_new.bit_generator.state, rng_oracle.bit_generator.state)
+
+
+def mixed_energy_oracle(pop, src, phi0):
+    """The mixed energy over a {index: count} dict, in signed-row order."""
+    counts = counts_of(pop)
+    c_0 = counts.get(phi0, 0)
+    if c_0 == 0:
+        return None
+    e = get_element(src, phi0, phi0)
+    for (j, h_j0) in signed_row(src, phi0):
+        c_j = counts.get(j, 0)
+        if c_j:
+            e += h_j0 * c_j / c_0
+    return float(e)
+
+
+@pytest.mark.parametrize("backend", [
+    ExactBackend(),
+    SampledBackend(shots_magnitude=10**4, shots_sign=10**3),
+])
+def test_mixed_energy_matches_dict_oracle_bit_for_bit(backend):
+    """Equal to the last bit on random populations; every fourth one leaves
+    the reference unoccupied, and most leave some of its row targets empty."""
+    sector, (src_new, src_oracle) = hubbard_2x2_sources(backend)
+    pick = np.random.default_rng(29)
+    present = absent = 0
+    for trial in range(24):
+        occ = pick.choice(sector, size=int(pick.integers(1, len(sector) + 1)), replace=False)
+        counts = pick.integers(1, 3000, size=len(occ)) * pick.choice([-1, 1], size=len(occ))
+        phi0 = int(occ[0])
+        if trial % 4 == 0:
+            occ, counts = occ[1:], counts[1:]
+        pop = WalkerPopulation(dict(zip(occ.tolist(), counts.tolist())))
+        e = mixed_energy(pop, src_new, phi0)
+        assert e == mixed_energy_oracle(pop, src_oracle, phi0)
+        assert (e is None) == (trial % 4 == 0)
+        # reads both sources alike, so their caches keep filling in step
+        row = signed_row(src_new, phi0)
+        assert row == signed_row(src_oracle, phi0)
+        targets = {j for (j, _) in row}
+        present += len(targets & set(occ.tolist()))
+        absent += len(targets - set(occ.tolist()))
+    assert present > 0 and absent > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 import qcfciqmc.matelem as me
 from qcfciqmc.matelem import (
-    ConnectionList,
     ElementSource,
     ExactBackend,
     MatrixElementCache,
@@ -299,7 +298,8 @@ def test_sampled_magnitude_unbiased_over_seeds():
         )
         col = src.transformed_column(0)
         nu_sq = float(np.vdot(col, col).real)
-        counts = src._rng(0).multinomial(shots, np.abs(col) ** 2 / nu_sq)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+        counts = rng.multinomial(shots, np.abs(col) ** 2 / nu_sq)
         estimates.append(nu_sq * counts[1] / shots)
     target = 0.6**2
     mean = np.mean(estimates)
