@@ -11,9 +11,10 @@ q(j) = |H'_ji|^2 / nu^2 with nu^2 = <i|U^dag H^2 U|i> (zero where
 Hadamard-test Bernoulli with success probability (1 + Re H'_ji / nu) / 2.
 
 Sampling is keyed per basis index from the source seed (`keyed_rng`, which
-also builds the engine's per-step stream), so every backend call is a pure
-function of (source, indices): repeated queries reproduce the same draw and
-results never depend on call order.
+also builds the engine's per-step stream), so every draw is a pure function
+of (source, key) and repeated queries reproduce it.  Signed elements are
+not: on the sampled backend the symmetric cache below keeps whichever of the
+two rows' estimates of an element is read first.
 
 The source compiles its circuit once, at its fixed parameters, into gate
 runs (`simulator.compile_circuit`); every column is computed from those runs
@@ -57,7 +58,7 @@ class SignAmbiguityError(MatelemError):
 
 def keyed_rng(seed: int, *key) -> np.random.Generator:
     """The counter-based stream of (seed, key): Philox over a SeedSequence."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
