@@ -237,6 +237,7 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
     e = get_element(src, phi0, phi0)
     targets, mags, csigns = resolved_row(src, phi0)
     pos = idx.searchsorted(targets)
+    # the count on each target of the row; 0 where the target is unoccupied
     c = pop.signed.take(pos, mode="clip") * (idx.take(pos, mode="clip") == targets)
     c_0 = int(pop.signed[k])
     # -s * m is H'_{j,phi0} exactly; the child sign s is -sign(H'_{j,phi0})

@@ -57,7 +57,7 @@ class SignAmbiguityError(MatelemError):
 
 
 def keyed_rng(seed: int, *key) -> np.random.Generator:
-    """The counter-based stream of (seed, key): Philox over a SeedSequence."""
+    """The counter-based Philox stream keyed by (seed, key)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
