@@ -197,6 +197,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     conf = _Conf(mapping)
     cfg = ExperimentConfig()
     cfg.seed = conf.get_int("seed", 1)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     cfg.output_dir = Path(conf.get_str("output.dir", "."))
 
     has_hubbard = any(k.startswith("model.hubbard.") for k in mapping)

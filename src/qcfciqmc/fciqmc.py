@@ -16,12 +16,18 @@ population is two int64 arrays, the occupied indices in ascending order and
 their signed counts, and each update rule is a handful of array operations
 over them and over the rows of the element source's CSR, which the mixed
 energy and the timestep check read in place.  All randomness for a step
-comes from one counter-based stream keyed by (seed, step) (`keyed_rng`, as
-for element draws): one binomial call draws the children along the
-concatenated rows of every occupied parent, in ascending parent order, and a
-second one draws death/clone over the occupied indices.  A trajectory is
-therefore a pure function of (config, seed) no matter how the host schedules
-threads.
+comes from one counter-based Philox stream keyed by (seed, step): one
+binomial call draws the children along the concatenated rows of every
+occupied parent, in ascending parent order, and a second one draws
+death/clone over the occupied indices.  A trajectory is therefore a pure
+function of (config, seed) no matter how the host schedules threads.
+
+`run` derives the Philox keys of all its steps in one vectorized call
+(16 bytes per step) and re-keys one generator of its own at each step
+(`matelem.KeyedStreams`).  It does not share the element source's generator:
+the timestep check and `row_arrays` resolve rows, and so make element draws,
+after the step's generator is keyed, and those draws must not move the step's
+stream.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matelem import (ElementSource, diagonal_elements, get_element, keyed_rng, resolved_row,
-                      row_arrays)
+from .matelem import (ElementSource, KeyedStreams, diagonal_elements, get_element,
+                      resolved_row, row_arrays)
 from .simulator import Circuit
 
 
@@ -285,13 +291,15 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         threshold=cfg.threshold,
     )
     traj = Trajectory(config=cfg, reference=phi0)
+    steps = KeyedStreams(cfg.seed)  # not the source's: rows resolved mid-step re-key that one
+    step_keys = steps.key(np.arange(1, cfg.n_steps + 1))
     warned = False
     checked = np.zeros(1 << src.n_qubits, dtype=bool)  # rows seen occupied
     traj.records.append(TrajectoryRecord(
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, phi0)
     ))
     for step in range(1, cfg.n_steps + 1):
-        rng = keyed_rng(cfg.seed, step)
+        rng = steps.rekey(step_keys[step - 1])
         if not warned:
             fresh = pop.indices[~checked[pop.indices]]
             checked[fresh] = True

@@ -30,6 +30,7 @@ from qcfciqmc.fciqmc import (
 from qcfciqmc.matelem import (
     ElementSource,
     ExactBackend,
+    KeyedStreams,
     SampledBackend,
     SignAmbiguityError,
     element_sign,
@@ -331,9 +332,11 @@ def test_ac07_single_step_mean_matches_linear_propagator():
     n_trials = 100_000
     acc = np.zeros(4)
     t0 = time.perf_counter()
+    # the streams of (42, step), keyed in one batch as the engine keys its steps
+    streams = KeyedStreams(42)
+    step_keys = streams.key(np.arange(n_trials))
     for step in range(n_trials):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=42, spawn_key=(step,))))
+        rng = streams.rekey(step_keys[step])
         spawned = spawn_step(pop0, src, dt, rng)
         survivors = death_clone_step(pop0, src, shift, dt, rng)
         new = annihilate(survivors, spawned)

@@ -485,6 +485,18 @@ def test_qmc_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_in_the_file_is_a_config_error(tmp_path, capsys):
+    body = BASE_1X2.format(out=tmp_path / "out").replace("seed = 3", "seed = -3")
+    assert cli.main(["qmc", write_conf(tmp_path, body), "--identity-basis"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    conf = write_conf(tmp_path, BASE_1X2.format(out=tmp_path / "out"))
+    assert cli.main(["qmc", conf, "--identity-basis", "--seed", "-3"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_qmc_circuit_qubit_mismatch(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
