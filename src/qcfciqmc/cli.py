@@ -4,6 +4,9 @@ Each subcommand reads one flat key = value config file (dotted sections,
 `#` comments), applies flag overrides, runs the requested experiment, and
 writes machine-readable records into the output directory.  Exit codes:
 0 success, 2 config error, 3 model error, 4 numerical failure.
+Each walker basis {U|i>} is resolved once, by `_walker_basis`, and every
+dense matrix is read through H' = U^dag H U, the identity basis being the
+empty circuit.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactdiag import diagonalize, number_sector_indices, project_to_sector
+from .exactdiag import diagonalize, number_sector_indices
 from .fciqmc import (
     FciqmcError,
     RunConfig,
@@ -25,9 +28,10 @@ from .fciqmc import (
     trajectory_to_csv,
 )
 from .matelem import ExactBackend, MatelemError, SampledBackend
-from .nsi import NsiError, nsi_report, transformed_nsi
+from .nsi import NsiError, transformed_nsi
 from .operators import (
     DENSE_LIMIT,
+    FcidumpError,
     HubbardSpec,
     OperatorError,
     PauliSum,
@@ -37,9 +41,9 @@ from .operators import (
     diagonal_entry,
     jordan_wigner,
     parse_fcidump,
-    to_dense,
 )
-from .simulator import BasisFlip, Circuit, PauliApply, PauliRotation, SimulatorError
+from .simulator import (BasisFlip, Circuit, PauliApply, PauliRotation, SimulatorError,
+                        compile_circuit, transformed_columns)
 from .vqa import (
     AnsatzSpec,
     OptimizerConfig,
@@ -65,6 +69,10 @@ class ConfigError(CliError):
 class ModelError(CliError):
     exit_code = 3
 
+
+# a failed computation: exit 4 from main, the row's error in a sweep
+FAILURES = (CliError, FciqmcError, MatelemError, NsiError, VqaError,
+            OperatorError, SimulatorError, np.linalg.LinAlgError)
 
 CIRCUIT_FORMAT = "qcfciqmc-circuit"
 CIRCUIT_VERSION = 1
@@ -337,12 +345,8 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
             sector = number_sector_indices(n, n_up=n_up, n_dn=n_dn)
             ref = molecular_reference(n, n_active_elec, data.ms2)
             label = f"fcidump {cfg.fcidump_path.name}"
-    except (OperatorError, VqaError) as exc:
+    except (OperatorError, FcidumpError, VqaError) as exc:
         raise ModelError(str(exc)) from exc
-    if cfg.reference_override is not None:
-        ref = cfg.reference_override
-        if not (0 <= ref < (1 << n)):
-            raise ConfigError("qmc.reference out of range")
     return BuiltModel(h=h, n_qubits=n, sector=sector, reference=int(ref),
                       label=label, hubbard=cfg.hubbard)
 
@@ -464,17 +468,39 @@ def _write_json(cfg: ExperimentConfig, name: str, record: dict) -> Path:
     return path
 
 
-def _dense_hamiltonian(model: BuiltModel) -> np.ndarray:
-    """The model's real dense matrix; a model error above the dense limit."""
+def _check_dense(model: BuiltModel) -> None:
+    """A model error when the model's dense matrices exceed the dense limit."""
     dim = 1 << model.n_qubits
     if dim > 1 << DENSE_LIMIT:
         raise ModelError(f"dense dimension {dim} exceeds limit {1 << DENSE_LIMIT}")
-    return to_dense(model.h).real
+
+
+def _walker_basis(model: BuiltModel, determinant=None, circuit=None, params=()):
+    """The walker basis {U|i>} as (circuit, params, phi0), the identity basis
+    (empty circuit) when no circuit is given.  phi0 is the determinant,
+    model.reference unless given, XOR the circuit's leading basis flips, so a
+    determinant names the same state in every basis: model.reference is
+    walker 0 in the circuits the CLI writes."""
+    n = model.n_qubits
+    if circuit is None:
+        circuit, params = Circuit(n, []), np.zeros(0)
+    elif circuit.n_qubits != n:
+        raise ConfigError("circuit qubit count does not match model")
+    phi0 = model.reference if determinant is None else determinant
+    if not 0 <= phi0 < 1 << n:
+        raise ConfigError(f"reference determinant {phi0} out of range for {n} qubits")
+    for g in circuit.gates:
+        if not isinstance(g, BasisFlip):
+            break
+        phi0 ^= 1 << g.qubit
+    return circuit, params, phi0
 
 
 def _sector_ground_energy(model: BuiltModel) -> float:
-    sub = project_to_sector(_dense_hamiltonian(model), model.sector)
-    return diagonalize(sub).ground_energy()
+    _check_dense(model)
+    empty = compile_circuit(Circuit(model.n_qubits, []))
+    sub = transformed_columns(model.h, empty, model.sector)[model.sector]
+    return diagonalize(sub.real).ground_energy()
 
 
 def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=None):
@@ -502,10 +528,11 @@ def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=Non
                      gradient_tol=spec.gradient_tol, config=cfg.optimizer)
 
 
-def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, circuit, params, phi0, seed):
-    run_cfg = RunConfig(seed=seed, reference=phi0, **cfg.qmc)
+def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis, seed):
+    circuit, params, phi0 = basis
+    run_cfg = RunConfig(seed=seed, **cfg.qmc)
     backend = build_backend(cfg)
-    traj = run(model.h, circuit, params, run_cfg, backend=backend)
+    traj = run(model.h, circuit, params, run_cfg, backend=backend, phi0=phi0)
     stats = statistics(traj, run_cfg)
     return traj, stats, run_cfg
 
@@ -559,47 +586,32 @@ def cmd_vqe(cfg: ExperimentConfig) -> dict:
 
 def cmd_nsi(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
-    phi0 = cfg.nsi_phi0 if cfg.nsi_phi0 is not None else model.reference
-    dense = _dense_hamiltonian(model)
-    identity_rep = nsi_report(dense, cfg.nsi_beta, phi0=phi0)
-    record = {
-        "command": "nsi",
-        "model": model.label,
-        "identity": identity_rep.to_dict(),
-        "config": cfg.effective,
-    }
+    _check_dense(model)
+    circuits = {"identity": ()}
     if not cfg.identity_basis and cfg.circuit_path is not None:
-        circuit, params = load_circuit(cfg)
-        # the circuit owns its preparation flips, so its reference index is 0
-        trans_phi0 = cfg.nsi_phi0 if cfg.nsi_phi0 is not None else 0
-        trans_rep = transformed_nsi(model.h, circuit, params, cfg.nsi_beta,
-                                    phi0=trans_phi0)
-        record["transformed"] = trans_rep.to_dict()
-        if identity_rep.s_thermal > 0.0:
-            record["ratio"] = trans_rep.s_thermal / identity_rep.s_thermal
-        else:
-            record["ratio"] = None
-    _write_json(cfg, "nsi.json", record)
-    line = f"nsi: identity s_thermal {identity_rep.s_thermal!r}"
+        circuits["transformed"] = load_circuit(cfg)
+    record = {"command": "nsi", "model": model.label, "config": cfg.effective}
+    for name, loaded in circuits.items():
+        circuit, params, phi0 = _walker_basis(model, cfg.nsi_phi0, *loaded)
+        record[name] = transformed_nsi(model.h, circuit, params, cfg.nsi_beta,
+                                       phi0=phi0).to_dict()
+    s_identity = record["identity"]["s_thermal"]
     if "transformed" in record:
-        line += f", transformed {record['transformed']['s_thermal']!r}"
+        s_trans = record["transformed"]["s_thermal"]
+        record["ratio"] = s_trans / s_identity if s_identity > 0.0 else None
+    _write_json(cfg, "nsi.json", record)
+    line = f"nsi: identity s_thermal {s_identity!r}"
+    if "transformed" in record:
+        line += f", transformed {s_trans!r}"
     print(line)
     return record
 
 
 def cmd_qmc(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
-    if cfg.identity_basis:
-        circuit, params = Circuit(model.n_qubits, []), np.zeros(0)
-        phi0 = model.reference
-    else:
-        circuit, params = load_circuit(cfg)
-        if circuit.n_qubits != model.n_qubits:
-            raise ConfigError("circuit qubit count does not match model")
-        phi0 = 0  # preparation is inside the circuit
-    if cfg.reference_override is not None:
-        phi0 = cfg.reference_override
-    traj, stats, run_cfg = _run_qmc(cfg, model, circuit, params, phi0, cfg.seed)
+    loaded = () if cfg.identity_basis else load_circuit(cfg)
+    basis = _walker_basis(model, cfg.reference_override, *loaded)
+    traj, stats, run_cfg = _run_qmc(cfg, model, basis, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     (cfg.output_dir / "trajectory.csv").write_text(trajectory_to_csv(traj))
     record = summary_record(traj, stats)
@@ -618,7 +630,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     if not cfg.sweep_depths:
         raise ConfigError("sweep.depths is required for the sweep command")
     model = build_model(cfg)
-    dense = _dense_hamiltonian(model)
+    _check_dense(model)
+    identity = _walker_basis(model, cfg.reference_override)
     rows = []
     for index, depth in enumerate(cfg.sweep_depths):
         seed = cfg.seed + index  # derived seed, one independent stream per point
@@ -627,23 +640,20 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
                "error": ""}
         try:
             if depth == 0:
-                circuit, params = Circuit(model.n_qubits, []), np.zeros(0)
-                phi0 = model.reference
+                basis = identity
                 row["e_vqe"] = diagonal_entry(model.h, model.reference)
-                rep = nsi_report(dense, cfg.nsi_beta)
             else:
                 result = _train_ansatz(cfg, model, depth=depth, seed=seed)
-                circuit, params = result.circuit, result.params
-                phi0 = 0
+                basis = _walker_basis(model, cfg.reference_override,
+                                      result.circuit, result.params)
                 row["e_vqe"] = result.energy
-                rep = transformed_nsi(model.h, circuit, params, cfg.nsi_beta)
+            rep = transformed_nsi(model.h, basis[0], basis[1], cfg.nsi_beta)
             row["nsi"] = rep.s_thermal
             row["theorem1_bound"] = rep.theorem1_bound
-            _, stats, _ = _run_qmc(cfg, model, circuit, params, phi0, seed)
+            _, stats, _ = _run_qmc(cfg, model, basis, seed)
             row["e_qmc_mean"] = stats.mean
             row["e_qmc_std"] = stats.std
-        except (CliError, FciqmcError, MatelemError, NsiError, VqaError,
-                OperatorError, SimulatorError) as exc:
+        except FAILURES as exc:
             row["error"] = str(exc)
         rows.append(row)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -714,8 +724,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
-    except (CliError, FciqmcError, MatelemError, NsiError, VqaError,
-            OperatorError, SimulatorError, np.linalg.LinAlgError) as exc:
+    except FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     return 0

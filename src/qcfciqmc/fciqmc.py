@@ -117,7 +117,6 @@ class RunConfig:
     update_interval: int = 5
     threshold: int = 5000
     equilibration_fraction: float = 0.5
-    reference: int | None = None  # default: engine picks the given phi0
 
     def __post_init__(self):
         if self.delta_tau <= 0:
@@ -274,14 +273,13 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
 
 
 def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
-        source: ElementSource | None = None, phi0: int | None = None) -> Trajectory:
-    """Full trajectory: spawn, death/clone, annihilate each step; shift control;
-    per-step mixed energy.  Bit-reproducible from (cfg, seed)."""
+        source: ElementSource | None = None, phi0: int = 0) -> Trajectory:
+    """Full trajectory from walkers on phi0: spawn, death/clone, annihilate
+    each step; shift control; per-step mixed energy against phi0.
+    Bit-reproducible from (cfg, seed)."""
     src = source if source is not None else ElementSource(
         h, circuit, params, backend=backend, seed=cfg.seed
     )
-    if phi0 is None:
-        phi0 = cfg.reference if cfg.reference is not None else 0
     pop = WalkerPopulation.single(phi0, cfg.initial_walkers)
     e_ref = get_element(src, phi0, phi0)
     ctl = ShiftController(

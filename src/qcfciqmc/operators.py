@@ -286,9 +286,6 @@ class FermionSum:
                 if not (0 <= m < self.n_modes):
                     raise OperatorError(f"mode {m} out of range")
 
-    def adjoint(self) -> "FermionSum":
-        return FermionSum([t.adjoint() for t in self.terms], self.n_modes)
-
 
 def _ladder_pauli(mode: int, create: bool, n_qubits: int) -> PauliSum:
     # a_p = (X_p + iY_p)/2 (x) Z-string below; a^dag flips the Y sign

@@ -153,12 +153,9 @@ def layered_ansatz(generator_groups, layers: int, reference: int, n_qubits: int)
 
 
 def _antisymmetrized(terms, n_modes: int) -> PauliSum:
-    f = FermionSum(
-        [FermionTerm(c, ops) for (c, ops) in terms]
-        + [FermionTerm(-c, tuple((m, not cr) for (m, cr) in reversed(ops))) for (c, ops) in terms],
-        n_modes,
-    )
-    return jordan_wigner(f)
+    fwd = [FermionTerm(c, ops) for (c, ops) in terms]
+    back = [FermionTerm(-t.coefficient, t.adjoint().ops) for t in fwd]
+    return jordan_wigner(FermionSum(fwd + back, n_modes))
 
 
 def singles_doubles_pool(n_modes: int) -> list:

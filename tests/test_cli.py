@@ -16,8 +16,9 @@ from qcfciqmc.cli import (
     parse_config_text,
     serialize_circuit,
 )
-from qcfciqmc.exactdiag import number_sector_indices
+from qcfciqmc.exactdiag import diagonalize, number_sector_indices, project_to_sector
 from qcfciqmc.fciqmc import trajectory_from_csv
+from qcfciqmc.nsi import transformed_dense
 from qcfciqmc.operators import (
     FcidumpData,
     HubbardSpec,
@@ -37,7 +38,9 @@ from qcfciqmc.simulator import (
     PauliApply,
     PauliRotation,
     apply_circuit,
+    compile_circuit,
     prepare_basis_state,
+    transformed_columns,
 )
 
 E_1X2 = 2.0 - 2.0 * math.sqrt(2.0)
@@ -47,6 +50,16 @@ def write_conf(tmp_path, body, name="exp.conf"):
     path = tmp_path / name
     path.write_text(body)
     return str(path)
+
+
+def lattice_fcidump(spec):
+    """A Hubbard lattice written as integrals: h1 = -t * adjacency, (ii|ii) = U."""
+    data = FcidumpData(n_orbitals=spec.n_sites, n_electrons=spec.n_sites, ms2=0)
+    for (i, j) in spec.edges():
+        data.set_h1(i + 1, j + 1, -spec.t)
+    for i in range(1, spec.n_sites + 1):
+        data.set_eri(i, i, i, i, spec.u)
+    return data
 
 
 BASE_1X2 = """
@@ -233,6 +246,39 @@ def test_ed_identity_only_hamiltonian():
     assert abs(cli._sector_ground_energy(model) + 1.5) < 1e-12
 
 
+@pytest.mark.parametrize("source", ["hubbard 1x2", "hubbard 2x2", "fcidump 1x2",
+                                    "fcidump 2x2"])
+def test_empty_circuit_reads_the_dense_matrix_bit_for_bit(tmp_path, source):
+    """The identity basis read through H' = U^dag H U with the empty circuit
+    is the dense matrix and its sector block byte for byte, so ed and the
+    identity NSI reports see the same numbers as a direct dense build."""
+    kind, shape = source.split()
+    spec = HubbardSpec(shape=tuple(int(x) for x in shape.split("x")), t=1.0, u=4.0)
+    if kind == "hubbard":
+        body = f"model.hubbard.shape = {shape}\nmodel.hubbard.t = 1.0\nmodel.hubbard.u = 4.0\n"
+    else:
+        path = tmp_path / "lattice.fcidump"
+        path.write_text(serialize_fcidump(lattice_fcidump(spec)))
+        body = f"model.fcidump.path = {path}\n"
+    model = cli.build_model(load_config(write_conf(tmp_path, body)))
+    empty = Circuit(model.n_qubits, [])
+    dense = to_dense(model.h).real
+    hp = transformed_dense(model.h, empty, ())
+    assert hp.dtype == dense.dtype and hp.tobytes() == dense.tobytes()
+    cols = transformed_columns(model.h, compile_circuit(empty), model.sector)[model.sector]
+    block = project_to_sector(dense, model.sector)
+    assert cols.dtype == block.dtype and cols.tobytes() == block.tobytes()
+    assert cli._sector_ground_energy(model) == diagonalize(block).ground_energy()
+
+
+def test_malformed_fcidump_is_a_model_error(tmp_path, capsys):
+    bad = tmp_path / "bad.fcidump"
+    bad.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n 0.5 1 1 x 1\n 0.0 0 0 0 0\n")
+    conf = write_conf(tmp_path, f"output.dir = {tmp_path / 'out'}\nmodel.fcidump.path = {bad}\n")
+    assert cli.main(["ed", conf]) == 3
+    assert "model error" in capsys.readouterr().err
+
+
 def test_ed_dense_limit_exit_code(tmp_path):
     conf = write_conf(tmp_path, f"""
 output.dir = {tmp_path / 'out'}
@@ -285,13 +331,8 @@ def test_fcidump_hubbard_lattice_matches_hubbard_model(tmp_path):
     """The molecular path end to end, on a 2x2 Hubbard lattice written as
     integrals: h1 = -t * adjacency and (ii|ii) = U."""
     spec = HubbardSpec(shape=(2, 2), t=1.0, u=4.0)
-    data = FcidumpData(n_orbitals=spec.n_sites, n_electrons=spec.n_sites, ms2=0)
-    for (i, j) in spec.edges():
-        data.set_h1(i + 1, j + 1, -spec.t)
-    for i in range(1, spec.n_sites + 1):
-        data.set_eri(i, i, i, i, spec.u)
     path = tmp_path / "hubbard2x2.fcidump"
-    path.write_text(serialize_fcidump(data))
+    path.write_text(serialize_fcidump(lattice_fcidump(spec)))
     molecular = to_dense(jordan_wigner(build_molecular(parse_fcidump(path.read_text()))))
     lattice = to_dense(jordan_wigner(build_hubbard(spec)))
     assert np.abs(molecular - lattice).max() < 1e-12
@@ -311,12 +352,8 @@ def test_fcidump_hubbard_lattice_matches_hubbard_model(tmp_path):
 def test_molecular_dimer_every_command(tmp_path):
     """ed, vqe, nsi, qmc and sweep on the Hubbard dimer written as an FCIDUMP
     (h1 = -t, (ii|ii) = U): Aufbau reference, ADAPT ansatz, trained basis."""
-    data = FcidumpData(n_orbitals=2, n_electrons=2, ms2=0)
-    data.set_h1(1, 2, -1.0)
-    for i in (1, 2):
-        data.set_eri(i, i, i, i, 4.0)
     fcidump = tmp_path / "dimer.fcidump"
-    fcidump.write_text(serialize_fcidump(data))
+    fcidump.write_text(serialize_fcidump(lattice_fcidump(HubbardSpec((1, 2), 1.0, 4.0))))
     out = tmp_path / "out"
     conf = write_conf(tmp_path, f"""
 seed = 3
@@ -377,7 +414,9 @@ nsi.beta = 0.1
     assert cli.main(["nsi", conf]) == 0
     record = json.loads((out / "nsi.json").read_text())
     assert record["identity"]["s_thermal"] > 0.0
-    assert abs(record["ratio"] - 1.0) < 1e-9
+    # both reports read the same matrix through the same path
+    assert record["ratio"] == 1.0
+    assert record["transformed"] == record["identity"]
 
 
 def test_nsi_diagonalizing_circuit_near_zero(tmp_path):
@@ -427,6 +466,57 @@ nsi.beta = 0.1
     assert abs(record["identity"]["s_thermal"] - s_id) < 1e-12
     assert abs(record["transformed"]["s_thermal"] - s_tr) < 1e-12
     assert abs(record["ratio"] - s_tr / s_id) < 1e-9
+
+
+def test_nsi_phi0_names_a_model_determinant_in_every_basis(tmp_path):
+    """nsi.phi0 set to the model reference (6 on the dimer) is the default:
+    in the trained basis it lands on the trained state, walker 0."""
+    out = tmp_path / "out"
+    assert cli.main(["vqe", write_conf(tmp_path, BASE_1X2.format(out=out))]) == 0
+    body = BASE_1X2.format(out=out) + f"circuit.path = {out / 'circuit.txt'}\n"
+    assert cli.main(["nsi", write_conf(tmp_path, body, name="a.conf")]) == 0
+    default = json.loads((out / "nsi.json").read_text())
+    reference = json.loads((out / "vqe.json").read_text())["reference"]
+    assert reference == 6
+    keyed = write_conf(tmp_path, body + f"nsi.phi0 = {reference}\n", name="b.conf")
+    assert cli.main(["nsi", keyed]) == 0
+    record = json.loads((out / "nsi.json").read_text())
+    assert record["transformed"] == default["transformed"]
+    assert record["identity"] == default["identity"]
+    assert record["transformed"]["phi0"] == 0
+    assert record["identity"]["phi0"] == reference
+
+
+def test_nsi_circuit_qubit_mismatch(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    wrong = out / "wrong.txt"
+    wrong.write_text(serialize_circuit(Circuit(6, []), np.zeros(0)))
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + f"circuit.path = {wrong}\n")
+    assert cli.main(["nsi", conf]) == 2
+
+
+@pytest.mark.parametrize("command, key", [("nsi", "nsi.phi0"), ("qmc", "qmc.reference"),
+                                          ("sweep", "qmc.reference")])
+@pytest.mark.parametrize("value", [-1, 16])
+def test_reference_determinant_out_of_range_is_a_config_error(tmp_path, capsys,
+                                                              command, key, value):
+    body = SWEEP_1X2.format(out=tmp_path / "out") + f"{key} = {value}\n"
+    assert cli.main([command, write_conf(tmp_path, body), "--identity-basis"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_walker_basis_carries_the_determinant_through_leading_flips():
+    model = cli.BuiltModel(h=PauliSum([]), n_qubits=3, sector=np.arange(8),
+                           reference=0b101, label="flips")
+    assert cli._walker_basis(model)[2] == 0b101
+    assert cli._walker_basis(model, 0b011)[2] == 0b011
+    circuit, params = sample_circuit()  # leading flips on qubits 0 and 2
+    circuit.gates.append(BasisFlip(1))  # not leading: part of the rotation
+    assert cli._walker_basis(model, None, circuit, params)[2] == 0
+    assert cli._walker_basis(model, 0b011, circuit, params)[2] == 0b110
+    with pytest.raises(ConfigError, match="qubit count"):
+        cli._walker_basis(model, None, Circuit(4, []), ())
 
 
 def test_nsi_bad_beta_is_numerical_failure(tmp_path):
@@ -495,6 +585,21 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     conf = write_conf(tmp_path, BASE_1X2.format(out=tmp_path / "out"))
     assert cli.main(["qmc", conf, "--identity-basis", "--seed", "-3"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_qmc_reference_names_a_model_determinant_in_every_basis(tmp_path):
+    """qmc.reference set to the model reference gives the default run in
+    the trained basis too, not a run from the rotated vacuum."""
+    out = tmp_path / "out"
+    assert cli.main(["vqe", write_conf(tmp_path, BASE_1X2.format(out=out))]) == 0
+    reference = json.loads((out / "vqe.json").read_text())["reference"]
+    body = BASE_1X2.format(out=out) + f"circuit.path = {out / 'circuit.txt'}\n"
+    assert cli.main(["qmc", write_conf(tmp_path, body, name="a.conf")]) == 0
+    default = (out / "trajectory.csv").read_bytes()
+    keyed = write_conf(tmp_path, body + f"qmc.reference = {reference}\n", name="b.conf")
+    assert cli.main(["qmc", keyed]) == 0
+    assert (out / "trajectory.csv").read_bytes() == default
+    assert json.loads((out / "summary.json").read_text())["reference"] == 0
 
 
 def test_qmc_circuit_qubit_mismatch(tmp_path):
@@ -617,6 +722,25 @@ def test_sweep_partial_failure_continues(tmp_path, monkeypatch):
     assert rows[0]["error"] == "" and rows[2]["error"] == ""
     text = (out / "sweep.csv").read_text().splitlines()
     assert text[2].startswith("2,,,,,")
+
+
+def test_sweep_row_linalg_failure_goes_into_the_row(tmp_path, monkeypatch):
+    real = cli.transformed_nsi
+
+    def failing(h, u, params, beta, phi0=None):
+        if u.gates:  # the trained rows, not the identity row
+            raise np.linalg.LinAlgError("injected eigh failure")
+        return real(h, u, params, beta, phi0=phi0)
+
+    monkeypatch.setattr(cli, "transformed_nsi", failing)
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + "sweep.depths = 0, 2\n")
+    assert cli.main(["sweep", conf]) == 0
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert rows[0]["error"] == "" and rows[0]["nsi"] is not None
+    assert rows[1]["error"] == "injected eigh failure"
+    assert rows[1]["nsi"] is None and rows[1]["e_qmc_mean"] is None
+    assert (out / "sweep.csv").read_text().splitlines()[2].endswith(",injected eigh failure")
 
 
 def test_sweep_requires_depths(tmp_path):
