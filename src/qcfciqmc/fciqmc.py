@@ -15,19 +15,17 @@ Walkers are integers; fractional probabilities round stochastically.  The
 population is two int64 arrays, the occupied indices in ascending order and
 their signed counts, and each update rule is a handful of array operations
 over them and over the rows of the element source's CSR, which the mixed
-energy and the timestep check read in place.  All randomness for a step
-comes from one counter-based Philox stream keyed by (seed, step): one
+energy and the timestep check read in place.  All randomness of a run
+comes from one counter-based Philox stream, the ENGINE stream of the run's
+seed (`matelem.KeyedStreams`), keyed once per run.  Within a step, one
 binomial call draws the children along the concatenated rows of every
 occupied parent, in ascending parent order, and a second one draws
 death/clone over the occupied indices.  A trajectory is therefore a pure
 function of (config, seed) no matter how the host schedules threads.
 
-`run` derives the Philox keys of all its steps in one vectorized call
-(16 bytes per step) and re-keys one generator of its own at each step
-(`matelem.KeyedStreams`).  It does not share the element source's generator:
-the timestep check and `row_arrays` resolve rows, and so make element draws,
-after the step's generator is keyed, and those draws must not move the step's
-stream.
+The engine's generator is not the element source's, because the timestep
+check and `row_arrays` resolve rows, and so make element draws that re-key
+the source's generator, in the middle of a step.
 """
 
 from __future__ import annotations
@@ -36,12 +34,12 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matelem import (ElementSource, KeyedStreams, diagonal_elements, get_element,
-                      resolved_row, row_arrays)
+from .matelem import (ENGINE, ElementSource, KeyedStreams, diagonal_elements,
+                      get_element, resolved_row, row_arrays)
 from .simulator import Circuit
 
 
@@ -175,7 +173,7 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)).  The
     per-connection Bernoulli sums collapse to one binomial draw per (i, j).
     One binomial call covers the concatenated rows of all occupied parents in
-    ascending parent order, which consumes the step's stream exactly as one
+    ascending parent order, which consumes the generator's stream exactly as one
     call per parent would.  Returns {j: signed child count}, zeros dropped."""
     targets, mags, csigns, lens = row_arrays(src, pop.indices)
     if len(targets) == 0:
@@ -289,15 +287,13 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         threshold=cfg.threshold,
     )
     traj = Trajectory(config=cfg, reference=phi0)
-    steps = KeyedStreams(cfg.seed)  # not the source's: rows resolved mid-step re-key that one
-    step_keys = steps.key(np.arange(1, cfg.n_steps + 1))
+    rng = KeyedStreams(cfg.seed).stream(ENGINE)  # not the source's; see the module notes
     warned = False
     checked = np.zeros(1 << src.n_qubits, dtype=bool)  # rows seen occupied
     traj.records.append(TrajectoryRecord(
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, phi0)
     ))
     for step in range(1, cfg.n_steps + 1):
-        rng = steps.rekey(step_keys[step - 1])
         if not warned:
             fresh = pop.indices[~checked[pop.indices]]
             checked[fresh] = True
@@ -320,6 +316,11 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
 # statistics
 # ---------------------------------------------------------------------------
 
+# samples spread over at most this many ulps are one value up to roundoff,
+# such as a mixed energy that an exact basis makes constant
+ROUNDOFF_ULPS = 64
+
+
 @dataclass
 class BlockingLevel:
     block_size: int
@@ -339,8 +340,13 @@ class Statistics:
 
 def blocking_analysis(samples) -> tuple:
     """Flyvbjerg-Petersen blocking: pairwise-average until the error estimate
-    plateaus; returns (levels, plateau_level)."""
+    plateaus; returns (levels, plateau_level).
+
+    Samples spread over at most ROUNDOFF_ULPS ulps of their magnitude are one
+    value up to roundoff, which carries no statistical error: their plateau
+    is block size 1 with standard error 0.0."""
     x = np.asarray(samples, dtype=float)
+    constant = np.ptp(x) <= ROUNDOFF_ULPS * np.spacing(np.abs(x).max())
     levels = []
     size = 1
     while len(x) >= 16:
@@ -353,6 +359,8 @@ def blocking_analysis(samples) -> tuple:
             x = x[:-1]
         x = 0.5 * (x[0::2] + x[1::2])
         size *= 2
+    if constant:
+        return levels, BlockingLevel(1, levels[0].n_blocks, 0.0)
     plateau = levels[-1]
     for prev, cur in zip(levels, levels[1:]):
         # growth within 3% reads as the plateau; later levels only add noise
@@ -442,14 +450,5 @@ def summary_record(traj: Trajectory, stats: Statistics) -> dict:
         "std_shift": float(np.std(shift_tail, ddof=1)) if len(shift_tail) > 1 else 0.0,
         "final_walkers": traj.records[-1].n_walkers,
         "reference": traj.reference,
-        "config": {
-            "delta_tau": cfg.delta_tau,
-            "total_time": cfg.total_time,
-            "initial_walkers": cfg.initial_walkers,
-            "seed": cfg.seed,
-            "damping": cfg.damping,
-            "update_interval": cfg.update_interval,
-            "threshold": cfg.threshold,
-            "equilibration_fraction": cfg.equilibration_fraction,
-        },
+        "config": asdict(cfg),
     }

@@ -10,22 +10,17 @@ q(j) = |H'_ji|^2 / nu^2 with nu^2 = <i|U^dag H^2 U|i> (zero where
 |H'_ji| < 1e-13 nu, which is roundoff residue), and signs from the
 Hadamard-test Bernoulli with success probability (1 + Re H'_ji / nu) / 2.
 
-Sampling is keyed from the source seed: the magnitude draw of row i by (i,),
-the sign of H'_ji by (min, max, 1) and the diagonal of row i by (i, 3).  So
-every draw is a pure function of (source, key) and repeated queries
-reproduce it.  Signed elements are not: on the sampled backend the symmetric
-cache below keeps whichever of the two rows' estimates of an element is read
-first.
+Every draw comes from a counter-based Philox stream (Salmon et al., SC'11)
+keyed by the source seed, a domain and up to two indices (`KeyedStreams`):
+the magnitude draw of row i by (MAGNITUDE, i), the sign of H'_ji by
+(SIGN, min, max) and the diagonal of row i by (DIAGONAL, i).  The engine
+draws its steps from the ENGINE stream of its own seed.  So every draw is a
+pure function of (source, key) and repeated queries reproduce it.  Signed
+elements are not: on the sampled backend the symmetric cache below keeps
+whichever of the two rows' estimates of an element is read first.
 
-A keyed stream is numpy's Generator(Philox(SeedSequence(entropy=seed,
-spawn_key=key))), obtained without building either object per draw
-(`KeyedStreams`).  The 128-bit Philox key is derived in masked 32-bit
-arithmetic, with the seed's part of SeedSequence's pool mixed once per
-owner, and one Philox generator per owner is re-keyed to counter 0 with an
-empty buffer.  The source owns one for its element draws.  The engine owns
-another for its steps, because rows resolved after a step's generator is
-keyed make element draws, and on a shared generator those would re-key it
-in the middle of the step.
+The source owns one Philox generator and re-keys it for each draw; the
+engine owns another (see `fciqmc`).
 
 The source compiles its circuit once, at its fixed parameters, into gate
 runs (`simulator.compile_circuit`); every column is computed from those runs
@@ -45,7 +40,6 @@ one row at a time would.  Nothing is persisted between runs.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,131 +62,39 @@ class SignAmbiguityError(MatelemError):
     """Re H'_ji statistically indistinguishable from zero; treat the element as zero."""
 
 
-# The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
-# Its arithmetic is on 32-bit words; masking every product and difference with
-# _MASK32 gives the same words on Python ints and on uint64 arrays, where the
-# products of two words stay below 2**64.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _int_words(x) -> list:
-    """The 32-bit words of a non-negative integer, least significant first."""
-    x = operator.index(x)
-    if x < 0:
-        raise MatelemError(f"seeds and stream key words must be non-negative, got {x}")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
-def _key_words(key) -> list:
-    """The 32-bit words of a stream key in order; an integer array stays one
-    word per entry, so it must hold entries in [0, 2**32)."""
-    words = []
-    for x in key:
-        if isinstance(x, np.ndarray):
-            if x.dtype.kind not in "iu" or (x.size and (x.min() < 0 or x.max() > _MASK32)):
-                raise MatelemError("an array stream key word needs integers in [0, 2**32)")
-            words.append(x.astype(np.uint64))
-        else:
-            words += _int_words(x)
-    return words
-
-
-def _hashmix(value, hash_const: int, mult: int = _MULT_A) -> tuple:
-    """SeedSequence's hashmix: the mixed value and the next hash constant."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> 16, hash_const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two words."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _mix_in(pool: list, words, hash_const: int) -> int:
-    """Mix each word into every pool word, in place; returns the next hash constant.
-
-    This is _mix(pool[d], _hashmix(w, ...)) written out with local constants,
-    because it runs for every keyed draw."""
-    mask, mult, mult_l, mult_r = _MASK32, _MULT_A, _MIX_MULT_L, _MIX_MULT_R
-    for w in words:
-        for d in range(_POOL_SIZE):
-            h = w ^ hash_const
-            hash_const = hash_const * mult & mask
-            h = h * hash_const & mask
-            r = (mult_l * pool[d] - mult_r * (h ^ h >> 16)) & mask
-            pool[d] = r ^ r >> 16
-    return hash_const
+# The stream domains.  The first Philox key word of a stream is
+# domain << 62 | a << 31 | b, with the fields a and b in [0, 2**31).
+MAGNITUDE, SIGN, DIAGONAL, ENGINE = range(4)
+_FIELD_LIMIT = 1 << 31
 
 
 class KeyedStreams:
-    """One Philox generator, re-keyed in place to the stream keyed by (seed, *key).
+    """One Philox generator, re-keyed in place to the stream of (domain, a, b).
 
-    That stream is numpy's Generator(Philox(SeedSequence(entropy=seed,
-    spawn_key=key))) for a key of one or more non-negative integers.  A Philox
-    stream is fixed by its 128-bit key at counter 0, and the key is
-    SeedSequence's four-word pool hashed out to two 64-bit words.  The pool
-    takes the seed's 32-bit words, padded with zeros to the pool size, then the
-    key's words; the seed's part is mixed once here, so a key costs only its
-    own words.  Re-keying sets counter 0 and an empty buffer, the state a fresh
-    generator starts from, so a stream does not depend on what the generator
-    drew before."""
+    That stream is Generator(Philox(key=[domain << 62 | a << 31 | b, w])),
+    where w = SeedSequence(seed).generate_state(1, np.uint64)[0] is computed
+    once per owner.  Distinct (domain, a, b) give distinct keys, so no two
+    streams of one seed coincide.  Re-keying sets counter 0 and an empty
+    buffer, the state a fresh generator starts from, so a stream does not
+    depend on what the generator drew before."""
 
     def __init__(self, seed: int):
-        words = _int_words(seed)
-        words += [0] * (_POOL_SIZE - len(words))  # a spawn key starts after a full pool
-        hash_const = _INIT_A
-        pool = [0] * _POOL_SIZE
-        for d in range(_POOL_SIZE):
-            pool[d], hash_const = _hashmix(words[d], hash_const)
-        for s in range(_POOL_SIZE):
-            for d in range(_POOL_SIZE):
-                if s != d:
-                    h, hash_const = _hashmix(pool[s], hash_const)
-                    pool[d] = _mix(pool[d], h)
-        self._hash_const = _mix_in(pool, words[_POOL_SIZE:], hash_const)
-        self._pool = tuple(pool)
-        self._bitgen = np.random.Philox(0)  # its state is replaced on every re-key
+        if seed < 0:
+            raise MatelemError(f"seeds must be non-negative, got {seed}")
+        self._bitgen = np.random.Philox(0)  # its key is replaced on every re-key
         self._generator = np.random.Generator(self._bitgen)
-        # counter 0, no buffered output (buffer_pos at the buffer size, 4) and
-        # no half-used 64-bit word
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
+        # a fresh generator's state: counter 0, no buffered output, no half-used word
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"]
+        self._key[1] = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
 
-    def key(self, *key) -> np.ndarray:
-        """The Philox key of (seed, *key) as two uint64 words.  With a key word
-        that is an integer array, one key per entry, in an array of shape
-        (len, 2)."""
-        pool = list(self._pool)
-        _mix_in(pool, _key_words(key), self._hash_const)
-        # SeedSequence.generate_state(2, np.uint64): the pool hashed under the B constants
-        out, hash_const = [], _INIT_B
-        for w in pool:
-            w, hash_const = _hashmix(w, hash_const, _MULT_B)
-            out.append(w)
-        return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64).T
-
-    def rekey(self, philox_key) -> np.random.Generator:
-        """The generator, set to the start of the stream with this Philox key."""
-        self._state["state"]["key"] = philox_key
+    def stream(self, domain: int, a: int = 0, b: int = 0) -> np.random.Generator:
+        """The generator, set to the start of the stream of (domain, a, b)."""
+        if not (0 <= a < _FIELD_LIMIT and 0 <= b < _FIELD_LIMIT):
+            raise MatelemError(f"stream key fields must lie in [0, 2**31), got ({a}, {b})")
+        self._key[0] = domain << 62 | int(a) << 31 | int(b)
         self._bitgen.state = self._state
         return self._generator
-
-    def stream(self, *key) -> np.random.Generator:
-        """The generator, set to the start of the stream keyed by (seed, *key)."""
-        return self.rekey(self.key(*key))
 
 
 @dataclass(frozen=True)
@@ -259,7 +161,7 @@ class ElementSource:
         self.backend = backend if backend is not None else ExactBackend()
         self.cache = MatrixElementCache()
         self.seed = int(seed)
-        # the magnitude and Hadamard-test draws; the engine keys its own steps
+        # the magnitude and Hadamard-test draws; the engine owns another generator
         self._streams = KeyedStreams(self.seed)
         self.n_qubits = circuit.n_qubits
         self._compiled = compile_circuit(circuit, params)  # fixed for the run
@@ -310,7 +212,7 @@ class ElementSource:
         q[mags < RESIDUE_FLOOR * np.sqrt(nu_sq)] = 0.0
         q = q / q.sum()
         shots = self.backend.shots_magnitude
-        counts = self._streams.stream(i).multinomial(shots, q)
+        counts = self._streams.stream(MAGNITUDE, i).multinomial(shots, q)
         estimates = nu_sq * counts / shots
         # binomial standard error of each |H'_ji|^2 estimate
         se = nu_sq * np.sqrt(counts / shots * (1.0 - counts / shots) / shots)
@@ -341,7 +243,7 @@ def element_sign(src: ElementSource, i: int, j: int) -> int:
     if nu == 0.0:
         raise SignAmbiguityError("zero row norm; no sign to estimate")
     shots = src.backend.shots_sign
-    successes = _hadamard_test(src, re, nu, (min(i, j), max(i, j), 1))
+    successes = _hadamard_test(src, re, nu, (SIGN, min(i, j), max(i, j)))
     margin = abs(2 * successes - shots)
     if margin <= src.backend.ambiguity_z * np.sqrt(shots):
         raise SignAmbiguityError(
@@ -360,7 +262,7 @@ def diagonal_element(src: ElementSource, i: int) -> float:
     nu = float(np.sqrt(rec.nu_sq))
     if nu == 0.0:
         return 0.0
-    successes = _hadamard_test(src, exact, nu, (i, 3))
+    successes = _hadamard_test(src, exact, nu, (DIAGONAL, i))
     return nu * (2.0 * successes / src.backend.shots_sign - 1.0)
 
 

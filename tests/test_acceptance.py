@@ -28,6 +28,7 @@ from qcfciqmc.fciqmc import (
     statistics,
 )
 from qcfciqmc.matelem import (
+    ENGINE,
     ElementSource,
     ExactBackend,
     KeyedStreams,
@@ -332,11 +333,9 @@ def test_ac07_single_step_mean_matches_linear_propagator():
     n_trials = 100_000
     acc = np.zeros(4)
     t0 = time.perf_counter()
-    # the streams of (42, step), keyed in one batch as the engine keys its steps
-    streams = KeyedStreams(42)
-    step_keys = streams.key(np.arange(n_trials))
-    for step in range(n_trials):
-        rng = streams.rekey(step_keys[step])
+    # one engine-domain generator for all trials, as the engine draws its steps
+    rng = KeyedStreams(42).stream(ENGINE)
+    for _ in range(n_trials):
         spawned = spawn_step(pop0, src, dt, rng)
         survivors = death_clone_step(pop0, src, shift, dt, rng)
         new = annihilate(survivors, spawned)

@@ -627,6 +627,17 @@ def test_statistics_constant_series():
     assert stats.std_error == 0.0
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_blocking_a_constant_with_roundoff_noise(seed):
+    """A constant with a random walk of +-3 ulps on it, as an exact basis
+    leaves on the mixed energy: no error to estimate, whatever the noise."""
+    rng = np.random.default_rng(seed)
+    ulps = np.clip(rng.integers(-1, 2, size=1024).cumsum(), -3, 3)
+    levels, plateau = blocking_analysis(-1.7 + ulps * np.spacing(1.7))
+    assert (plateau.block_size, plateau.n_blocks, plateau.std_error) == (1, 1024, 0.0)
+    assert levels[0].std_error > 0.0
+
+
 def test_statistics_iid_matches_root_n():
     rng = np.random.default_rng(1234)
     n = 4096

@@ -111,6 +111,25 @@ def test_nsi_thermal_bipartite_gauge_is_zero_and_triangle_is_not():
     assert nsi_thermal(tri, 0.4) > 1e-3
 
 
+def sparse_gauge_stoquastic(rng, dim):
+    """D S D for a sparse stoquastic S and a random sign gauge D.  Its positive
+    off-diagonal entries join the parts d = 1 and d = -1, and H~ = D H D, so
+    both indicators are exactly 0 at every beta and phi0."""
+    mask = np.triu(rng.random((dim, dim)) < 0.3, 1)
+    h = make_stoquastic(rng, dim) * (mask | mask.T | np.eye(dim, dtype=bool))
+    d = rng.choice([-1.0, 1.0], size=dim)
+    return d[:, None] * h * d[None, :]
+
+
+def test_indicators_below_the_rounding_bound_read_zero():
+    """Roundoff leaves values of either sign in the two traces; the report
+    gives 0.0 for them, so the average sign is 1 and the free-energy gap 0."""
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        rep = nsi_report(sparse_gauge_stoquastic(rng, 8), (0.1, 1.0, 5.0)[k % 3], phi0=k % 8)
+        assert (rep.s_thermal, rep.s_initial, rep.avg_sign, rep.delta_f) == (0.0, 0.0, 1.0, 0.0), k
+
+
 def test_nsi_thermal_nonnegative_property():
     rng = np.random.default_rng(4)
     for _ in range(50):

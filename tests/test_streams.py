@@ -1,24 +1,26 @@
-"""Cross-commit stream guard: pinned trajectory digests on 2x2 Hubbard.
+"""Keyed streams: the key layout, stream independence and pinned trajectories.
 
-The determinism tests compare two runs of the same code.  These pins compare
+Every random draw of the package comes from a Philox stream keyed by
+[domain << 62 | a << 31 | b, w], with w = SeedSequence(seed).generate_state(1,
+np.uint64)[0] (`matelem.KeyedStreams`).  The layout tests hold the streams to
+that key with numpy's own Philox.  The independence tests check that the
+engine's stream is none of the element source's streams, and that element
+draws made in the middle of a step leave the engine's generator alone.
+
+The determinism tests compare two runs of the same code.  The pins compare
 a run with the bytes an earlier version of the package wrote, so a refactor
 that moves a random stream, the order in which elements are measured or the
 rounding of an estimator fails here even when every run still reproduces
 itself.
 
 The pins were recorded with numpy 2.4 on Python 3.11.  A numpy upgrade that
-changes the `Generator` streams (Philox, binomial or multinomial) moves these
-digests without any change in the package; then re-pin them and log the old
-and new values in CHANGES.md.
-
-The package derives each stream's Philox key itself (`matelem.KeyedStreams`)
-instead of building numpy's `SeedSequence`, and the oracle tests below hold
-that derivation to `SeedSequence`.  A numpy change to `SeedSequence`'s mixing
-therefore fails `test_derived_keys_match_seed_sequence` first, before any
-pin; the derivation then has to follow numpy, or the pins move.
+changes the `Generator` streams (Philox, binomial or multinomial) or the
+`SeedSequence` word of a seed moves these digests without any change in the
+package; then re-pin them and log the old and new values in CHANGES.md.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -26,14 +28,16 @@ import pytest
 import qcfciqmc.fciqmc as fciqmc
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.fciqmc import RunConfig, run, trajectory_to_csv
-from qcfciqmc.matelem import (ElementSource, KeyedStreams, MatelemError, SampledBackend,
-                              row_arrays)
-from qcfciqmc.operators import HubbardSpec, build_hubbard, jordan_wigner
+from qcfciqmc.matelem import (DIAGONAL, ENGINE, MAGNITUDE, SIGN, ElementSource, KeyedStreams,
+                              MatelemError, SampledBackend, row_arrays)
+from qcfciqmc.operators import HubbardSpec, PauliSum, PauliTerm, PauliWord, build_hubbard, jordan_wigner
 from qcfciqmc.simulator import Circuit
 from qcfciqmc.vqa import hubbard_hv_generator_groups, layered_ansatz, lowest_diagonal_reference
 
-IDENTITY_EXACT_SHA256 = "4f4bdbc00145f781c2f25be8782f904e36882847372ffbcef909d1c0e76e47fa"
-LAYERED_SAMPLED_SHA256 = "58b06ee584749f73a64809db9bf9ce334994ad38d3e232c9aded09df8494d7c2"
+IDENTITY_EXACT_SHA256 = "4713d7f92b95c9246206da1ae567d47d5e68c5cf0c01e85a6267e507f3d77adb"
+LAYERED_SAMPLED_SHA256 = "0a9c8939adff1073b1038b8a7e4b59967d9b8c9d5ff877f0af9eacc257c858c6"
+
+FIELD_MAX = 2**31 - 1
 
 
 def hubbard2x2():
@@ -45,6 +49,20 @@ def hubbard2x2():
 
 def digest(traj) -> str:
     return hashlib.sha256(trajectory_to_csv(traj).encode()).hexdigest()
+
+
+def next_draws(rng, n=4) -> tuple:
+    """The next n uniforms of rng, read from a copy so rng does not move."""
+    peek = np.random.Generator(np.random.Philox(0))
+    peek.bit_generator.state = rng.bit_generator.state
+    return tuple(peek.random(n).tolist())
+
+
+def layout_rng(seed, domain, a=0, b=0):
+    """The reference stream: numpy's own Philox, keyed by the layout."""
+    w = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    key = np.array([domain << 62 | a << 31 | b, w], dtype=np.uint64)  # a list would pass floats
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def test_identity_exact_trajectory_pinned():
@@ -66,51 +84,40 @@ def test_layered_sampled_trajectory_pinned():
     assert digest(traj) == LAYERED_SAMPLED_SHA256
 
 
-def seed_sequence_rng(seed, *key):
-    """The reference stream: numpy's own SeedSequence and Philox."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+KEYS = [(MAGNITUDE, 0, 0), (MAGNITUDE, 6000, 0), (SIGN, 5, 7), (SIGN, FIELD_MAX, FIELD_MAX),
+        (DIAGONAL, 9, 0), (ENGINE, 0, 0)]
 
 
-SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 5, 2**130 + 7]
-KEYS = [(0,), (1,), (6000,), (2**32 - 1,), (5, 7, 1), (9, 3), (2**40 + 5, 2)]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 5, 2**130 + 7])
 def test_derived_keys_match_seed_sequence(seed):
+    """Each stream's Philox key is the layout word and the seed's
+    SeedSequence word, and the stream is numpy's Philox with that key."""
     streams = KeyedStreams(seed)
-    for key in KEYS:
-        expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
-        assert streams.key(*key).tolist() == expected.tolist(), key
+    w = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    for domain, a, b in KEYS:
+        rng = streams.stream(domain, a, b)
+        assert rng.bit_generator.state["state"]["key"].tolist() == \
+            [domain << 62 | a << 31 | b, int(w)]
+        assert rng.random(4).tolist() == layout_rng(seed, domain, a, b).random(4).tolist()
 
 
-@pytest.mark.parametrize("seed", [42, 2**130 + 7])
-def test_batched_step_keys_equal_scalar_keys(seed):
-    streams = KeyedStreams(seed)
-    batched = streams.key(np.arange(1, 6001))
-    assert batched.shape == (6000, 2)
-    assert batched.tolist() == [streams.key(step).tolist() for step in range(1, 6001)]
+def test_key_layout_is_injective():
+    streams = KeyedStreams(3)
+    fields = [0, 1, 2, 2**30, FIELD_MAX]
+    keys = {}
+    for key in itertools.product(range(4), fields, fields):
+        philox_key = tuple(streams.stream(*key).bit_generator.state["state"]["key"].tolist())
+        assert keys.setdefault(philox_key, key) == key, (key, keys[philox_key])
+    assert len(keys) == 4 * len(fields) ** 2
 
 
-def test_rekeyed_generator_draws_as_a_fresh_one():
-    """Draws left half a 64-bit word and a part-used buffer behind; re-keying
-    starts the new stream from scratch all the same."""
-    streams = KeyedStreams(42)
-    used = streams.stream(3)
-    used.multinomial(1000, [0.2, 0.3, 0.5])
-    used.integers(0, 2**32, size=3, dtype=np.uint32)
-    rng, fresh = streams.stream(5, 7, 1), seed_sequence_rng(42, 5, 7, 1)
-    assert rng.binomial(10**4, 0.37) == fresh.binomial(10**4, 0.37)
-    assert rng.multinomial(10**6, [0.1, 0.6, 0.3]).tolist() == \
-        fresh.multinomial(10**6, [0.1, 0.6, 0.3]).tolist()
-    assert rng.random(5).tolist() == fresh.random(5).tolist()
-    assert rng.random(3, dtype=np.float32).tolist() == fresh.random(3, dtype=np.float32).tolist()
-
-
-@pytest.mark.parametrize("seed, key", [(-3, (1,)), (1, (-1,)), (1, (4, -2)),
-                                       (1, (np.array([1, -2]),)), (1, (np.array([2**32]),))])
+@pytest.mark.parametrize("seed, key", [(-3, (MAGNITUDE, 1)), (1, (MAGNITUDE, -1)),
+                                       (1, (SIGN, 4, -2)), (1, (SIGN, 2**31, 0)),
+                                       (1, (SIGN, 0, 2**31)), (1, (DIAGONAL, 2**40))])
 def test_negative_or_oversized_key_words_are_rejected(seed, key):
+    """Seeds must be non-negative and both key fields lie in [0, 2**31)."""
     with pytest.raises(MatelemError):
-        KeyedStreams(seed).key(*key)
+        KeyedStreams(seed).stream(*key)
 
 
 def test_negative_source_seed_is_rejected():
@@ -119,27 +126,76 @@ def test_negative_source_seed_is_rejected():
         ElementSource(h, Circuit(spec.n_qubits, []), seed=-1)
 
 
+def test_rekeyed_generator_draws_as_a_fresh_one():
+    """Draws left half a 64-bit word and a part-used buffer behind; re-keying
+    starts the new stream from scratch all the same."""
+    streams = KeyedStreams(42)
+    used = streams.stream(MAGNITUDE, 3)
+    used.multinomial(1000, [0.2, 0.3, 0.5])
+    used.integers(0, 2**32, size=3, dtype=np.uint32)
+    rng, fresh = streams.stream(SIGN, 5, 7), layout_rng(42, SIGN, 5, 7)
+    assert rng.binomial(10**4, 0.37) == fresh.binomial(10**4, 0.37)
+    assert rng.multinomial(10**6, [0.1, 0.6, 0.3]).tolist() == \
+        fresh.multinomial(10**6, [0.1, 0.6, 0.3]).tolist()
+    assert rng.random(5).tolist() == fresh.random(5).tolist()
+    assert rng.random(3, dtype=np.float32).tolist() == fresh.random(3, dtype=np.float32).tolist()
+
+
+def test_engine_draws_are_no_element_draws(monkeypatch):
+    """With one seed for the engine and the source, no step of the engine
+    draws the numbers of a stream the source keyed: in particular the
+    engine's step k and row k's magnitude draw differ."""
+    h = PauliSum([
+        PauliTerm(0.4, PauliWord(2, 0b01, 0)),
+        PauliTerm(-0.3, PauliWord(2, 0b10, 0b10)),
+        PauliTerm(0.25, PauliWord(2, 0, 0b01)),
+        PauliTerm(0.6, PauliWord(2, 0b11, 0b11)),
+    ])
+    src = ElementSource(h, Circuit(2, []), backend=SampledBackend(10**4, 10**3), seed=7)
+    element_draws = set()
+    keyed_stream = src._streams.stream
+
+    def recorded_stream(*key):
+        rng = keyed_stream(*key)
+        element_draws.add(next_draws(rng))
+        return rng
+
+    monkeypatch.setattr(src._streams, "stream", recorded_stream)
+    real_spawn_step = fciqmc.spawn_step
+    engine_draws = []
+
+    def recorded_spawn_step(pop, src, delta_tau, rng):
+        engine_draws.append(next_draws(rng))
+        return real_spawn_step(pop, src, delta_tau, rng)
+
+    monkeypatch.setattr(fciqmc, "spawn_step", recorded_spawn_step)
+    cfg = RunConfig(delta_tau=0.05, total_time=0.5, initial_walkers=200, seed=7)
+    run(h, Circuit(2, []), (), cfg, source=src, phi0=0)
+    assert len(src._rows) == 4  # every row, so rows 1 to 3 had magnitude draws
+    assert len(engine_draws) == 10
+    assert not element_draws & set(engine_draws)
+
+
 def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
-    """Every step, after the step's generator is keyed, resolve a fresh row on
-    the sampled source (keyed element draws), then compare the step
-    generator's next draws with numpy's stream for (seed, step)."""
+    """Every step, after the engine's generator is keyed, resolve a fresh row
+    on the sampled source (keyed element draws); the engine generator's
+    state is the same before and after, and its first step starts the
+    ENGINE stream of the run's seed."""
     spec, h, ref = hubbard2x2()
     sector = number_sector_indices(spec.n_qubits, n_up=2, n_dn=2).tolist()
     real_spawn_step = fciqmc.spawn_step
     seen = []
 
     def resolve_a_row_then_spawn(pop, src, delta_tau, rng):
-        n_rows = len(src._rows)
+        before, n_rows = next_draws(rng), len(src._rows)
         row_arrays(src, [next(i for i in sector if src._row_len[i] < 0)])
         assert len(src._rows) == n_rows + 1  # a fresh magnitude draw was made
-        peek = np.random.Generator(np.random.Philox(0))
-        peek.bit_generator.state = rng.bit_generator.state
-        seen.append(peek.random(4).tolist())
+        assert next_draws(rng) == before
+        seen.append(before)
         return real_spawn_step(pop, src, delta_tau, rng)
 
     monkeypatch.setattr(fciqmc, "spawn_step", resolve_a_row_then_spawn)
     cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
     run(h, Circuit(spec.n_qubits, []), (), cfg, backend=SampledBackend(10**4, 10**3), phi0=ref)
     assert len(seen) == 5
-    for step, draws in enumerate(seen, start=1):
-        assert draws == seed_sequence_rng(11, step).random(4).tolist(), step
+    assert seen[0] == tuple(layout_rng(11, ENGINE).random(4).tolist())
