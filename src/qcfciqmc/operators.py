@@ -8,7 +8,9 @@ basis index throughout the package.
 A PauliSum acts through its grouped form, built once per sum: the words are
 grouped by X mask, and each group is one phase vector E_x over all basis
 indices with (H v)[t] = sum_x E_x[t] v[t ^ x].  apply_pauli_sum, to_dense and
-diagonal_entry all read it.
+diagonal_entry all read it.  A single word acts through its gather form
+(`word_gather`), built once per distinct word and shared read-only by every
+apply_word call.
 
 Fermionic operators use the mode convention: spin-orbital index = 2*site + spin
 with spin up = 0.  Jordan-Wigner places the Z parity string on modes below the
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -112,15 +114,37 @@ def word_phases(w: PauliWord) -> np.ndarray:
     return ((1j) ** w.y_count) * signs
 
 
+@cache
+def _x_permutation(n_qubits: int, x_mask: int) -> np.ndarray:
+    """The gather index t ^ x over all t, read-only, one per (n, X mask)."""
+    perm = np.arange(1 << n_qubits) ^ x_mask
+    perm.flags.writeable = False
+    return perm
+
+
+@cache
+def word_gather(w: PauliWord) -> tuple:
+    """W's gather form (perm, phases), (W v)[t] = phases[t] * v[perm[t]],
+    built once per distinct word and kept read-only for the process.
+
+    The cache is unbounded on purpose: a VQE sweeps the same few dozen words
+    forward and back on every call, so any smaller bound would miss on every
+    gate.  Paths that read each word once (`PauliSum.grouped`, the compiled
+    circuit) call word_phases instead and leave the cache alone."""
+    phases = word_phases(w)
+    phases.flags.writeable = False
+    return _x_permutation(w.n_qubits, w.x_mask), phases
+
+
 def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
     """Vectorized W|psi> for a statevector of length 2^n, or column-wise for a
     (2^n, m) batch of statevectors."""
     if vec.shape[0] != 1 << w.n_qubits:
         raise OperatorError("dimension mismatch")
-    phases = word_phases(w)
+    perm, phases = word_gather(w)
     if vec.ndim == 2:
         phases = phases[:, None]
-    return phases * np.take(vec, np.arange(len(vec)) ^ w.x_mask, axis=0)
+    return phases * np.take(vec, perm, axis=0)
 
 
 @dataclass(frozen=True)
@@ -204,6 +228,11 @@ class PauliSum:
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         # Pauli words are Hermitian, so Hermiticity = real coefficients.
         return all(abs(np.imag(t.coefficient)) <= tol for t in self.simplify().terms)
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """is_hermitian() at its default tolerance, decided once per sum."""
+        return self.is_hermitian()
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return PauliSum(list(self.terms) + list(other.terms))

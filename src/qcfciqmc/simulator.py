@@ -7,10 +7,16 @@ the parameter vector and a scale: effective angle = scale * params[slot].
 
 Two paths apply a circuit.  `apply_gates` goes gate by gate; the variational
 gradient needs the state between gates, and its parameters change on every
-call.  `compile_circuit` fixes the parameters and folds each maximal stretch
-of gates that share an X mask x into one run v -> a * v + b * v[t ^ x], so a
-circuit costs one gather per run; `transformed_columns`, the one source of
-columns of H' = U^dag H U, applies the compiled form and the X-grouped H.
+call.  Each gate reads its word's gather form from the per-word cache of
+`operators.word_gather`, so a VQE builds each distinct word's phases and
+permutation once per process, and every rotation goes through
+`rotation_step`, which the adjoint gradient also calls with the W pair it
+has already formed.  `compile_circuit` fixes the parameters and folds each
+maximal stretch of gates that share an X mask x into one run
+v -> a * v + b * v[t ^ x], so a circuit costs one gather per run;
+`transformed_columns`, the one source of columns of H' = U^dag H U, applies
+the compiled form and the X-grouped H.  The compiled path reads each word
+once per compile and builds its phases directly, outside the cache.
 """
 
 from __future__ import annotations
@@ -89,16 +95,25 @@ def _gate_angle(g: PauliRotation, params) -> float:
     return g.scale * float(params[g.slot])
 
 
+def rotation_step(g: PauliRotation, vec: np.ndarray, w_vec: np.ndarray, params,
+                  invert: bool = False) -> np.ndarray:
+    """exp(-i a/2 W) vec for the gate's angle a, or its inverse with invert,
+    given w_vec = W vec: cos(a/2) vec - i sin(a/2) w_vec.  The one rotation
+    formula of the gate-by-gate path; the adjoint gradient passes the W vec it
+    has already formed for the derivative."""
+    a = _gate_angle(g, params)
+    if invert:
+        a = -a
+    return np.cos(0.5 * a) * vec - 1j * np.sin(0.5 * a) * w_vec
+
+
 def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = False):
     """The gates applied in order to a statevector or (2^n, k) batch; with
     invert, their inverses in reverse order (the adjoint of the sequence)."""
     seq = reversed(gates) if invert else gates
     for g in seq:
         if isinstance(g, PauliRotation):
-            a = _gate_angle(g, params)
-            if invert:
-                a = -a
-            vec = np.cos(0.5 * a) * vec - 1j * np.sin(0.5 * a) * apply_word(g.word, vec)
+            vec = rotation_step(g, vec, apply_word(g.word, vec), params, invert)
         elif isinstance(g, PauliApply):
             vec = apply_word(g.word, vec)
         elif isinstance(g, BasisFlip):
@@ -119,7 +134,7 @@ def apply_circuit(state: Statevector, circuit: Circuit, params=()) -> Statevecto
 
 def expectation(state: Statevector, h: PauliSum) -> float:
     """<psi|H|psi> for Hermitian H."""
-    if not h.is_hermitian():
+    if not h.hermitian:
         raise SimulatorError("non-Hermitian operator in expectation")
     val = np.vdot(state.amplitudes, apply_pauli_sum(h, state.amplitudes))
     return float(val.real)

@@ -39,6 +39,7 @@ from .simulator import (
     apply_gates,
     expectation,
     prepare_basis_state,
+    rotation_step,
 )
 
 
@@ -243,18 +244,22 @@ def gradient(circuit: Circuit, h: PauliSum, params) -> np.ndarray:
     carrying the pair (phi, lambda): phi is the state just after the current
     gate and lambda is H psi pulled back to the same point.  For a rotation
     exp(-i a/2 W) with a = scale * theta[slot], dE/da = Im<lambda|W|phi>,
-    weighted by the scale (chain rule) and accumulated into the slot.  The
-    pair then steps back through the gate's inverse as one (2^n, 2) batch,
-    so a gradient costs O(gates) gate applications, exact like the
-    parameter-shift rule."""
+    weighted by the scale (chain rule) and accumulated into the slot.  W
+    acts once per rotation, on the (2^n, 2) pair: column 0 of W (phi, lambda)
+    gives the derivative, and the same product takes the pair back through
+    the gate's inverse (`rotation_step`).  Other gates step back through
+    apply_gates.  A gradient costs one word application per gate, exact like
+    the parameter-shift rule."""
     grad = np.zeros(circuit.n_slots)
     psi = circuit_state(circuit, params).amplitudes
     pair = np.stack([psi, apply_pauli_sum(h, psi)], axis=1)
     for g in reversed(circuit.gates):
         if isinstance(g, PauliRotation) and g.slot is not None:
-            phi, lam = pair[:, 0], pair[:, 1]
-            grad[g.slot] += g.scale * np.vdot(lam, apply_word(g.word, phi)).imag
-        pair = apply_gates(pair, circuit.n_qubits, [g], params, invert=True)
+            w_pair = apply_word(g.word, pair)
+            grad[g.slot] += g.scale * np.vdot(pair[:, 1], w_pair[:, 0]).imag
+            pair = rotation_step(g, pair, w_pair, params, invert=True)
+        else:
+            pair = apply_gates(pair, circuit.n_qubits, [g], params, invert=True)
     return grad
 
 

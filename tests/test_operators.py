@@ -25,6 +25,8 @@ from qcfciqmc.operators import (
     pauli_product,
     serialize_fcidump,
     to_dense,
+    word_gather,
+    word_phases,
 )
 
 I2 = np.eye(2)
@@ -132,6 +134,29 @@ def test_apply_word_matches_dense():
         mat = dense_word(label)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         np.testing.assert_allclose(apply_word(w, vec), mat @ vec, atol=1e-12)
+
+
+def test_word_gather_is_shared_and_read_only():
+    """Equal words share one cached table, words with one X mask share one
+    permutation, and writing to either raises."""
+    w = PauliWord(5, 0b10110, 0b00111)
+    perm, phases = word_gather(w)
+    assert word_gather(PauliWord(5, 0b10110, 0b00111)) is word_gather(w)
+    assert word_gather(PauliWord(5, 0b10110, 0))[0] is perm
+    assert perm.tolist() == (np.arange(32) ^ 0b10110).tolist()
+    assert phases.tolist() == word_phases(w).tolist()
+    for table in (perm, phases):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert apply_word(w, np.ones(32)).flags.writeable
+
+
+def test_hermitian_verdict_matches_is_hermitian():
+    real = PauliSum([PauliTerm(0.5, PauliWord(2, 1, 0)), PauliTerm(1j, PauliWord(2, 0, 1)),
+                     PauliTerm(-1j, PauliWord(2, 0, 1))])
+    assert real.hermitian is real.is_hermitian() is True
+    skew = PauliSum([PauliTerm(1j, PauliWord(2, 1, 0))])
+    assert skew.hermitian is skew.is_hermitian() is False
 
 
 def test_label_round_trip():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord, apply_word, to_dense
+from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord, apply_word, to_dense, word_gather
 from qcfciqmc.simulator import (
     BasisFlip,
     Circuit,
@@ -279,3 +279,14 @@ def test_real_circuit_compiles_to_real_runs():
     h = PauliSum([PauliTerm(0.5, PauliWord.from_label("XX")),
                   PauliTerm(-1.0, PauliWord.from_label("ZI"))])
     assert transformed_columns(h, compiled, [0, 3]).dtype == np.float64
+
+
+def test_compiled_path_leaves_the_word_cache_alone():
+    """compile_circuit and the grouped H read each word once and build their
+    phases directly, so the per-word gather cache neither grows nor is read."""
+    rng = np.random.default_rng(77)
+    c, params = run_heavy_circuit(rng, 7)
+    h = random_complex_sum(rng, 7)
+    before = word_gather.cache_info()
+    transformed_columns(h, compile_circuit(c, params), [0, 5, 99])
+    assert word_gather.cache_info() == before
