@@ -421,22 +421,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-def trajectory_from_csv(text: str) -> Trajectory:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise FciqmcError(f"unexpected trajectory header {header!r}")
-    traj = Trajectory()
-    for row in reader:
-        if not row:
-            continue
-        traj.records.append(TrajectoryRecord(
-            int(row[0]), float(row[1]), float(row[2]), int(row[3]), int(row[4]),
-            None if row[5] == "" else float(row[5]),
-        ))
-    return traj
-
-
 def summary_record(traj: Trajectory, stats: Statistics) -> dict:
     cfg = traj.config
     shift_tail = np.asarray([r.shift for r in _post_equilibration(traj)], dtype=float)

@@ -3,6 +3,8 @@
 Statistical oracles are binomial moments; dynamical oracles are dense
 linear-algebra results computed in the tests themselves."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.fciqmc import (
+    CSV_HEADER,
     ExtinctionError,
     FciqmcError,
     RunConfig,
@@ -26,7 +29,6 @@ from qcfciqmc.fciqmc import (
     spawn_step,
     statistics,
     summary_record,
-    trajectory_from_csv,
     trajectory_to_csv,
     update_shift,
 )
@@ -690,6 +692,23 @@ def test_summary_shift_tail_starts_where_the_energy_samples_start():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+def trajectory_from_csv(text: str) -> Trajectory:
+    """Test-only inverse of trajectory_to_csv; an empty e_mixed reads None."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != CSV_HEADER:
+        raise FciqmcError(f"unexpected trajectory header {header!r}")
+    traj = Trajectory()
+    for row in reader:
+        if not row:
+            continue
+        traj.records.append(TrajectoryRecord(
+            int(row[0]), float(row[1]), float(row[2]), int(row[3]), int(row[4]),
+            None if row[5] == "" else float(row[5]),
+        ))
+    return traj
 
 
 def test_trajectory_csv_round_trip():
