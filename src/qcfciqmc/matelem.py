@@ -155,7 +155,7 @@ class ElementSource:
 
     def __init__(self, hamiltonian: PauliSum, circuit: Circuit, params=(),
                  backend=None, seed: int = 0):
-        if not hamiltonian.is_hermitian():
+        if not hamiltonian.hermitian:
             raise MatelemError("Hamiltonian must be Hermitian")
         self.hamiltonian = hamiltonian
         self.backend = backend if backend is not None else ExactBackend()

@@ -136,6 +136,12 @@ def word_gather(w: PauliWord) -> tuple:
     return _x_permutation(w.n_qubits, w.x_mask), phases
 
 
+def drop_word_tables() -> None:
+    """Free every gather table word_gather holds, with their permutations."""
+    word_gather.cache_clear()
+    _x_permutation.cache_clear()
+
+
 def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
     """Vectorized W|psi> for a statevector of length 2^n, or column-wise for a
     (2^n, m) batch of statevectors."""

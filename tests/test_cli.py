@@ -31,6 +31,7 @@ from qcfciqmc.operators import (
     parse_fcidump,
     serialize_fcidump,
     to_dense,
+    word_gather,
 )
 from qcfciqmc.simulator import (
     BasisFlip,
@@ -300,6 +301,8 @@ def test_vqe_adapt_1x2_reaches_ed(tmp_path):
     record = json.loads((out / "vqe.json").read_text())
     assert abs(record["energy"] - E_1X2) < 1e-6
     assert record["converged"] is True
+    # the training's gather tables are freed before the command goes on
+    assert word_gather.cache_info().currsize == 0
 
     # reloaded circuit reproduces the recorded energy
     circuit, params = parse_circuit((out / "circuit.txt").read_text())

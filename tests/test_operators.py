@@ -20,6 +20,7 @@ from qcfciqmc.operators import (
     build_hubbard,
     build_molecular,
     diagonal_entry,
+    drop_word_tables,
     jordan_wigner,
     parse_fcidump,
     pauli_product,
@@ -149,6 +150,16 @@ def test_word_gather_is_shared_and_read_only():
         with pytest.raises(ValueError):
             table[0] = 0
     assert apply_word(w, np.ones(32)).flags.writeable
+
+
+def test_drop_word_tables_frees_and_rebuilds():
+    w = PauliWord(4, 0b0110, 0b0011)
+    perm, phases = word_gather(w)
+    drop_word_tables()
+    assert word_gather.cache_info().currsize == 0
+    rebuilt = word_gather(w)
+    assert rebuilt[0] is not perm
+    assert rebuilt[0].tolist() == perm.tolist() and rebuilt[1].tolist() == phases.tolist()
 
 
 def test_hermitian_verdict_matches_is_hermitian():

@@ -357,9 +357,13 @@ def test_variational_bound_2x2():
 # pinned outputs and the two-pass adjoint oracle
 # ---------------------------------------------------------------------------
 # The pins compare a training run with the circuit file an earlier version
-# of the package wrote (numpy 2.4, Python 3.11), so a speed change that moves
-# the last bit of a gradient or an energy fails here even when every run
-# still reproduces itself.
+# of the package wrote (numpy 2.4, Python 3.11, scipy-openblas 0.3.31 running
+# its SkylakeX kernels on x86-64), so a speed change that moves the last bit
+# of a gradient or an energy fails here even when every run still reproduces
+# itself.  np.vdot's reductions go through BLAS, whose kernel is picked by CPU
+# family, so these digests can differ on another CPU with the same numpy and
+# Python.  The two-pass oracle tests below compare two sweeps in one process
+# and hold on any machine; they are the main guard of the gradient's bits.
 
 HV_2X2_CIRCUIT_SHA256 = "20f318336aaee6db9d98a4422ab023274cb79b2d85968ee43c25bc3425a4c139"
 ADAPT_1X2_CIRCUIT_SHA256 = "24cc1ea80cd0fd3cc102f5a8fc961cef989cabc5a00af139e157beeafabb5d4c"

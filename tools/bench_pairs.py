@@ -1,20 +1,29 @@
 """Parent/change benchmark pairs and the per-call gradient time, as one BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_11.json \
-        [--workload NAME ...] [--pairs N] [--seed S] [--seconds T]
+        [--workload NAME ...] [--pairs N] [--seed S]
 
-DIR is a source tree (a checkout or `git archive` of one commit) that holds
-`bench/run.py` and `src/qcfciqmc`.  Each pair runs `bench/run.py --trace 0`
-once in each tree, one after the other, and the order alternates from pair
-to pair so that a slow drift of the machine falls on both sides alike.  The
-runs are never concurrent.  After the pairs, each tree times `vqa.gradient`
-on the 3-layer 2x2 layered ansatz (244 gates, 18 slots) in a fresh process
-and reports the median of its calls.
+DIR is a git checkout of one commit that holds `bench/run.py` and
+`src/qcfciqmc`.  The workloads, the run length and each end-to-end metric's
+direction and bound are read from the BENCHMARK.json beside this tool.  Each
+pair runs `bench/run.py --trace 0` once in each tree, one after the other,
+and the order alternates from pair to pair so that a slow drift of the
+machine falls on both sides alike.  The runs are never concurrent.  After
+the pairs, each tree times `vqa.gradient` on the 3-layer 2x2 layered ansatz
+(244 gates, 18 slots) in a fresh process and reports the median of its calls.
 
-The record holds a header (CPUs, RAM, Python, numpy, the trees' commits),
-every run's end-to-end metrics and `failed` count, per workload each side's
-failed operations and, per metric, each side's median and quartiles and the
-number of pairs in which the change was better, and the gradient times.
+One invocation is one run: its protocol, every pair's end-to-end metrics and
+`failed` counts, a per-workload summary and the gradient times.  The record
+holds a header (CPUs, RAM, Python, numpy, BLAS, the trees' commits) and the
+list of runs; when `--out` already holds a record of the same two commits,
+the run is appended to it, so every run made stays in the record.
+
+The summary gives, per metric, each side's median and quartiles, the number
+of pairs in which the change was better, and a verdict against the metric's
+bound: `worse_by` is the relative gap of the medians in the metric's worse
+direction, and the verdict is "unresolved" when the parent's interquartile
+range, relative to its median, is wider than the bound, else "inside" or
+"outside" as `worse_by` is or is not within it.
 """
 from __future__ import annotations
 
@@ -28,11 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("qmc_identity_2x2", "vqe_nsi_2x2", "qmc_sampled_2x3")
-BETTER = {"wall_s": "lower", "core_iters_per_s": "higher", "peak_rss_mb": "lower",
-          "setup_s": "lower"}
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+GRADIENT_CALLS = 50
 
-GRADIENT_TIMER = """
+GRADIENT_TIMER = f"""
 import json, time
 import numpy as np
 from qcfciqmc.exactdiag import number_sector_indices
@@ -48,7 +57,7 @@ first = time.perf_counter()
 gradient(c, h, params)
 first = time.perf_counter() - first
 times = []
-for _ in range({calls}):
+for _ in range({GRADIENT_CALLS}):
     t0 = time.perf_counter()
     gradient(c, h, params)
     times.append(time.perf_counter() - t0)
@@ -74,6 +83,7 @@ def git_commit(tree: Path) -> str | None:
 
 def header(parent: Path, change: Path) -> dict:
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cpus": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
@@ -81,16 +91,17 @@ def header(parent: Path, change: Path) -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
         "parent_commit": git_commit(parent),
         "change_commit": git_commit(change),
     }
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
     """One `bench/run.py` run in `tree`; its result line and end-to-end metrics."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
         cwd=tree, env=child_env(tree), capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -100,28 +111,38 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def gradient_time(tree: Path, calls: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", GRADIENT_TIMER.format(calls=calls)],
+def gradient_time(tree: Path) -> dict:
+    out = subprocess.run([sys.executable, "-c", GRADIENT_TIMER],
                          env=child_env(tree), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
 def summarize(pairs: list) -> dict:
     out = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}}
-    for metric, better in BETTER.items():
-        par = np.array([p["parent"]["metrics"][metric] for p in pairs], dtype=float)
-        chg = np.array([p["change"]["metrics"][metric] for p in pairs], dtype=float)
+    for metric in BENCHMARK["end_to_end"]:
+        better, bound = metric["better"], metric["bound"]
+        par = np.array([p["parent"]["metrics"][metric["name"]] for p in pairs], dtype=float)
+        chg = np.array([p["change"]["metrics"][metric["name"]] for p in pairs], dtype=float)
         wins = chg < par if better == "lower" else chg > par
         q1, q3 = np.percentile(par, [25, 75])
-        out[metric] = {
+        med_par, med_chg = float(np.median(par)), float(np.median(chg))
+        worse_by = (med_chg - med_par if better == "lower" else med_par - med_chg) / med_par
+        if (q3 - q1) / med_par > bound:
+            verdict = "unresolved"
+        else:
+            verdict = "inside" if worse_by <= bound else "outside"
+        out[metric["name"]] = {
             "better": better,
-            "parent_median": float(np.median(par)),
-            "change_median": float(np.median(chg)),
+            "parent_median": med_par,
+            "change_median": med_chg,
             "parent_quartiles": [float(q1), float(q3)],
             "change_quartiles": np.percentile(chg, [25, 75]).tolist(),
-            "change_over_parent": float(np.median(chg) / np.median(par)),
+            "change_over_parent": med_chg / med_par,
             "parent_iqr": float(q3 - q1),
             "change_better_in": f"{int(wins.sum())} of {len(pairs)}",
+            "bound": bound,
+            "worse_by": worse_by,
+            "verdict": verdict,
         }
     return out
 
@@ -134,26 +155,31 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--gradient-calls", type=int, default=50)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {"header": header(trees["parent"], trees["change"]),
-              "protocol": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
-                           "trace": 0, "order": "alternating, parent first in pair 0"},
-              "workloads": {}}
+    head = header(trees["parent"], trees["change"])
+    record = {"header": head, "runs": []}
+    if args.out.exists():
+        record = json.loads(args.out.read_text())
+        old = record["header"]
+        if (old["parent_commit"], old["change_commit"]) != (head["parent_commit"],
+                                                            head["change_commit"]):
+            raise SystemExit(f"{args.out} records other commits; choose another --out")
+    run = {"protocol": {"pairs": args.pairs, "seed": args.seed,
+                        "seconds": BENCHMARK["run_seconds"], "trace": 0,
+                        "order": "alternating, parent first in pair 0"},
+           "workloads": {}}
     for workload in args.workload or WORKLOADS:
         pairs = []
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {side: bench_run(trees[side], workload, args.seed, args.seconds)
-                    for side in order}
+            pair = {side: bench_run(trees[side], workload, args.seed) for side in order}
             pairs.append(pair)
             print(f"{workload} pair {k}: " + ", ".join(
                 f"{side} {pair[side]['metrics']}" for side in order), file=sys.stderr)
-        record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
-    record["gradient_per_call"] = {side: gradient_time(tree, args.gradient_calls)
-                                   for side, tree in trees.items()}
+        run["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+    run["gradient_per_call"] = {side: gradient_time(tree) for side, tree in trees.items()}
+    record["runs"].append(run)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
