@@ -22,8 +22,9 @@ The summary gives, per metric, each side's median and quartiles, the number
 of pairs in which the change was better, and a verdict against the metric's
 bound: `worse_by` is the relative gap of the medians in the metric's worse
 direction, and the verdict is "unresolved" when the parent's interquartile
-range, relative to its median, is wider than the bound, else "inside" or
-"outside" as `worse_by` is or is not within it.
+range, relative to its median, is wider than the bound and not every change
+run reads better than every parent run, else "inside" or "outside" as
+`worse_by` is or is not within it.
 """
 from __future__ import annotations
 
@@ -127,7 +128,8 @@ def summarize(pairs: list) -> dict:
         q1, q3 = np.percentile(par, [25, 75])
         med_par, med_chg = float(np.median(par)), float(np.median(chg))
         worse_by = (med_chg - med_par if better == "lower" else med_par - med_chg) / med_par
-        if (q3 - q1) / med_par > bound:
+        all_better = chg.max() < par.min() if better == "lower" else chg.min() > par.max()
+        if (q3 - q1) / med_par > bound and not all_better:
             verdict = "unresolved"
         else:
             verdict = "inside" if worse_by <= bound else "outside"
