@@ -25,7 +25,9 @@ function of (config, seed) no matter how the host schedules threads.
 
 The engine's generator is not the element source's, because the timestep
 check and `row_arrays` resolve rows, and so make element draws that re-key
-the source's generator, in the middle of a step.
+the source's generator, in the middle of a step.  Those draws are keyed by
+row, and every H'_ji is read from row i's own record, so the order in which
+the walkers reach rows changes neither an element nor the engine's stream.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matelem import (ENGINE, ElementSource, KeyedStreams, diagonal_elements,
-                      get_element, resolved_row, row_arrays)
+                      resolved_row, row_arrays)
 from .simulator import Circuit
 
 
@@ -237,7 +239,7 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
     k = idx.searchsorted(phi0)
     if k == len(idx) or idx[k] != phi0:
         return None
-    e = get_element(src, phi0, phi0)
+    e = diagonal_elements(src, [phi0])[0]
     targets, mags, csigns = resolved_row(src, phi0)
     pos = idx.searchsorted(targets)
     # the count on each target of the row; 0 where the target is unoccupied
@@ -258,8 +260,8 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
                     shift: float) -> bool:
     """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
     newly occupied rows `fresh`; True once the warning is given."""
-    for i in fresh:
-        l1 = abs(get_element(src, i, i) - shift) + sum(resolved_row(src, i)[1].tolist())
+    for i, d in zip(fresh, diagonal_elements(src, fresh).tolist()):
+        l1 = abs(d - shift) + sum(resolved_row(src, i)[1].tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
                 f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index {i}; "
@@ -279,7 +281,7 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         h, circuit, params, backend=backend, seed=cfg.seed
     )
     pop = WalkerPopulation.single(phi0, cfg.initial_walkers)
-    e_ref = get_element(src, phi0, phi0)
+    e_ref = float(diagonal_elements(src, [phi0])[0])
     ctl = ShiftController(
         shift=e_ref,
         damping=cfg.damping,

@@ -12,35 +12,33 @@ Hadamard-test Bernoulli with success probability (1 + Re H'_ji / nu) / 2.
 
 Every draw comes from a counter-based Philox stream (Salmon et al., SC'11)
 keyed by the source seed, a domain and up to two indices (`KeyedStreams`):
-the magnitude draw of row i by (MAGNITUDE, i), the sign of H'_ji by
-(SIGN, min, max) and the diagonal of row i by (DIAGONAL, i).  The engine
-draws its steps from the ENGINE stream of its own seed.  So every draw is a
-pure function of (source, key) and repeated queries reproduce it.  Signed
-elements are not: on the sampled backend the symmetric cache below keeps
-whichever of the two rows' estimates of an element is read first.
+the magnitude draw of row i by (MAGNITUDE, i), the signs of row i by
+(SIGN, i) and the diagonal of row i by (DIAGONAL, i).  The engine draws its
+steps from the ENGINE stream of its own seed.  So every draw, and every
+element served, signed ones included, is a pure function of (source, key):
+it does not depend on which rows were read before, or in what order.
 
 The source owns one Philox generator and re-keys it for each draw; the
 engine owns another (see `fciqmc`).
 
 The source compiles its circuit once, at its fixed parameters, into gate
 runs (`simulator.compile_circuit`); every column is computed from those runs
-and the grouped H.  Each row is measured once: one transformed column and one
-magnitude draw (ascending target and magnitude arrays) go into a per-row
-record, which serves magnitudes, signs and the diagonal.  Signed elements
-are cached under the symmetric key (min(i,j), max(i,j)) because the
-engine-facing Hamiltonians are real symmetric; the first stored value wins.
+and the grouped H.  Each row is measured once into a per-row record: one
+transformed column, one magnitude draw (ascending target and magnitude
+arrays) and one sign draw, a Hadamard test for every j != i with q(j) > 0,
+all in one binomial call.  H'_ji is served from row i's record alone, so
+H'_ij and H'_ji are two estimates, each from its own row.
 
 Each signed row is kept once, in the CSR the source owns for the engine
 (targets, |H'_ji| and child signs, with a start and a length per row),
-appended when the row's signs are first resolved; diagonal elements sit in a
-vector, each filled once through `get_element`.  Unseen entries resolve in
-the order the caller gives, so the element cache fills in the same order as
-one row at a time would.  Nothing is persisted between runs.
+appended when the row is first resolved; diagonal elements sit in a vector,
+each filled once through `diagonal_element`.  Nothing is persisted between
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,27 +112,6 @@ class SampledBackend:
             raise MatelemError("shots_magnitude and shots_sign must be at least 1")
 
 
-@dataclass
-class MatrixElementCache:
-    entries: dict = field(default_factory=dict)  # (min, max) -> signed real
-    hits: int = 0
-    misses: int = 0
-
-    def lookup(self, i: int, j: int):
-        key = (i, j) if i <= j else (j, i)
-        val = self.entries.get(key)
-        if val is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return val
-
-    def store(self, i: int, j: int, value: float) -> float:
-        """Insert-if-absent; the first stored value wins."""
-        key = (i, j) if i <= j else (j, i)
-        return self.entries.setdefault(key, float(value))
-
-
 @dataclass(frozen=True)
 class RowRecord:
     """What one measurement of row i yields."""
@@ -143,6 +120,7 @@ class RowRecord:
     nu_sq: float  # <i|U^dag H^2 U|i>, the row's squared norm
     targets: np.ndarray  # the draw's kept j != i, ascending
     mags: np.ndarray  # the draw's |H'_ji| estimates at `targets`
+    signs: np.ndarray  # int8 sign(Re H'_ji) over all j; 0 where not resolved
 
     @property
     def connections(self) -> list:
@@ -159,9 +137,8 @@ class ElementSource:
             raise MatelemError("Hamiltonian must be Hermitian")
         self.hamiltonian = hamiltonian
         self.backend = backend if backend is not None else ExactBackend()
-        self.cache = MatrixElementCache()
         self.seed = int(seed)
-        # the magnitude and Hadamard-test draws; the engine owns another generator
+        # the magnitude, sign and diagonal draws; the engine owns another generator
         self._streams = KeyedStreams(self.seed)
         self.n_qubits = circuit.n_qubits
         self._compiled = compile_circuit(circuit, params)  # fixed for the run
@@ -192,24 +169,27 @@ class ElementSource:
     def _measure(self, i: int) -> RowRecord:
         col = self.transformed_column(i)
         nu_sq = float(np.vdot(col, col).real)  # exactly <i|U^dag H^2 U|i>
+        re = col.real.copy()
         if isinstance(self.backend, ExactBackend):
             mags = np.abs(col)
             keep = mags >= self.backend.magnitude_floor
+            signs = np.sign(re).astype(np.int8)
         else:
             mags, keep = self._draw_magnitudes(i, col, nu_sq)
+            reachable = _residue_free(col, nu_sq) > 0.0  # q(j) > 0
+            reachable[i] = False
+            signs = self._draw_signs(i, re, nu_sq, reachable)
         keep[i] = False
         found = np.nonzero(keep)[0]
-        return RowRecord(col.real.copy(), nu_sq, found, mags[found])
+        return RowRecord(re, nu_sq, found, mags[found], signs)
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
         if nu_sq <= 0.0:
             return np.zeros(len(col)), np.zeros(len(col), dtype=bool)
-        mags = np.abs(col)
-        q = mags**2 / nu_sq
         # roundoff residue gets probability exactly zero, so the multinomial
         # consumes the same stream whichever residues the arithmetic left
-        q[mags < RESIDUE_FLOOR * np.sqrt(nu_sq)] = 0.0
+        q = _residue_free(col, nu_sq) ** 2 / nu_sq
         q = q / q.sum()
         shots = self.backend.shots_magnitude
         counts = self._streams.stream(MAGNITUDE, i).multinomial(shots, q)
@@ -219,37 +199,39 @@ class ElementSource:
         keep = estimates >= np.maximum(self.backend.magnitude_floor**2, 3.0 * se)
         return np.sqrt(estimates), keep & (counts > 0)
 
+    def _draw_signs(self, i: int, re: np.ndarray, nu_sq: float,
+                    tested: np.ndarray) -> np.ndarray:
+        """sign(Re H'_ji) from the Hadamard test, p = (1 + Re H'_ji / nu) / 2,
+        at every j in the mask `tested`, all drawn in one binomial call from
+        the (SIGN, i) stream.  0 elsewhere, and where the margin of successes
+        lies within ambiguity_z sigma of a coin flip."""
+        shots = self.backend.shots_sign
+        p = np.clip(0.5 * (1.0 + re[tested] / np.sqrt(nu_sq)), 0.0, 1.0)
+        margin = 2 * self._streams.stream(SIGN, i).binomial(shots, p) - shots
+        resolved = np.abs(margin) > self.backend.ambiguity_z * np.sqrt(shots)
+        signs = np.zeros(len(re), dtype=np.int8)
+        signs[tested] = np.sign(margin) * resolved
+        return signs
+
+
+def _residue_free(col: np.ndarray, nu_sq: float) -> np.ndarray:
+    """|H'_ji| over all j, zero where it is roundoff residue (< RESIDUE_FLOOR nu)."""
+    mags = np.abs(col)
+    mags[mags < RESIDUE_FLOOR * np.sqrt(nu_sq)] = 0.0
+    return mags
+
 
 def row_magnitudes(src: ElementSource, i: int) -> RowRecord:
     """The record of row i, whose `targets` and `mags` are its magnitude draw."""
     return src.row(i)
 
 
-def _hadamard_test(src: ElementSource, re: float, nu: float, key: tuple) -> int:
-    """Successes of the keyed Hadamard test with p = (1 + re / nu) / 2."""
-    p = min(1.0, max(0.0, 0.5 * (1.0 + re / nu)))
-    return int(src._streams.stream(*key).binomial(src.backend.shots_sign, p))
-
-
 def element_sign(src: ElementSource, i: int, j: int) -> int:
-    """sign(Re H'_ji), read from column i; exact, or a Hadamard-test estimate."""
-    rec = src.row(i)
-    re = float(rec.column[j])
-    if isinstance(src.backend, ExactBackend):
-        if re == 0.0:
-            raise SignAmbiguityError(f"Re H'[{j},{i}] is exactly zero")
-        return 1 if re > 0.0 else -1
-    nu = float(np.sqrt(rec.nu_sq))
-    if nu == 0.0:
-        raise SignAmbiguityError("zero row norm; no sign to estimate")
-    shots = src.backend.shots_sign
-    successes = _hadamard_test(src, re, nu, (SIGN, min(i, j), max(i, j)))
-    margin = abs(2 * successes - shots)
-    if margin <= src.backend.ambiguity_z * np.sqrt(shots):
-        raise SignAmbiguityError(
-            f"sign margin {margin} within {src.backend.ambiguity_z} sigma of a coin flip"
-        )
-    return 1 if 2 * successes > shots else -1
+    """sign(Re H'_ji), read from row i's record: exact, or its Hadamard test."""
+    sign = int(src.row(i).signs[j])
+    if sign == 0:
+        raise SignAmbiguityError(f"no sign resolved for Re H'[{j},{i}]")
+    return sign
 
 
 def diagonal_element(src: ElementSource, i: int) -> float:
@@ -262,39 +244,37 @@ def diagonal_element(src: ElementSource, i: int) -> float:
     nu = float(np.sqrt(rec.nu_sq))
     if nu == 0.0:
         return 0.0
-    successes = _hadamard_test(src, exact, nu, (DIAGONAL, i))
-    return nu * (2.0 * successes / src.backend.shots_sign - 1.0)
+    p = min(1.0, max(0.0, 0.5 * (1.0 + exact / nu)))
+    shots = src.backend.shots_sign
+    successes = int(src._streams.stream(DIAGONAL, i).binomial(shots, p))
+    return nu * (2.0 * successes / shots - 1.0)
 
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
-    """Signed real H'_ji, measured once then served from the symmetric cache."""
-    cached = src.cache.lookup(i, j)
-    if cached is not None:
-        return cached
+    """Signed real H'_ji: the diagonal from `diagonal_element`, the rest read
+    from row i's resolved row (0.0 where the row has no entry j)."""
     if i == j:
-        return src.cache.store(i, i, diagonal_element(src, i))
-    rec = src.row(i)
-    k = int(rec.targets.searchsorted(j))
-    mag = float(rec.mags[k]) if k < len(rec.targets) and rec.targets[k] == j else 0.0
-    if mag == 0.0:
-        return src.cache.store(i, j, 0.0)
-    try:
-        sign = element_sign(src, i, j)
-    except SignAmbiguityError:
-        return src.cache.store(i, j, 0.0)
-    return src.cache.store(i, j, sign * mag)
+        return diagonal_element(src, i)
+    targets, mags, csigns = resolved_row(src, i)
+    k = int(targets.searchsorted(j))
+    if k == len(targets) or targets[k] != j:
+        return 0.0
+    return float(-csigns[k] * mags[k])
 
 
 def resolved_row(src: ElementSource, i: int) -> tuple:
     """Row i of the engine CSR as views (targets j, |H'_ji|, -sign(H'_ji)).
 
-    On first request every entry of the row's draw is read through
-    get_element in ascending j, and the nonzero ones are appended.  That is
-    the one read of the draw as a whole; get_element looks up single entries
-    in the record, so each row reports one draw."""
+    On first request the row is built from row i's record alone: Re H'_ji
+    on the exact backend, the drawn sign times the drawn magnitude on the
+    sampled one, at the draw's targets; entries that come out zero (an
+    unresolved sign) are left out."""
     if src._row_len[i] < 0:
         rec = row_magnitudes(src, i)
-        vals = np.array([get_element(src, i, j) for j in rec.targets.tolist()], dtype=float)
+        if isinstance(src.backend, ExactBackend):
+            vals = rec.column[rec.targets]
+        else:
+            vals = rec.signs[rec.targets] * rec.mags
         nonzero = vals != 0.0
         vals = vals[nonzero]
         src._row_start[i], src._row_len[i] = len(src._targets), len(vals)
@@ -334,13 +314,13 @@ def row_arrays(src: ElementSource, indices) -> tuple:
 
 
 def diagonal_elements(src: ElementSource, indices) -> np.ndarray:
-    """H'_ii over `indices`; each entry is read once through get_element, in
-    the order given, and then served from the source's diagonal vector."""
+    """H'_ii over `indices`; each entry is read once through
+    diagonal_element and then served from the source's diagonal vector."""
     indices = np.asarray(indices, dtype=np.int64)
     d = src._diag[indices]
     unseen = np.isnan(d)
     if unseen.any():
         for i in indices[unseen].tolist():
-            src._diag[i] = get_element(src, i, i)
+            src._diag[i] = diagonal_element(src, i)
         d = src._diag[indices]
     return d

@@ -1,4 +1,4 @@
-"""Tests for the matrix-element backends and cache.
+"""Tests for the matrix-element backends and the per-row records.
 
 Oracle: dense U^dag H U assembled independently from the gate matrices, not
 through the package's column plumbing."""
@@ -10,13 +10,13 @@ import qcfciqmc.matelem as me
 from qcfciqmc.matelem import (
     ElementSource,
     ExactBackend,
-    MatrixElementCache,
     MatelemError,
     SampledBackend,
     SignAmbiguityError,
     diagonal_element,
     element_sign,
     get_element,
+    resolved_row,
     row_magnitudes,
     signed_row,
 )
@@ -122,7 +122,8 @@ def test_exact_backend_matches_dense_column(trial):
 
 @pytest.mark.parametrize("trial", range(4))
 def test_exact_full_matrix_via_get_element(trial):
-    """Assembling every element through the cache reproduces dense U^dag H U."""
+    """Assembling every element through get_element, each read from its own
+    row's record, reproduces dense U^dag H U."""
     rng = np.random.default_rng(40 + trial)
     h, circuit = real_instance(rng)
     src = ElementSource(h, circuit)
@@ -197,46 +198,44 @@ def test_non_hermitian_hamiltonian_rejected():
 
 
 # ---------------------------------------------------------------------------
-# cache
+# per-row records
 # ---------------------------------------------------------------------------
 
 
-def test_cache_hit_skips_backend(monkeypatch):
-    src = x0_source(0.5)
-    v1 = get_element(src, 0, 1)
-    misses = src.cache.misses
-
-    def boom(*a, **k):
-        raise AssertionError("backend called on a cache hit")
-
-    monkeypatch.setattr(src, "_measure", boom)
-    v2 = get_element(src, 0, 1)
-    assert v1 == v2
-    assert src.cache.misses == misses
-    assert src.cache.hits >= 1
-
-
-def test_cache_symmetric_reuse():
-    src = x0_source(0.5)
-    a = get_element(src, 0, 1)
-    misses = src.cache.misses
-    b = get_element(src, 1, 0)
-    assert a == b
-    assert src.cache.misses == misses  # (j,i) resolved from the (i,j) entry
+def test_elements_do_not_depend_on_the_order_rows_are_read():
+    """Two sampled sources that resolve the same rows in opposite orders
+    serve the same rows and the same elements: H'_ji comes from row i's
+    draws alone, whichever row was read first."""
+    h, circuit = _sampled_instance()
+    backend = SampledBackend(shots_magnitude=10**4, shots_sign=10**3)
+    a = ElementSource(h, circuit, backend=backend, seed=5)
+    b = ElementSource(h, circuit, backend=backend, seed=5)
+    rows = range(1 << circuit.n_qubits)
+    for i in rows:
+        resolved_row(a, i)
+    for i in reversed(rows):
+        resolved_row(b, i)
+    for i in rows:
+        for x, y in zip(resolved_row(a, i), resolved_row(b, i)):
+            assert x.tobytes() == y.tobytes()
+        for j in rows:
+            assert get_element(a, i, j) == get_element(b, i, j)
 
 
-def test_cache_transparency():
-    """A prewarmed cache changes nothing about the values served."""
-    rng = np.random.default_rng(8)
-    h, circuit = real_instance(rng, n_qubits=2)
-    cold = ElementSource(h, circuit)
-    warm = ElementSource(h, circuit)
-    for i in range(4):
-        for j in range(4):
-            get_element(warm, i, j)
-    for i in range(4):
-        for j in range(4):
-            assert get_element(cold, i, j) == get_element(warm, i, j)
+@pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend(10**4, 10**3)])
+def test_second_read_of_a_row_measures_nothing(monkeypatch, backend):
+    src = ElementSource(*_sampled_instance(), backend=backend, seed=2)
+    measured = []
+    real_measure = src._measure
+    monkeypatch.setattr(src, "_measure", lambda i: measured.append(i) or real_measure(i))
+
+    def read():
+        return ([get_element(src, 0, j) for j in range(8)],
+                [x.tobytes() for x in resolved_row(src, 0)])
+
+    first = read()
+    assert read() == first
+    assert measured == [0]
 
 
 def test_signed_row_matches_elements():

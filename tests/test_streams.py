@@ -35,7 +35,7 @@ from qcfciqmc.simulator import Circuit
 from qcfciqmc.vqa import hubbard_hv_generator_groups, layered_ansatz, lowest_diagonal_reference
 
 IDENTITY_EXACT_SHA256 = "4713d7f92b95c9246206da1ae567d47d5e68c5cf0c01e85a6267e507f3d77adb"
-LAYERED_SAMPLED_SHA256 = "0a9c8939adff1073b1038b8a7e4b59967d9b8c9d5ff877f0af9eacc257c858c6"
+LAYERED_SAMPLED_SHA256 = "5c127748326f4b44d298bdaf9b0916821aa43ee69322b0f83b6365df0d0b7536"
 
 FIELD_MAX = 2**31 - 1
 
@@ -144,7 +144,9 @@ def test_rekeyed_generator_draws_as_a_fresh_one():
 def test_engine_draws_are_no_element_draws(monkeypatch):
     """With one seed for the engine and the source, no step of the engine
     draws the numbers of a stream the source keyed: in particular the
-    engine's step k and row k's magnitude draw differ."""
+    engine's step k and row k's magnitude and sign draws differ.  Each row
+    keys its sign stream once, for all of its Hadamard tests; the Y term
+    makes some entries purely imaginary, and those are tested too."""
     h = PauliSum([
         PauliTerm(0.4, PauliWord(2, 0b01, 0)),
         PauliTerm(-0.3, PauliWord(2, 0b10, 0b10)),
@@ -152,11 +154,12 @@ def test_engine_draws_are_no_element_draws(monkeypatch):
         PauliTerm(0.6, PauliWord(2, 0b11, 0b11)),
     ])
     src = ElementSource(h, Circuit(2, []), backend=SampledBackend(10**4, 10**3), seed=7)
-    element_draws = set()
+    element_draws, keys = set(), []
     keyed_stream = src._streams.stream
 
     def recorded_stream(*key):
         rng = keyed_stream(*key)
+        keys.append(key)
         element_draws.add(next_draws(rng))
         return rng
 
@@ -172,6 +175,7 @@ def test_engine_draws_are_no_element_draws(monkeypatch):
     cfg = RunConfig(delta_tau=0.05, total_time=0.5, initial_walkers=200, seed=7)
     run(h, Circuit(2, []), (), cfg, source=src, phi0=0)
     assert len(src._rows) == 4  # every row, so rows 1 to 3 had magnitude draws
+    assert sorted(k for k in keys if k[0] == SIGN) == [(SIGN, i) for i in range(4)]
     assert len(engine_draws) == 10
     assert not element_draws & set(engine_draws)
 
