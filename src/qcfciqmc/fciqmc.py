@@ -260,8 +260,8 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
                     shift: float) -> bool:
     """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
     newly occupied rows `fresh`; True once the warning is given."""
-    for i, d in zip(fresh, diagonal_elements(src, fresh).tolist()):
-        l1 = abs(d - shift) + sum(resolved_row(src, i)[1].tolist())
+    for i in fresh:
+        l1 = abs(diagonal_elements(src, [i])[0] - shift) + sum(resolved_row(src, i)[1].tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
                 f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index {i}; "

@@ -252,7 +252,8 @@ def diagonal_element(src: ElementSource, i: int) -> float:
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
     """Signed real H'_ji: the diagonal from `diagonal_element`, the rest read
-    from row i's resolved row (0.0 where the row has no entry j)."""
+    from row i's resolved row (0.0 where row i's draw has no entry j or left
+    its sign unresolved)."""
     if i == j:
         return diagonal_element(src, i)
     targets, mags, csigns = resolved_row(src, i)
