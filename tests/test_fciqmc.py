@@ -463,7 +463,7 @@ def test_mixed_energy_matches_dict_oracle_bit_for_bit(backend):
         e = mixed_energy(pop, src_new, phi0)
         assert e == mixed_energy_oracle(pop, src_oracle, phi0)
         assert (e is None) == (trial % 4 == 0)
-        # reads both sources alike, so their caches keep filling in step
+        # each source serves row phi0 from its own record, whatever it read before
         row = signed_row(src_new, phi0)
         assert row == signed_row(src_oracle, phi0)
         targets = {j for (j, _) in row}

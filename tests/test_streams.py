@@ -9,9 +9,8 @@ draws made in the middle of a step leave the engine's generator alone.
 
 The determinism tests compare two runs of the same code.  The pins compare
 a run with the bytes an earlier version of the package wrote, so a refactor
-that moves a random stream, the order in which elements are measured or the
-rounding of an estimator fails here even when every run still reproduces
-itself.
+that moves a random stream or the rounding of an estimator fails here even
+when every run still reproduces itself.
 
 The pins were recorded with numpy 2.4 on Python 3.11.  A numpy upgrade that
 changes the `Generator` streams (Philox, binomial or multinomial) or the
