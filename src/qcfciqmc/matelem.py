@@ -176,9 +176,7 @@ class ElementSource:
             signs = np.sign(re).astype(np.int8)
         else:
             mags, keep = self._draw_magnitudes(i, col, nu_sq)
-            reachable = _residue_free(col, nu_sq) > 0.0  # q(j) > 0
-            reachable[i] = False
-            signs = self._draw_signs(i, re, nu_sq, reachable)
+            signs = self._draw_signs(i, col, nu_sq)
         keep[i] = False
         found = np.nonzero(keep)[0]
         return RowRecord(re, nu_sq, found, mags[found], signs)
@@ -199,17 +197,19 @@ class ElementSource:
         keep = estimates >= np.maximum(self.backend.magnitude_floor**2, 3.0 * se)
         return np.sqrt(estimates), keep & (counts > 0)
 
-    def _draw_signs(self, i: int, re: np.ndarray, nu_sq: float,
-                    tested: np.ndarray) -> np.ndarray:
+    def _draw_signs(self, i: int, col: np.ndarray, nu_sq: float) -> np.ndarray:
         """sign(Re H'_ji) from the Hadamard test, p = (1 + Re H'_ji / nu) / 2,
-        at every j in the mask `tested`, all drawn in one binomial call from
-        the (SIGN, i) stream.  0 elsewhere, and where the margin of successes
-        lies within ambiguity_z sigma of a coin flip."""
+        at every j != i that the magnitude draw can reach (q(j) > 0), all
+        drawn in one binomial call from the (SIGN, i) stream.  0 elsewhere,
+        and where the margin of successes lies within ambiguity_z sigma of a
+        coin flip."""
+        tested = _residue_free(col, nu_sq) > 0.0
+        tested[i] = False
         shots = self.backend.shots_sign
-        p = np.clip(0.5 * (1.0 + re[tested] / np.sqrt(nu_sq)), 0.0, 1.0)
+        p = np.clip(0.5 * (1.0 + col.real[tested] / np.sqrt(nu_sq)), 0.0, 1.0)
         margin = 2 * self._streams.stream(SIGN, i).binomial(shots, p) - shots
         resolved = np.abs(margin) > self.backend.ambiguity_z * np.sqrt(shots)
-        signs = np.zeros(len(re), dtype=np.int8)
+        signs = np.zeros(len(col), dtype=np.int8)
         signs[tested] = np.sign(margin) * resolved
         return signs
 
