@@ -111,9 +111,6 @@ class _Conf:
         self.mapping = dict(mapping)
         self.used: set = set()
 
-    def has(self, key) -> bool:
-        return key in self.mapping
-
     def raw(self, key, default=None):
         if key in self.mapping:
             self.used.add(key)

@@ -24,10 +24,11 @@ death/clone over the occupied indices.  A trajectory is therefore a pure
 function of (config, seed) no matter how the host schedules threads.
 
 The engine's generator is not the element source's, because the timestep
-check and `row_arrays` resolve rows, and so make element draws that re-key
+check and `row_arrays` measure rows, and so make element draws that re-key
 the source's generator, in the middle of a step.  Those draws are keyed by
-row, and every H'_ji is read from row i's own record, so the order in which
-the walkers reach rows changes neither an element nor the engine's stream.
+row, and every H'_ji is read from row i's own measurement, so the order in
+which the walkers reach rows changes neither an element nor the engine's
+stream.
 """
 
 from __future__ import annotations

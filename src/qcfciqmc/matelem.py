@@ -23,17 +23,17 @@ engine owns another (see `fciqmc`).
 
 The source compiles its circuit once, at its fixed parameters, into gate
 runs (`simulator.compile_circuit`); every column is computed from those runs
-and the grouped H.  Each row is measured once into a per-row record: one
-transformed column, one magnitude draw (ascending target and magnitude
-arrays) and one sign draw, a Hadamard test for every j != i with q(j) > 0,
-all in one binomial call.  H'_ji is served from row i's record alone, so
-H'_ij and H'_ji are two estimates, each from its own row.
-
-Each signed row is kept once, in the CSR the source owns for the engine
-(targets, |H'_ji| and child signs, with a start and a length per row),
-appended when the row is first resolved; diagonal elements sit in a vector,
-each filled once through `diagonal_element`.  Nothing is persisted between
-runs.
+and the grouped H.  Row i is one measurement event, `ElementSource._measure`:
+from one transformed column it takes the magnitude draw (ascending target
+and magnitude arrays), the sign draw (a Hadamard test for every j != i with
+q(j) > 0, all in one binomial call) and the diagonal, exact or drawn, and
+writes them once into the row's record, its signed row in the CSR the source
+owns for the engine (targets, |H'_ji| and child signs, with a start and a
+length per row) and H'_ii in the source's diagonal vector.  The column is
+not kept.  Every other function here only reads those stores, measuring a
+row first through `row_magnitudes` when it has none yet.  H'_ji is served
+from row i's measurement alone, so H'_ij and H'_ji are two estimates, each
+from its own row.  Nothing is persisted between runs.
 """
 
 from __future__ import annotations
@@ -114,10 +114,8 @@ class SampledBackend:
 
 @dataclass(frozen=True)
 class RowRecord:
-    """What one measurement of row i yields."""
+    """What one measurement of row i yields, besides its CSR row and H'_ii."""
 
-    column: np.ndarray  # Re H'_ji over all j
-    nu_sq: float  # <i|U^dag H^2 U|i>, the row's squared norm
     targets: np.ndarray  # the draw's kept j != i, ascending
     mags: np.ndarray  # the draw's |H'_ji| estimates at `targets`
     signs: np.ndarray  # int8 sign(Re H'_ji) over all j; 0 where not resolved
@@ -144,14 +142,14 @@ class ElementSource:
         self._compiled = compile_circuit(circuit, params)  # fixed for the run
         self._rows: dict = {}  # i -> RowRecord
         dim = 1 << self.n_qubits
-        # engine CSR: resolved row i occupies [_row_start[i], _row_start[i] +
-        # _row_len[i]) of the entry arrays; -1 marks a row not resolved yet
+        # engine CSR: measured row i occupies [_row_start[i], _row_start[i] +
+        # _row_len[i]) of the entry arrays; -1 marks a row not measured yet
         self._row_start = np.full(dim, -1, dtype=np.int64)
         self._row_len = np.full(dim, -1, dtype=np.int64)
         self._targets = np.zeros(0, dtype=np.int64)
         self._mags = np.zeros(0)  # |H'_ji|
         self._child_signs = np.zeros(0, dtype=np.int64)  # -sign(H'_ji)
-        self._diag = np.full(dim, np.nan)  # H'_ii once read; NaN until then
+        self._diag = np.full(dim, np.nan)  # H'_ii of each measured row
 
     def transformed_column(self, i: int) -> np.ndarray:
         """Column i of H': entry j equals <j|U^dag H U|i>."""
@@ -167,19 +165,34 @@ class ElementSource:
         return rec
 
     def _measure(self, i: int) -> RowRecord:
+        """Measure row i: its magnitudes, signs and diagonal, exact or drawn.
+        Appends the signed row to the CSR (entries that come out zero, an
+        unresolved sign, are left out), stores H'_ii and returns the record."""
         col = self.transformed_column(i)
         nu_sq = float(np.vdot(col, col).real)  # exactly <i|U^dag H^2 U|i>
-        re = col.real.copy()
         if isinstance(self.backend, ExactBackend):
             mags = np.abs(col)
             keep = mags >= self.backend.magnitude_floor
-            signs = np.sign(re).astype(np.int8)
+            signs = np.sign(col.real).astype(np.int8)
+            signed = col.real
+            diag = float(col.real[i])
         else:
             mags, keep = self._draw_magnitudes(i, col, nu_sq)
             signs = self._draw_signs(i, col, nu_sq)
+            signed = signs * mags
+            diag = self._draw_diagonal(i, col, nu_sq)
         keep[i] = False
-        found = np.nonzero(keep)[0]
-        return RowRecord(re, nu_sq, found, mags[found], signs)
+        targets = np.nonzero(keep)[0]
+        vals = signed[targets]
+        nonzero = vals != 0.0
+        vals = vals[nonzero]
+        self._row_start[i], self._row_len[i] = len(self._targets), len(vals)
+        self._targets = np.concatenate([self._targets, targets[nonzero]])
+        self._mags = np.concatenate([self._mags, np.abs(vals)])
+        self._child_signs = np.concatenate(
+            [self._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
+        self._diag[i] = diag
+        return RowRecord(targets, mags[targets], signs)
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
@@ -213,6 +226,17 @@ class ElementSource:
         signs[tested] = np.sign(margin) * resolved
         return signs
 
+    def _draw_diagonal(self, i: int, col: np.ndarray, nu_sq: float) -> float:
+        """H'_ii from the same estimation circuit at j = i: nu (2 p_hat - 1),
+        with p = (1 + Re H'_ii / nu) / 2, drawn from the (DIAGONAL, i) stream."""
+        nu = float(np.sqrt(nu_sq))
+        if nu == 0.0:
+            return 0.0
+        p = min(1.0, max(0.0, 0.5 * (1.0 + float(col.real[i]) / nu)))
+        shots = self.backend.shots_sign
+        successes = int(self._streams.stream(DIAGONAL, i).binomial(shots, p))
+        return nu * (2.0 * successes / shots - 1.0)
+
 
 def _residue_free(col: np.ndarray, nu_sq: float) -> np.ndarray:
     """|H'_ji| over all j, zero where it is roundoff residue (< RESIDUE_FLOOR nu)."""
@@ -234,26 +258,26 @@ def element_sign(src: ElementSource, i: int, j: int) -> int:
     return sign
 
 
+def _row_lengths(src: ElementSource, indices: np.ndarray) -> np.ndarray:
+    """The CSR row lengths of `indices`, once each of those rows not measured
+    yet is measured, in the order given."""
+    lens = src._row_len[indices]
+    if (lens < 0).any():
+        for i in dict.fromkeys(indices[lens < 0].tolist()):
+            row_magnitudes(src, i)
+        lens = src._row_len[indices]
+    return lens
+
+
 def diagonal_element(src: ElementSource, i: int) -> float:
     """<phi_i|H|phi_i>; exact expectation, or shot-averaged on the sampled backend."""
-    rec = src.row(i)
-    exact = float(rec.column[i])
-    if isinstance(src.backend, ExactBackend):
-        return exact
-    # the same estimation circuit at j = i gives nu * (2 p_hat - 1)
-    nu = float(np.sqrt(rec.nu_sq))
-    if nu == 0.0:
-        return 0.0
-    p = min(1.0, max(0.0, 0.5 * (1.0 + exact / nu)))
-    shots = src.backend.shots_sign
-    successes = int(src._streams.stream(DIAGONAL, i).binomial(shots, p))
-    return nu * (2.0 * successes / shots - 1.0)
+    return float(diagonal_elements(src, [i])[0])
 
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
     """Signed real H'_ji: the diagonal from `diagonal_element`, the rest read
-    from row i's resolved row (0.0 where row i's draw has no entry j or left
-    its sign unresolved)."""
+    from row i's CSR row (0.0 where row i's draw has no entry j or left its
+    sign unresolved)."""
     if i == j:
         return diagonal_element(src, i)
     targets, mags, csigns = resolved_row(src, i)
@@ -264,25 +288,9 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
 
 
 def resolved_row(src: ElementSource, i: int) -> tuple:
-    """Row i of the engine CSR as views (targets j, |H'_ji|, -sign(H'_ji)).
-
-    On first request the row is built from row i's record alone: Re H'_ji
-    on the exact backend, the drawn sign times the drawn magnitude on the
-    sampled one, at the draw's targets; entries that come out zero (an
-    unresolved sign) are left out."""
+    """Row i of the engine CSR as views (targets j, |H'_ji|, -sign(H'_ji))."""
     if src._row_len[i] < 0:
-        rec = row_magnitudes(src, i)
-        if isinstance(src.backend, ExactBackend):
-            vals = rec.column[rec.targets]
-        else:
-            vals = rec.signs[rec.targets] * rec.mags
-        nonzero = vals != 0.0
-        vals = vals[nonzero]
-        src._row_start[i], src._row_len[i] = len(src._targets), len(vals)
-        src._targets = np.concatenate([src._targets, rec.targets[nonzero]])
-        src._mags = np.concatenate([src._mags, np.abs(vals)])
-        src._child_signs = np.concatenate(
-            [src._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
+        row_magnitudes(src, i)
     start = src._row_start[i]
     end = start + src._row_len[i]
     return src._targets[start:end], src._mags[start:end], src._child_signs[start:end]
@@ -298,15 +306,11 @@ def row_arrays(src: ElementSource, indices) -> tuple:
     """Signed rows of `indices`, concatenated in the order given, as arrays
     (targets j, |H'_ji|, -sign(H'_ji), row lengths).
 
-    Rows not resolved yet are resolved first, in the order given.  The third
+    Rows not measured yet are measured first, in the order given.  The third
     array is the child-sign factor of the spawning step: the projector's
     off-diagonal weight is -H'_ji."""
     indices = np.asarray(indices, dtype=np.int64)
-    lens = src._row_len[indices]
-    if (lens < 0).any():
-        for i in indices[lens < 0].tolist():
-            resolved_row(src, i)
-        lens = src._row_len[indices]
+    lens = _row_lengths(src, indices)
     ends = lens.cumsum()
     # position k of the output reads entry start + (k - offset) of its row
     pos = (src._row_start[indices] - ends + lens).repeat(lens)
@@ -315,13 +319,8 @@ def row_arrays(src: ElementSource, indices) -> tuple:
 
 
 def diagonal_elements(src: ElementSource, indices) -> np.ndarray:
-    """H'_ii over `indices`; each entry is read once through
-    diagonal_element and then served from the source's diagonal vector."""
+    """H'_ii over `indices`, each stored when its row was measured; rows not
+    measured yet are measured first, in the order given."""
     indices = np.asarray(indices, dtype=np.int64)
-    d = src._diag[indices]
-    unseen = np.isnan(d)
-    if unseen.any():
-        for i in indices[unseen].tolist():
-            src._diag[i] = diagonal_element(src, i)
-        d = src._diag[indices]
-    return d
+    _row_lengths(src, indices)
+    return src._diag[indices]

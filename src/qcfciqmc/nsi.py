@@ -151,16 +151,6 @@ def _initial(spec_h, spec_t, phi0: int, beta: float) -> float:
     return s if s > _rounding_bound(spec_h, spec_t, beta) / q_h else 0.0
 
 
-def nsi_thermal(h, beta: float) -> float:
-    _, spec_h, spec_t = _spectra(h, beta)
-    return _thermal(spec_h, spec_t, beta)
-
-
-def nsi_initial(h, phi0: int, beta: float) -> float:
-    _, spec_h, spec_t = _spectra(h, beta)
-    return _initial(spec_h, spec_t, phi0, beta)
-
-
 def theorem1_bound(s: StoquasticSplit, beta: float) -> float:
     """2 exp(beta ||alpha I - H_minus||_1) sinh(beta ||H_plus||_1).
 

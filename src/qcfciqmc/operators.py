@@ -61,19 +61,6 @@ class PauliWord:
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliWord":
-        """Build from a string like 'XIZY'; character q acts on qubit q."""
-        x = z = 0
-        for q, ch in enumerate(label):
-            if ch in ("X", "Y"):
-                x |= 1 << q
-            if ch in ("Z", "Y"):
-                z |= 1 << q
-            if ch not in _PAULI_LABELS:
-                raise OperatorError(f"bad Pauli letter {ch!r}")
-        return cls(len(label), x, z)
-
     def label(self) -> str:
         out = []
         for q in range(self.n_qubits):

@@ -39,7 +39,8 @@ from qcfciqmc.matelem import (
     row_magnitudes,
     signed_row,
 )
-from qcfciqmc.nsi import nsi_initial, nsi_thermal, split, theorem1_bound, theorem2_indicator, transformed_nsi
+from helpers import nsi_initial, nsi_thermal
+from qcfciqmc.nsi import split, theorem1_bound, theorem2_indicator, transformed_nsi
 from qcfciqmc.operators import (
     HubbardSpec,
     PauliSum,

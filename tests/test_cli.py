@@ -290,6 +290,37 @@ model.hubbard.u = 4.0
     assert cli.main(["ed", conf]) == 3
 
 
+HUBBARD_2X2 = """
+seed = 3
+output.dir = {out}
+model.hubbard.shape = 2x2
+model.hubbard.t = 1.0
+model.hubbard.u = 4.0
+"""
+
+
+def test_ed_sector_override_matches_the_dense_sector_block(tmp_path):
+    """n_up = n_dn = 1 on 2x2: 4 * 4 determinants, and the ground energy of
+    that block of the dense Hamiltonian."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, HUBBARD_2X2.format(out=out)
+                      + "model.hubbard.n_up = 1\nmodel.hubbard.n_dn = 1\n")
+    assert cli.main(["ed", conf]) == 0
+    record = json.loads((out / "ed.json").read_text())
+    assert record["sector_dim"] == 16
+    sector = number_sector_indices(8, n_up=1, n_dn=1)
+    dense = to_dense(jordan_wigner(build_hubbard(HubbardSpec((2, 2), t=1.0, u=4.0)))).real
+    oracle = np.linalg.eigvalsh(dense[np.ix_(sector, sector)])[0]
+    assert abs(record["energy"] - oracle) < 1e-10
+
+
+def test_ed_sector_override_needs_both_spins(tmp_path, capsys):
+    conf = write_conf(tmp_path, HUBBARD_2X2.format(out=tmp_path / "out")
+                      + "model.hubbard.n_up = 1\n")
+    assert cli.main(["ed", conf]) == 2
+    assert "n_up and n_dn must be set together" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cmd_vqe
 # ---------------------------------------------------------------------------
@@ -328,6 +359,33 @@ ansatz.layers = 0
     # reference determinant is singly occupied on each site: diagonal 0
     assert abs(record["energy"]) < 1e-12
     assert record["n_parameters"] == 0
+
+
+VQE_2X2_HV = HUBBARD_2X2 + """
+ansatz.kind = hv
+ansatz.layers = 1
+vqe.max_iterations = 8
+"""
+
+
+def test_vqe_restarts_keep_the_best_start(tmp_path):
+    """Two restarts begin with the one start of a single run (same seed), so
+    the kept energy is no higher; at seed 3 the second start ends lower."""
+    energies = []
+    for restarts in (1, 2):
+        out = tmp_path / f"out{restarts}"
+        conf = write_conf(tmp_path, VQE_2X2_HV.format(out=out)
+                          + f"vqe.restarts = {restarts}\n", name=f"r{restarts}.conf")
+        assert cli.main(["vqe", conf]) == 0
+        energies.append(json.loads((out / "vqe.json").read_text())["energy"])
+    assert energies[1] <= energies[0]
+    assert energies[1] != energies[0]  # the second start ran and was kept
+
+
+def test_vqe_zero_restarts_is_a_config_error(tmp_path, capsys):
+    conf = write_conf(tmp_path, VQE_2X2_HV.format(out=tmp_path / "out") + "vqe.restarts = 0\n")
+    assert cli.main(["vqe", conf]) == 2
+    assert "vqe.restarts must be at least 1" in capsys.readouterr().err
 
 
 def test_fcidump_hubbard_lattice_matches_hubbard_model(tmp_path):
@@ -439,7 +497,8 @@ def test_nsi_diagonalizing_circuit_near_zero(tmp_path):
 
 
 def test_nsi_ratio_matches_direct_computation(tmp_path):
-    from qcfciqmc.nsi import nsi_thermal, transformed_nsi
+    from helpers import nsi_thermal
+    from qcfciqmc.nsi import transformed_nsi
     from qcfciqmc.operators import HubbardSpec, build_hubbard, jordan_wigner, to_dense
     from qcfciqmc.vqa import (hubbard_hv_generator_groups, layered_ansatz,
                               lowest_diagonal_reference)

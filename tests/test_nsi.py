@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import PauliWord, nsi_initial, nsi_thermal
 from qcfciqmc.nsi import (
     NsiError,
     bosonic_form,
-    nsi_initial,
     nsi_report,
-    nsi_thermal,
     split,
     theorem1_bound,
     theorem2_indicator,
@@ -19,7 +18,6 @@ from qcfciqmc.operators import (
     HubbardSpec,
     PauliSum,
     PauliTerm,
-    PauliWord,
     build_hubbard,
     jordan_wigner,
     to_dense,

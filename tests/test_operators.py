@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import PauliWord
 from qcfciqmc.operators import (
     FcidumpData,
     FcidumpError,
@@ -14,7 +15,6 @@ from qcfciqmc.operators import (
     OperatorError,
     PauliSum,
     PauliTerm,
-    PauliWord,
     apply_pauli_sum,
     apply_word,
     build_hubbard,

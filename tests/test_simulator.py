@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qcfciqmc.operators import PauliSum, PauliTerm, PauliWord, apply_word, to_dense, word_gather
+from helpers import PauliWord
+from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense, word_gather
 from qcfciqmc.simulator import (
     BasisFlip,
     Circuit,
