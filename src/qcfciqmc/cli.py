@@ -536,10 +536,8 @@ def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=Non
 def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis, seed):
     circuit, params, phi0 = basis
     run_cfg = RunConfig(seed=seed, **cfg.qmc)
-    backend = build_backend(cfg)
-    traj = run(model.h, circuit, params, run_cfg, backend=backend, phi0=phi0)
-    stats = statistics(traj, run_cfg)
-    return traj, stats, run_cfg
+    traj = run(model.h, circuit, params, run_cfg, backend=build_backend(cfg), phi0=phi0)
+    return traj, statistics(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +614,7 @@ def cmd_qmc(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     loaded = () if cfg.identity_basis else load_circuit(cfg)
     basis = _walker_basis(model, cfg.reference_override, *loaded)
-    traj, stats, run_cfg = _run_qmc(cfg, model, basis, cfg.seed)
+    traj, stats = _run_qmc(cfg, model, basis, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     (cfg.output_dir / "trajectory.csv").write_text(trajectory_to_csv(traj))
     record = summary_record(traj, stats)
@@ -655,7 +653,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
             rep = transformed_nsi(model.h, basis[0], basis[1], cfg.nsi_beta)
             row["nsi"] = rep.s_thermal
             row["theorem1_bound"] = rep.theorem1_bound
-            _, stats, _ = _run_qmc(cfg, model, basis, seed)
+            _, stats = _run_qmc(cfg, model, basis, seed)
             row["e_qmc_mean"] = stats.mean
             row["e_qmc_std"] = stats.std
         except FAILURES as exc:

@@ -373,20 +373,19 @@ def blocking_analysis(samples) -> tuple:
     return levels, plateau
 
 
-def _post_equilibration(traj: Trajectory, cfg: RunConfig | None = None) -> list:
+def _post_equilibration(traj: Trajectory) -> list:
     """The records from the first post-equilibration one on.
 
     The cut drops the equilibration fraction of the records that carry a
     mixed energy (the reference is unoccupied on the others), so the energy
     samples and the shift tail start at the same record."""
-    cfg = cfg if cfg is not None else traj.config
     valid = [k for k, r in enumerate(traj.records) if r.e_mixed is not None]
-    cut = int(cfg.equilibration_fraction * len(valid))
+    cut = int(traj.config.equilibration_fraction * len(valid))
     return traj.records[valid[cut]:] if cut < len(valid) else []
 
 
-def statistics(traj: Trajectory, cfg: RunConfig | None = None) -> Statistics:
-    post = _post_equilibration(traj, cfg)
+def statistics(traj: Trajectory) -> Statistics:
+    post = _post_equilibration(traj)
     samples = np.asarray([r.e_mixed for r in post if r.e_mixed is not None], dtype=float)
     if len(samples) < 16:
         raise FciqmcError(f"only {len(samples)} post-equilibration samples; need >= 16")

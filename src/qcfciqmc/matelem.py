@@ -26,8 +26,9 @@ runs (`simulator.compile_circuit`); every column is computed from those runs
 and the grouped H.  Row i is one measurement event, `ElementSource._measure`:
 from one transformed column it takes the magnitude draw (ascending target
 and magnitude arrays), the sign draw (a Hadamard test for every j != i with
-q(j) > 0, all in one binomial call) and the diagonal, exact or drawn, and
-writes them once into the row's record, its signed row in the CSR the source
+q(j) > 0, all in one binomial call, of which the record keeps the signs at
+its targets) and the diagonal, exact or drawn, and writes them once into the
+row's record, its signed row in the CSR the source
 owns for the engine (targets, |H'_ji| and child signs, with a start and a
 length per row) and H'_ii in the source's diagonal vector.  The column is
 not kept.  Every other function here only reads those stores, measuring a
@@ -118,7 +119,7 @@ class RowRecord:
 
     targets: np.ndarray  # the draw's kept j != i, ascending
     mags: np.ndarray  # the draw's |H'_ji| estimates at `targets`
-    signs: np.ndarray  # int8 sign(Re H'_ji) over all j; 0 where not resolved
+    signs: np.ndarray  # int8 sign(Re H'_ji) at `targets`; 0 where not resolved
 
     @property
     def connections(self) -> list:
@@ -192,7 +193,7 @@ class ElementSource:
         self._child_signs = np.concatenate(
             [self._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
         self._diag[i] = diag
-        return RowRecord(targets, mags[targets], signs)
+        return RowRecord(targets, mags[targets], signs[targets])
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
@@ -251,11 +252,13 @@ def row_magnitudes(src: ElementSource, i: int) -> RowRecord:
 
 
 def element_sign(src: ElementSource, i: int, j: int) -> int:
-    """sign(Re H'_ji), read from row i's record: exact, or its Hadamard test."""
-    sign = int(src.row(i).signs[j])
-    if sign == 0:
+    """sign(Re H'_ji), read from row i's record: exact, or its Hadamard test.
+    A j outside row i's draw has no sign, like an unresolved one."""
+    rec = src.row(i)
+    k = int(rec.targets.searchsorted(j))
+    if k == len(rec.targets) or rec.targets[k] != j or rec.signs[k] == 0:
         raise SignAmbiguityError(f"no sign resolved for Re H'[{j},{i}]")
-    return sign
+    return int(rec.signs[k])
 
 
 def _row_lengths(src: ElementSource, indices: np.ndarray) -> np.ndarray:

@@ -504,6 +504,10 @@ def parse_fcidump(stream) -> FcidumpData:
     )
     if data.n_orbitals < 1:
         raise FcidumpError("NORB must be positive")
+    # MS2 = n_up - n_dn with n_up + n_dn = NELEC
+    if abs(data.ms2) > data.n_electrons or (data.n_electrons - data.ms2) % 2:
+        raise FcidumpError(f"NELEC={data.n_electrons} and MS2={data.ms2} name no "
+                           "spin sector")
 
     for ln in range(body_start, len(lines)):
         raw = lines[ln].strip()

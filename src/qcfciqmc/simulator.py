@@ -4,6 +4,9 @@ A PauliRotation gate realizes exp(-i * angle/2 * W) for a Pauli word W, applied
 through the identity exp(-i a/2 W) = cos(a/2) I - i sin(a/2) W, so each gate
 costs one vectorized Pauli action.  Parametric gates carry a slot index into
 the parameter vector and a scale: effective angle = scale * params[slot].
+A `Circuit` is frozen: its gates are a tuple and its slot count is taken
+once, at construction, so a circuit that grows is a new circuit.  States
+are plain numpy arrays, (2^n,) or a (2^n, k) batch of columns.
 
 Two paths apply a circuit.  `apply_gates` goes gate by gate; the variational
 gradient needs the state between gates, and its parameters change on every
@@ -32,19 +35,6 @@ class SimulatorError(ValueError):
     pass
 
 
-@dataclass
-class Statevector:
-    n_qubits: int
-    amplitudes: np.ndarray  # length 2^n, or a (2^n, k) batch of column states
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 @dataclass(frozen=True)
 class PauliRotation:
     word: PauliWord
@@ -63,30 +53,24 @@ class BasisFlip:
     qubit: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """An immutable gate sequence; `n_slots` (one past the highest parameter
+    slot a rotation reads) is taken once, when the circuit is built."""
+
     n_qubits: int
-    gates: list = field(default_factory=list)
+    gates: tuple = ()
+    n_slots: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        for g in self.gates:
+        gates = tuple(self.gates)
+        for g in gates:
             w = getattr(g, "word", None)
             if w is not None and w.n_qubits != self.n_qubits:
                 raise SimulatorError("gate word size mismatch")
-
-    @property
-    def n_slots(self) -> int:
-        slots = [g.slot for g in self.gates if isinstance(g, PauliRotation) and g.slot is not None]
-        return max(slots) + 1 if slots else 0
-
-
-def prepare_basis_state(n_qubits: int, index: int) -> Statevector:
-    dim = 1 << n_qubits
-    if not (0 <= index < dim):
-        raise SimulatorError(f"basis index {index} out of range for {n_qubits} qubits")
-    amp = np.zeros(dim, dtype=complex)
-    amp[index] = 1.0
-    return Statevector(n_qubits, amp)
+        slots = [g.slot for g in gates if isinstance(g, PauliRotation) and g.slot is not None]
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "n_slots", max(slots) + 1 if slots else 0)
 
 
 def _gate_angle(g: PauliRotation, params) -> float:
@@ -123,30 +107,35 @@ def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = Fa
     return vec
 
 
-def apply_circuit(state: Statevector, circuit: Circuit, params=()) -> Statevector:
-    if state.n_qubits != circuit.n_qubits:
-        raise SimulatorError("state / circuit dimension mismatch")
+def _check_params(circuit: Circuit, params) -> None:
     if circuit.n_slots > len(params):
         raise SimulatorError(f"need {circuit.n_slots} parameters, got {len(params)}")
-    vec = apply_gates(state.amplitudes.astype(complex), circuit.n_qubits, circuit.gates, params)
-    return Statevector(state.n_qubits, vec)
 
 
-def expectation(state: Statevector, h: PauliSum) -> float:
+def _check_state(vec: np.ndarray, circuit: Circuit, params) -> None:
+    if len(vec) != 1 << circuit.n_qubits:
+        raise SimulatorError("state / circuit dimension mismatch")
+    _check_params(circuit, params)
+
+
+def apply_circuit(vec: np.ndarray, circuit: Circuit, params=()) -> np.ndarray:
+    """U vec for a (2^n,) state, as a new complex array."""
+    _check_state(vec, circuit, params)
+    return apply_gates(vec.astype(complex), circuit.n_qubits, circuit.gates, params)
+
+
+def expectation(vec: np.ndarray, h: PauliSum) -> float:
     """<psi|H|psi> for Hermitian H."""
     if not h.hermitian:
         raise SimulatorError("non-Hermitian operator in expectation")
-    val = np.vdot(state.amplitudes, apply_pauli_sum(h, state.amplitudes))
-    return float(val.real)
+    return float(np.vdot(vec, apply_pauli_sum(h, vec)).real)
 
 
-def amplitude_vector(state: Statevector, circuit: Circuit, params=()) -> np.ndarray:
-    """Entry j equals <j|U^dag|state>: the state resolved in the circuit basis."""
-    if state.n_qubits != circuit.n_qubits:
-        raise SimulatorError("state / circuit dimension mismatch")
-    return apply_gates(
-        state.amplitudes.astype(complex), circuit.n_qubits, circuit.gates, params, invert=True
-    )
+def amplitude_vector(vec: np.ndarray, circuit: Circuit, params=()) -> np.ndarray:
+    """Entry j equals <j|U^dag|vec>: the state resolved in the circuit basis."""
+    _check_state(vec, circuit, params)
+    return apply_gates(vec.astype(complex), circuit.n_qubits, circuit.gates, params,
+                       invert=True)
 
 
 @dataclass(frozen=True)
@@ -207,8 +196,7 @@ def compile_circuit(circuit: Circuit, params=()) -> CompiledCircuit:
     A' = a2 A + b2 B[t ^ x] and B' = a2 B + b2 A[t ^ x].  Consecutive basis
     flips merge into one permutation.  A run is stored as float64 when its
     arrays are real, which holds for the real-rotation layered ansatz."""
-    if circuit.n_slots > len(params):
-        raise SimulatorError(f"need {circuit.n_slots} parameters, got {len(params)}")
+    _check_params(circuit, params)
     idx = np.arange(1 << circuit.n_qubits)
     runs: list = []  # [x, A, B]; A is None for a flip run
     for g in circuit.gates:

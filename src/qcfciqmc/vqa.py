@@ -11,7 +11,11 @@ generator pool by gradient magnitude.
 The optimizer is plain gradient descent with Armijo backtracking: deterministic
 and dependency-free, adequate at desk scale.  Gradients use the adjoint method
 (Jones & Gacon, arXiv:2009.02823): one forward pass and one reverse pass over
-the simulator's own gate steps, exact for Pauli-word rotation gates.
+the simulator's own gate steps, exact for Pauli-word rotation gates.  Inside
+`vqe_minimize` the forward pass is the state of the line search's accepted
+trial, so U|0> is built once per parameter vector tried.  States are plain
+(2^n,) arrays, and circuits are immutable: `adapt_vqe` grows its circuit by
+building a new one.
 """
 
 from __future__ import annotations
@@ -34,11 +38,9 @@ from .simulator import (
     BasisFlip,
     Circuit,
     PauliRotation,
-    Statevector,
     apply_circuit,
     apply_gates,
     expectation,
-    prepare_basis_state,
     rotation_step,
 )
 
@@ -84,8 +86,8 @@ class AnsatzSpec:
 # reference determinants and circuit scaffolding
 # ---------------------------------------------------------------------------
 
-def preparation_gates(reference: int, n_qubits: int) -> list:
-    return [BasisFlip(q) for q in range(n_qubits) if (reference >> q) & 1]
+def preparation_gates(reference: int, n_qubits: int) -> tuple:
+    return tuple(BasisFlip(q) for q in range(n_qubits) if (reference >> q) & 1)
 
 
 def lowest_diagonal_reference(h: PauliSum, candidates) -> int:
@@ -123,18 +125,15 @@ def molecular_reference(n_modes: int, n_electrons: int, ms2: int = 0) -> int:
 # ansatz builders
 # ---------------------------------------------------------------------------
 
-def generator_gates(gen: PauliSum, slot: int) -> list:
+def generator_gates(gen: PauliSum, slot: int) -> tuple:
     """Rotation gates realizing exp(theta G) for an anti-Hermitian generator.
 
     G expands as sum_k i gamma_k W_k with real gamma_k; each Trotter factor
     exp(i theta gamma_k W_k) is a PauliRotation with scale -2 gamma_k."""
-    gates = []
-    for t in gen.terms:
-        c = complex(t.coefficient)
-        if abs(c.real) > 1e-12:
-            raise VqaError("generator is not anti-Hermitian (real Pauli coefficient)")
-        gates.append(PauliRotation(t.word, slot=slot, scale=-2.0 * c.imag))
-    return gates
+    if any(abs(complex(t.coefficient).real) > 1e-12 for t in gen.terms):
+        raise VqaError("generator is not anti-Hermitian (real Pauli coefficient)")
+    return tuple(PauliRotation(t.word, slot=slot, scale=-2.0 * complex(t.coefficient).imag)
+                 for t in gen.terms)
 
 
 def layered_ansatz(generator_groups, layers: int, reference: int, n_qubits: int) -> Circuit:
@@ -145,7 +144,7 @@ def layered_ansatz(generator_groups, layers: int, reference: int, n_qubits: int)
     Hamiltonian stays real."""
     if not generator_groups:
         raise VqaError("empty generator group list")
-    gates = preparation_gates(reference, n_qubits)
+    gates = list(preparation_gates(reference, n_qubits))
     n_groups = len(generator_groups)
     for layer in range(layers):
         for g, gen in enumerate(generator_groups):
@@ -184,9 +183,8 @@ def singles_doubles_pool(n_modes: int) -> list:
                 continue
             if abs(sz(p) + sz(q) - sz(r) - sz(s)) > 1e-9:
                 continue
-            gen = _antisymmetrized([(1.0, ((p, True), (q, True), (s, False), (r, False)))], n_modes)
-            if gen.terms:
-                pool.append(gen)
+            pool.append(_antisymmetrized(
+                [(1.0, ((p, True), (q, True), (s, False), (r, False)))], n_modes))
     return [g for g in pool if g.terms]
 
 
@@ -229,8 +227,11 @@ def hubbard_hv_generator_groups(spec: HubbardSpec) -> list:
 # energies and gradients
 # ---------------------------------------------------------------------------
 
-def circuit_state(circuit: Circuit, params) -> Statevector:
-    return apply_circuit(prepare_basis_state(circuit.n_qubits, 0), circuit, params)
+def circuit_state(circuit: Circuit, params) -> np.ndarray:
+    """U|0> as a (2^n,) complex array."""
+    zero = np.zeros(1 << circuit.n_qubits, dtype=complex)
+    zero[0] = 1.0
+    return apply_circuit(zero, circuit, params)
 
 
 def circuit_energy(circuit: Circuit, h: PauliSum, params) -> float:
@@ -238,9 +239,14 @@ def circuit_energy(circuit: Circuit, h: PauliSum, params) -> float:
 
 
 def gradient(circuit: Circuit, h: PauliSum, params) -> np.ndarray:
-    """Adjoint-method gradient dE/dtheta (Jones & Gacon, arXiv:2009.02823).
+    """Adjoint-method gradient dE/dtheta (Jones & Gacon, arXiv:2009.02823)."""
+    return _adjoint_gradient(circuit, h, params, circuit_state(circuit, params))
 
-    Start from psi = U|0> and lambda = H psi, then walk the gates in reverse
+
+def _adjoint_gradient(circuit: Circuit, h: PauliSum, params, psi: np.ndarray) -> np.ndarray:
+    """dE/dtheta given psi = U|0> at `params`.
+
+    Start from psi and lambda = H psi, then walk the gates in reverse
     carrying the pair (phi, lambda): phi is the state just after the current
     gate and lambda is H psi pulled back to the same point.  For a rotation
     exp(-i a/2 W) with a = scale * theta[slot], dE/da = Im<lambda|W|phi>,
@@ -251,7 +257,6 @@ def gradient(circuit: Circuit, h: PauliSum, params) -> np.ndarray:
     apply_gates.  A gradient costs one word application per gate, exact like
     the parameter-shift rule."""
     grad = np.zeros(circuit.n_slots)
-    psi = circuit_state(circuit, params).amplitudes
     pair = np.stack([psi, apply_pauli_sum(h, psi)], axis=1)
     for g in reversed(circuit.gates):
         if isinstance(g, PauliRotation) and g.slot is not None:
@@ -263,12 +268,12 @@ def gradient(circuit: Circuit, h: PauliSum, params) -> np.ndarray:
     return grad
 
 
-def pool_gradients(state: Statevector, h: PauliSum, pool) -> np.ndarray:
+def pool_gradients(psi: np.ndarray, h: PauliSum, pool) -> np.ndarray:
     """dE/dtheta at theta = 0 for each pool generator: <psi|[H, G]|psi>."""
-    hv = apply_pauli_sum(h, state.amplitudes)
+    hv = apply_pauli_sum(h, psi)
     out = np.zeros(len(pool))
     for k, gen in enumerate(pool):
-        gv = apply_pauli_sum(gen, state.amplitudes)
+        gv = apply_pauli_sum(gen, psi)
         out[k] = 2.0 * float(np.real(np.vdot(hv, gv)))
     return out
 
@@ -280,12 +285,16 @@ def pool_gradients(state: Statevector, h: PauliSum, pool) -> np.ndarray:
 def vqe_minimize(
     circuit: Circuit, h: PauliSum, init, config: OptimizerConfig | None = None
 ) -> VqeResult:
-    """Gradient descent with Armijo backtracking on E(theta)."""
+    """Gradient descent with Armijo backtracking on E(theta).
+
+    U|0> is built once per parameter vector tried: the accepted trial's
+    state feeds the next gradient's reverse pass."""
     cfg = config or OptimizerConfig()
     params = np.array(init, dtype=float)
     if len(params) != circuit.n_slots:
         raise VqaError(f"need {circuit.n_slots} parameters, got {len(params)}")
-    energy = circuit_energy(circuit, h, params)
+    psi = circuit_state(circuit, params)
+    energy = expectation(psi, h)
     if not np.isfinite(energy):
         raise VqaError("non-finite energy at initial parameters")
     history = [(0, energy)]
@@ -295,7 +304,7 @@ def vqe_minimize(
     # accepted step so the line search adapts to the local curvature
     step0 = cfg.initial_step
     for it in range(1, cfg.max_iterations + 1):
-        grad = gradient(circuit, h, params)
+        grad = _adjoint_gradient(circuit, h, params, psi)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.gtol:
             converged = True
@@ -306,11 +315,12 @@ def vqe_minimize(
         accepted = False
         for _ in range(cfg.max_backtracks):
             trial = params - step * grad
-            e_trial = circuit_energy(circuit, h, trial)
+            psi_trial = circuit_state(circuit, trial)
+            e_trial = expectation(psi_trial, h)
             if not np.isfinite(e_trial):
                 raise VqaError("non-finite energy during line search")
             if e_trial <= energy - cfg.armijo * step * gsq:
-                params, energy = trial, e_trial
+                params, energy, psi = trial, e_trial, psi_trial
                 accepted = True
                 break
             step *= cfg.shrink

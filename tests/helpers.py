@@ -1,5 +1,6 @@
 """Conveniences that only the tests use, kept out of the package.
 
+`basis_state` is the computational basis state |i> as a complex array.
 `PauliWord` is the package's word plus a label constructor.  It compares
 and hashes like the package's word with the same masks, so words built here
 mix freely with words the package builds.  The NSI
@@ -7,7 +8,15 @@ functions compute one index each from the package's spectra, where
 `nsi.nsi_report` computes them together.
 """
 
+import numpy as np
+
 from qcfciqmc import nsi, operators
+
+
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    vec = np.zeros(1 << n_qubits, dtype=complex)
+    vec[index] = 1.0
+    return vec
 
 
 class PauliWord(operators.PauliWord):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import basis_state
 from qcfciqmc import cli
 from qcfciqmc.cli import (
     CliError,
@@ -40,7 +41,6 @@ from qcfciqmc.simulator import (
     PauliRotation,
     apply_circuit,
     compile_circuit,
-    prepare_basis_state,
     transformed_columns,
 )
 
@@ -175,8 +175,8 @@ def test_circuit_round_trip_statevector():
     loaded, lparams = parse_circuit(text)
     assert loaded.gates == circuit.gates
     np.testing.assert_array_equal(lparams, params)
-    a = apply_circuit(prepare_basis_state(3, 0), circuit, params).amplitudes
-    b = apply_circuit(prepare_basis_state(3, 0), loaded, lparams).amplitudes
+    a = apply_circuit(basis_state(3, 0), circuit, params)
+    b = apply_circuit(basis_state(3, 0), loaded, lparams)
     np.testing.assert_array_equal(a, b)
 
 
@@ -221,7 +221,7 @@ def test_circuit_params_length_checked():
 def test_empty_circuit_round_trips():
     text = serialize_circuit(Circuit(4, []), np.zeros(0))
     loaded, params = parse_circuit(text)
-    assert loaded.gates == []
+    assert loaded.gates == ()
     assert loaded.n_qubits == 4
     assert params.shape == (0,)
 
@@ -278,6 +278,46 @@ def test_malformed_fcidump_is_a_model_error(tmp_path, capsys):
     conf = write_conf(tmp_path, f"output.dir = {tmp_path / 'out'}\nmodel.fcidump.path = {bad}\n")
     assert cli.main(["ed", conf]) == 3
     assert "model error" in capsys.readouterr().err
+
+
+def test_fcidump_nelec_and_ms2_that_disagree_is_a_model_error(tmp_path, capsys):
+    """NELEC=3 with MS2=0 names no spin sector: exit 3, not an energy of
+    another electron count."""
+    data = lattice_fcidump(HubbardSpec((1, 2), 1.0, 4.0))
+    data.n_electrons = 3
+    path = tmp_path / "odd.fcidump"
+    path.write_text(serialize_fcidump(data))
+    conf = write_conf(tmp_path, f"output.dir = {tmp_path / 'out'}\nmodel.fcidump.path = {path}\n")
+    assert cli.main(["ed", conf]) == 3
+    assert "MS2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ed.json").exists()
+
+
+def test_frozen_core_ed_matches_the_full_block_with_the_core_occupied(tmp_path):
+    """Freezing orbital 1 of a 3-orbital, 4-electron chain (h11 = -2,
+    h12 = h23 = -1, (ii|ii) = 4) leaves the Hubbard dimer t = 1, U = 4 on
+    orbitals 2 and 3: `ed` must give the full H's lowest eigenvalue on the
+    (2, 2)-sector determinants that hold modes 0 and 1."""
+    data = FcidumpData(n_orbitals=3, n_electrons=4, ms2=0)
+    data.set_h1(1, 1, -2.0)
+    data.set_h1(1, 2, -1.0)
+    data.set_h1(2, 3, -1.0)
+    for i in (1, 2, 3):
+        data.set_eri(i, i, i, i, 4.0)
+    path = tmp_path / "chain.fcidump"
+    path.write_text(serialize_fcidump(data))
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, f"output.dir = {out}\nmodel.fcidump.path = {path}\n"
+                                "model.fcidump.frozen = 1\n")
+    assert cli.main(["ed", conf]) == 0
+    record = json.loads((out / "ed.json").read_text())
+    assert record["sector_dim"] == 4
+    full = to_dense(jordan_wigner(build_molecular(data))).real
+    core = [i for i in number_sector_indices(6, n_up=2, n_dn=2) if i & 0b11 == 0b11]
+    assert len(core) == 4
+    e_block = np.linalg.eigvalsh(full[np.ix_(core, core)])[0]
+    assert record["energy"] == pytest.approx(e_block, abs=1e-12)
+    assert record["energy"] == pytest.approx(E_1X2, abs=1e-12)
 
 
 def test_ed_dense_limit_exit_code(tmp_path):
@@ -576,7 +616,7 @@ def test_walker_basis_carries_the_determinant_through_leading_flips():
     assert cli._walker_basis(model)[2] == 0b101
     assert cli._walker_basis(model, 0b011)[2] == 0b011
     circuit, params = sample_circuit()  # leading flips on qubits 0 and 2
-    circuit.gates.append(BasisFlip(1))  # not leading: part of the rotation
+    circuit = Circuit(3, circuit.gates + (BasisFlip(1),))  # not leading: part of the rotation
     assert cli._walker_basis(model, None, circuit, params)[2] == 0
     assert cli._walker_basis(model, 0b011, circuit, params)[2] == 0b110
     with pytest.raises(ConfigError, match="qubit count"):

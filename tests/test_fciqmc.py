@@ -529,7 +529,7 @@ def test_run_classical_1x2_converges_to_ed():
         threshold=400, equilibration_fraction=0.5,
     )
     traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
-    stats = statistics(traj, cfg)
+    stats = statistics(traj)
     assert abs(stats.mean - exact) < 3 * stats.std_error + 1e-9
     # equilibrated shift agrees too
     records = traj.records[len(traj.records) // 2:]

@@ -451,6 +451,13 @@ def test_parse_errors_carry_line_numbers():
         parse_fcidump("NORB=1\n")
 
 
+@pytest.mark.parametrize("nelec, ms2", [(3, 0), (2, 1), (2, 4), (2, -4), (-2, 0)])
+def test_parse_rejects_nelec_and_ms2_that_disagree(nelec, ms2):
+    """MS2 = n_up - n_dn: it shares NELEC's parity and |MS2| <= NELEC."""
+    with pytest.raises(FcidumpError, match="MS2"):
+        parse_fcidump(f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n0.5 1 1 0 0\n")
+
+
 def test_parse_warns_unknown_header_key():
     with pytest.warns(UserWarning, match="BOGUS"):
         parse_fcidump("&FCI NORB=1,NELEC=1,MS2=1,BOGUS=3,\n&END\n0.5 1 1 0 0\n")

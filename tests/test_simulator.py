@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import PauliWord
+from helpers import PauliWord, basis_state
 from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense, word_gather
 from qcfciqmc.simulator import (
     BasisFlip,
@@ -12,13 +12,11 @@ from qcfciqmc.simulator import (
     PauliApply,
     PauliRotation,
     SimulatorError,
-    Statevector,
     amplitude_vector,
     apply_circuit,
     apply_gates,
     compile_circuit,
     expectation,
-    prepare_basis_state,
     transformed_columns,
 )
 
@@ -56,34 +54,24 @@ def dense_unitary(circuit, params=()):
     return mat
 
 
-def test_prepare_basis_state():
-    s = prepare_basis_state(2, 0)
-    np.testing.assert_array_equal(s.amplitudes, [1, 0, 0, 0])
-    s = prepare_basis_state(2, 3)
-    np.testing.assert_array_equal(s.amplitudes, [0, 0, 0, 1])
-    assert abs(s.norm() - 1.0) < 1e-15
-    with pytest.raises(SimulatorError):
-        prepare_basis_state(2, 4)
-
-
 def test_empty_circuit_identity():
-    s = prepare_basis_state(3, 5)
+    s = basis_state(3, 5)
     out = apply_circuit(s, Circuit(3))
-    np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
+    np.testing.assert_array_equal(out, s)
 
 
 def test_z_rotation_on_zero_is_phase():
     c = Circuit(1, [PauliRotation(PauliWord.from_label("Z"), angle=0.77)])
-    out = apply_circuit(prepare_basis_state(1, 0), c)
-    assert abs(abs(out.amplitudes[0]) - 1.0) < 1e-12
+    out = apply_circuit(basis_state(1, 0), c)
+    assert abs(abs(out[0]) - 1.0) < 1e-12
 
 
 def test_y_rotation_half_pi():
     c = Circuit(1, [PauliRotation(PauliWord.from_label("Y"), angle=np.pi / 2)])
-    out = apply_circuit(prepare_basis_state(1, 0), c)
+    out = apply_circuit(basis_state(1, 0), c)
     oracle = expm(-0.25j * np.pi * np.array([[0, -1j], [1j, 0]])) @ np.array([1, 0])
-    np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-12)
-    np.testing.assert_allclose(np.abs(out.amplitudes), [1 / np.sqrt(2)] * 2, atol=1e-12)
+    np.testing.assert_allclose(out, oracle, atol=1e-12)
+    np.testing.assert_allclose(np.abs(out), [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_apply_circuit_matches_dense_oracle():
@@ -92,9 +80,9 @@ def test_apply_circuit_matches_dense_oracle():
         c = random_circuit(rng, n, 6)
         v0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         v0 /= np.linalg.norm(v0)
-        out = apply_circuit(Statevector(n, v0.copy()), c)
-        np.testing.assert_allclose(out.amplitudes, dense_unitary(c) @ v0, atol=1e-10)
-        assert abs(out.norm() - 1.0) < 1e-10
+        out = apply_circuit(v0.copy(), c)
+        np.testing.assert_allclose(out, dense_unitary(c) @ v0, atol=1e-10)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_parametric_slots_and_scale():
@@ -106,14 +94,14 @@ def test_parametric_slots_and_scale():
     ])
     assert c.n_slots == 2
     params = [0.3, -0.8]
-    out = apply_circuit(prepare_basis_state(2, 1), c, params)
+    out = apply_circuit(basis_state(2, 1), c, params)
     np.testing.assert_allclose(
-        out.amplitudes,
-        dense_unitary(c, params) @ prepare_basis_state(2, 1).amplitudes,
+        out,
+        dense_unitary(c, params) @ basis_state(2, 1),
         atol=1e-12,
     )
     with pytest.raises(SimulatorError):
-        apply_circuit(prepare_basis_state(2, 0), c, [0.1])
+        apply_circuit(basis_state(2, 0), c, [0.1])
 
 
 @given(st.integers(0, 7), st.integers(0, 7))
@@ -122,11 +110,11 @@ def test_linearity(i, j):
     rng = np.random.default_rng(i * 8 + j)
     c = random_circuit(rng, 3, 5)
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    s1 = prepare_basis_state(3, i)
-    s2 = prepare_basis_state(3, j)
-    mixed = Statevector(3, a * s1.amplitudes + b * s2.amplitudes)
-    lhs = apply_circuit(mixed, c).amplitudes
-    rhs = a * apply_circuit(s1, c).amplitudes + b * apply_circuit(s2, c).amplitudes
+    s1 = basis_state(3, i)
+    s2 = basis_state(3, j)
+    mixed = a * s1 + b * s2
+    lhs = apply_circuit(mixed, c)
+    rhs = a * apply_circuit(s1, c) + b * apply_circuit(s2, c)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -135,7 +123,7 @@ def test_round_trip_inverse():
     c = random_circuit(rng, 3, 8)
     v0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     v0 /= np.linalg.norm(v0)
-    out = apply_circuit(Statevector(3, v0.copy()), c)
+    out = apply_circuit(v0.copy(), c)
     back = amplitude_vector(out, c)
     fidelity = abs(np.vdot(back, v0)) ** 2
     assert fidelity > 1 - 1e-10
@@ -144,23 +132,23 @@ def test_round_trip_inverse():
 def test_amplitude_vector_contract():
     rng = np.random.default_rng(78)
     c = random_circuit(rng, 2, 5)
-    s = Statevector(2, (rng.normal(size=4) + 1j * rng.normal(size=4)))
+    s = rng.normal(size=4) + 1j * rng.normal(size=4)
     # entry j = <j|U^dag|s>
     out = amplitude_vector(s, c)
-    oracle = dense_unitary(c).conj().T @ s.amplitudes
+    oracle = dense_unitary(c).conj().T @ s
     np.testing.assert_allclose(out, oracle, atol=1e-10)
-    np.testing.assert_allclose(np.sum(np.abs(out) ** 2), s.norm() ** 2, atol=1e-10)
+    np.testing.assert_allclose(np.sum(np.abs(out) ** 2), np.linalg.norm(s) ** 2, atol=1e-10)
     # U|i> resolved in the circuit basis is the unit vector at i
-    basis = apply_circuit(prepare_basis_state(2, 2), c)
+    basis = apply_circuit(basis_state(2, 2), c)
     unit = amplitude_vector(basis, c)
     np.testing.assert_allclose(unit, [0, 0, 1, 0], atol=1e-10)
 
 
 def test_expectation_values():
     z = PauliSum([PauliTerm(1.0, PauliWord.from_label("Z"))])
-    assert abs(expectation(prepare_basis_state(1, 0), z) - 1.0) < 1e-12
+    assert abs(expectation(basis_state(1, 0), z) - 1.0) < 1e-12
     x = PauliSum([PauliTerm(1.0, PauliWord.from_label("X"))])
-    plus = Statevector(1, np.array([1.0, 1.0]) / np.sqrt(2))
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
     assert abs(expectation(plus, x) - 1.0) < 1e-12
 
 
@@ -170,17 +158,16 @@ def test_expectation_matches_dense():
     h = PauliSum([PauliTerm(float(rng.normal()), PauliWord.from_label(l)) for l in labels])
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
-    s = Statevector(3, v)
     oracle = np.vdot(v, to_dense(h) @ v).real
-    assert abs(expectation(s, h) - oracle) < 1e-10
+    assert abs(expectation(v, h) - oracle) < 1e-10
     lam = np.linalg.eigvalsh(to_dense(h))
-    assert lam[0] - 1e-12 <= expectation(s, h) <= lam[-1] + 1e-12
+    assert lam[0] - 1e-12 <= expectation(v, h) <= lam[-1] + 1e-12
 
 
 def test_expectation_rejects_non_hermitian():
     h = PauliSum([PauliTerm(1.0j, PauliWord.from_label("X"))])
     with pytest.raises(SimulatorError):
-        expectation(prepare_basis_state(1, 0), h)
+        expectation(basis_state(1, 0), h)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +246,8 @@ def test_transformed_columns_match_per_gate_oracle(trial):
     dim = 1 << n
     cols = transformed_columns(h, compile_circuit(c, params), range(dim))
     for i in range(dim):
-        state = apply_circuit(prepare_basis_state(n, i), c, params)
-        w = Statevector(n, per_word_sum(h, state.amplitudes))
+        state = apply_circuit(basis_state(n, i), c, params)
+        w = per_word_sum(h, state)
         np.testing.assert_allclose(cols[:, i], amplitude_vector(w, c, params), atol=1e-12)
 
 

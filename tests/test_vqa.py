@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import basis_state
 from qcfciqmc.cli import serialize_circuit
 from qcfciqmc.operators import (
     HubbardSpec,
@@ -30,7 +31,7 @@ from qcfciqmc.simulator import (
     PauliRotation,
     apply_circuit,
     apply_gates,
-    prepare_basis_state,
+    compile_circuit,
 )
 from qcfciqmc.vqa import (
     OptimizerConfig,
@@ -118,8 +119,52 @@ def test_layered_ansatz_real_orthogonal():
     params = RNG.normal(size=c.n_slots)
     dim = 1 << spec.n_qubits
     for col in range(0, dim, 5):
-        s = apply_circuit(prepare_basis_state(spec.n_qubits, col), c, params)
-        assert np.abs(s.amplitudes.imag).max() < 1e-12
+        s = apply_circuit(basis_state(spec.n_qubits, col), c, params)
+        assert np.abs(s.imag).max() < 1e-12
+
+
+def sector_leak(circuit, params) -> float:
+    """Largest norm of U|i>, over every basis state i, outside the
+    (n_up, n_dn) sector of i XOR the mask of the circuit's leading basis
+    flips; up spins sit on even modes.  Both ways of applying a circuit are
+    read: gate by gate (the VQE's) and compiled (the H' columns')."""
+    n = circuit.n_qubits
+    idx = np.arange(1 << n)
+    up = sum((idx >> m) & 1 for m in range(0, n, 2))
+    dn = sum((idx >> m) & 1 for m in range(1, n, 2))
+    flips = 0
+    for g in circuit.gates:
+        if not isinstance(g, BasisFlip):
+            break
+        flips ^= 1 << g.qubit
+    start = idx ^ flips
+    outside = (up[:, None] != up[start]) | (dn[:, None] != dn[start])  # [j, i]
+    eye = np.eye(1 << n, dtype=complex)
+    worst = 0.0
+    for cols in (apply_gates(eye, n, circuit.gates, params),
+                 compile_circuit(circuit, params).apply(eye)):
+        weight = np.where(outside, np.abs(cols) ** 2, 0.0).sum(axis=0)
+        worst = max(worst, float(np.sqrt(weight.max())))
+    return worst
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+def test_layered_ansatz_conserves_particle_number(shape):
+    spec = HubbardSpec(shape=shape, t=1.0, u=4.0)
+    h = jordan_wigner(build_hubbard(spec))
+    ref = lowest_diagonal_reference(h, half_filling(spec))
+    c = layered_ansatz(hubbard_hv_generator_groups(spec), 2, ref, spec.n_qubits)
+    assert ref and isinstance(c.gates[0], BasisFlip)
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(3):
+        assert sector_leak(c, rng.normal(size=c.n_slots)) <= 1e-12
+
+
+def test_singles_doubles_pool_conserves_particle_number():
+    rng = np.random.default_rng(4)
+    for gen in singles_doubles_pool(4):
+        c = Circuit(4, generator_gates(gen, 0))
+        assert sector_leak(c, rng.normal(size=1)) <= 1e-12
 
 
 def test_generator_gates_reject_hermitian_input():
@@ -397,7 +442,7 @@ def two_pass_gradient(circuit, h, params):
     for the derivative, then again on the whole pair inside apply_gates'
     inverse step."""
     grad = np.zeros(circuit.n_slots)
-    psi = circuit_state(circuit, params).amplitudes
+    psi = circuit_state(circuit, params)
     pair = np.stack([psi, apply_pauli_sum(h, psi)], axis=1)
     for g in reversed(circuit.gates):
         if isinstance(g, PauliRotation) and g.slot is not None:
