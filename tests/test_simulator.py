@@ -54,6 +54,17 @@ def dense_unitary(circuit, params=()):
     return mat
 
 
+def test_circuit_is_frozen_with_slots_counted_once():
+    w = PauliWord.from_label("XY")
+    gates = [BasisFlip(0), PauliRotation(w, slot=2), PauliRotation(w, slot=0)]
+    c = Circuit(2, gates)
+    gates.append(PauliRotation(w, slot=5))  # the circuit keeps its own tuple
+    assert c.gates == tuple(gates[:3]) and c.n_slots == 3
+    with pytest.raises(AttributeError):
+        c.gates = ()
+    assert c == Circuit(2, tuple(gates[:3])) and hash(c) == hash(Circuit(2, gates[:3]))
+
+
 def test_empty_circuit_identity():
     s = basis_state(3, 5)
     out = apply_circuit(s, Circuit(3))

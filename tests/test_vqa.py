@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import basis_state
+from qcfciqmc import vqa
 from qcfciqmc.cli import serialize_circuit
 from qcfciqmc.operators import (
     HubbardSpec,
@@ -333,6 +334,25 @@ def test_vqe_history_monotone_nonincreasing():
     res = vqe_minimize(c, h, 0.1 * RNG.normal(size=c.n_slots))
     energies = [e for (_, e) in res.history]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+
+def test_vqe_builds_each_state_once(monkeypatch):
+    """U|0> is built once per parameter vector tried: the accepted trial's
+    state feeds the next gradient instead of being built again."""
+    spec, h = hubbard_1x2()
+    c = layered_ansatz(hubbard_hv_generator_groups(spec), 2, 0b0110, spec.n_qubits)
+    tried = []
+    real = vqa.apply_circuit
+
+    def counting(vec, circuit, params=()):
+        tried.append(tuple(params))
+        return real(vec, circuit, params)
+
+    monkeypatch.setattr(vqa, "apply_circuit", counting)
+    init = 0.1 * np.random.default_rng(3).standard_normal(c.n_slots)
+    res = vqe_minimize(c, h, init, OptimizerConfig(gtol=0.0, max_iterations=5))
+    assert len(res.history) == 6
+    assert len(tried) == len(set(tried)) > len(res.history)
 
 
 def test_vqe_param_count_mismatch():
