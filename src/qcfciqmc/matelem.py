@@ -39,6 +39,7 @@ from its own row.  Nothing is persisted between runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,9 @@ class ElementSource:
         Appends the signed row to the CSR (entries that come out zero, an
         unresolved sign, are left out), stores H'_ii and returns the record."""
         col = self.transformed_column(i)
-        nu_sq = float(np.vdot(col, col).real)  # exactly <i|U^dag H^2 U|i>
+        # <i|U^dag H^2 U|i>, exactly rounded: the sum does not depend on how
+        # many zero entries the column carries or how the terms are grouped
+        nu_sq = math.fsum(np.abs(col) ** 2)
         if isinstance(self.backend, ExactBackend):
             mags = np.abs(col)
             keep = mags >= self.backend.magnitude_floor
@@ -202,7 +205,7 @@ class ElementSource:
         # roundoff residue gets probability exactly zero, so the multinomial
         # consumes the same stream whichever residues the arithmetic left
         q = _residue_free(col, nu_sq) ** 2 / nu_sq
-        q = q / q.sum()
+        q = q / math.fsum(q)
         shots = self.backend.shots_magnitude
         counts = self._streams.stream(MAGNITUDE, i).multinomial(shots, q)
         estimates = nu_sq * counts / shots
