@@ -27,7 +27,7 @@ from .fciqmc import (
     summary_record,
     trajectory_to_csv,
 )
-from .matelem import ExactBackend, MatelemError, SampledBackend
+from .matelem import ElementSource, ExactBackend, MatelemError, SampledBackend
 from .nsi import NsiError, transformed_nsi
 from .operators import (
     DENSE_LIMIT,
@@ -233,6 +233,9 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         if not cfg.fcidump_path.is_file():
             raise ConfigError(f"fcidump file not found: {cfg.fcidump_path}")
         cfg.fcidump_frozen = tuple(conf.get_int_list("model.fcidump.frozen", []))
+        if len(set(cfg.fcidump_frozen)) != len(cfg.fcidump_frozen):
+            # each frozen orbital removes its two electrons once
+            raise ConfigError(f"model.fcidump.frozen repeats an orbital: {cfg.fcidump_frozen}")
 
     kind = conf.get_str("ansatz.kind", "hv")
     if kind not in ("hv", "adapt"):
@@ -487,17 +490,23 @@ def _walker_basis(model: BuiltModel, determinant=None, circuit=None, params=()):
     phi0 = model.reference if determinant is None else determinant
     if not 0 <= phi0 < 1 << n:
         raise ConfigError(f"reference determinant {phi0} out of range for {n} qubits")
+    return circuit, params, phi0 ^ _leading_flips(circuit)
+
+
+def _leading_flips(circuit: Circuit) -> int:
+    """The X mask of the basis flips the circuit starts with."""
+    mask = 0
     for g in circuit.gates:
         if not isinstance(g, BasisFlip):
             break
-        phi0 ^= 1 << g.qubit
-    return circuit, params, phi0
+        mask ^= 1 << g.qubit
+    return mask
 
 
 def _sector_ground_energy(model: BuiltModel) -> float:
     _check_dense(model)
-    empty = compile_circuit(Circuit(model.n_qubits, []))
-    sub = transformed_columns(model.h, empty, model.sector)[model.sector]
+    empty = compile_circuit(Circuit(model.n_qubits, []), basis=model.sector)
+    sub = transformed_columns(model.h, empty, model.sector)
     return diagonalize(sub.real).ground_energy()
 
 
@@ -534,9 +543,22 @@ def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=Non
 
 
 def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis, seed):
+    """The projector run in the walker basis, its columns computed over the
+    walker sector: the model's sector relabelled by the leading flips."""
     circuit, params, phi0 = basis
+    mask = _leading_flips(circuit)
+    walkers = np.sort(model.sector ^ mask)
+    k = walkers.searchsorted(phi0)
+    if k == len(walkers) or walkers[k] != phi0:
+        raise ConfigError(f"reference determinant {phi0 ^ mask} lies outside the model's "
+                          "particle-number sector")
     run_cfg = RunConfig(seed=seed, **cfg.qmc)
-    traj = run(model.h, circuit, params, run_cfg, backend=build_backend(cfg), phi0=phi0)
+    try:
+        src = ElementSource(model.h, circuit, params, backend=build_backend(cfg), seed=seed,
+                            basis=walkers)
+    except SimulatorError as exc:
+        raise ModelError(f"the walker basis leaves the model's sector: {exc}") from exc
+    traj = run(model.h, circuit, params, run_cfg, source=src, phi0=phi0)
     return traj, statistics(traj)
 
 

@@ -22,15 +22,22 @@ The source owns one Philox generator and re-keys it for each draw; the
 engine owns another (see `fciqmc`).
 
 The source compiles its circuit once, at its fixed parameters, into gate
-runs (`simulator.compile_circuit`); every column is computed from those runs
-and the grouped H.  Row i is one measurement event, `ElementSource._measure`:
+runs over its basis (`simulator.compile_circuit`): the full 2^n space by
+default, or the walker sector, where a column has d entries instead of 2^n.
+Every column is computed from those runs and the grouped H.  Only column
+positions are local to the basis; stream keys, record and CSR targets and
+the diagonal stay indexed by walker index, and the row norm and the
+magnitude distribution are summed exactly rounded (`math.fsum`), so a
+sector source draws what the full-space source does.  Row i is one
+measurement event, `ElementSource._measure`:
 from one transformed column it takes the magnitude draw (ascending target
 and magnitude arrays), the sign draw (a Hadamard test for every j != i with
 q(j) > 0, all in one binomial call, of which the record keeps the signs at
 its targets) and the diagonal, exact or drawn, and writes them once into the
 row's record, its signed row in the CSR the source
 owns for the engine (targets, |H'_ji| and child signs, with a start and a
-length per row) and H'_ii in the source's diagonal vector.  The column is
+length per row, in entry arrays that double when full) and H'_ii in the
+source's diagonal vector.  The column is
 not kept.  Every other function here only reads those stores, measuring a
 row first through `row_magnitudes` when it has none yet.  H'_ji is served
 from row i's measurement alone, so H'_ij and H'_ji are two estimates, each
@@ -52,6 +59,9 @@ from .simulator import Circuit, compile_circuit, transformed_columns
 # magnitude draw: its probability is under 1e-26, so at 1e6 shots its
 # expected count per row is below 1e-16
 RESIDUE_FLOOR = 1e-13
+
+# entries the engine CSR of a source holds before it first doubles
+CSR_CAPACITY = 1024
 
 
 class MatelemError(ValueError):
@@ -132,7 +142,7 @@ class ElementSource:
     """Matrix elements of U^dag H U with a fixed circuit and parameter set."""
 
     def __init__(self, hamiltonian: PauliSum, circuit: Circuit, params=(),
-                 backend=None, seed: int = 0):
+                 backend=None, seed: int = 0, basis=None):
         if not hamiltonian.hermitian:
             raise MatelemError("Hamiltonian must be Hermitian")
         self.hamiltonian = hamiltonian
@@ -141,22 +151,29 @@ class ElementSource:
         # the magnitude, sign and diagonal draws; the engine owns another generator
         self._streams = KeyedStreams(self.seed)
         self.n_qubits = circuit.n_qubits
-        self._compiled = compile_circuit(circuit, params)  # fixed for the run
+        # fixed for the run; columns run over its basis, all 2^n indices by default
+        self._compiled = compile_circuit(circuit, params, basis)
         self._rows: dict = {}  # i -> RowRecord
         dim = 1 << self.n_qubits
         # engine CSR: measured row i occupies [_row_start[i], _row_start[i] +
-        # _row_len[i]) of the entry arrays; -1 marks a row not measured yet
+        # _row_len[i]) of the entry arrays; -1 marks a row not measured yet.
+        # The entry arrays double when full: only their first _filled entries
+        # hold rows.
         self._row_start = np.full(dim, -1, dtype=np.int64)
         self._row_len = np.full(dim, -1, dtype=np.int64)
-        self._targets = np.zeros(0, dtype=np.int64)
-        self._mags = np.zeros(0)  # |H'_ji|
-        self._child_signs = np.zeros(0, dtype=np.int64)  # -sign(H'_ji)
+        self._filled = 0
+        self._targets = np.zeros(CSR_CAPACITY, dtype=np.int64)
+        self._mags = np.zeros(CSR_CAPACITY)  # |H'_ji|
+        self._child_signs = np.zeros(CSR_CAPACITY, dtype=np.int64)  # -sign(H'_ji)
         self._diag = np.full(dim, np.nan)  # H'_ii of each measured row
 
     def transformed_column(self, i: int) -> np.ndarray:
-        """Column i of H': entry j equals <j|U^dag H U|i>."""
-        if not (0 <= i < 1 << self.n_qubits):
-            raise MatelemError(f"basis index {i} out of range")
+        """Column i of H' over the source's basis: entry p equals
+        <basis[p]|U^dag H U|i>, where basis holds the ascending indices the
+        source was built over."""
+        basis = self._compiled.basis
+        if not (0 <= i < 1 << self.n_qubits) or self._compiled.position[i] == len(basis):
+            raise MatelemError(f"basis index {i} is out of range or outside the source's basis")
         return transformed_columns(self.hamiltonian, self._compiled, [i])[:, 0]
 
     def row(self, i: int) -> RowRecord:
@@ -169,8 +186,11 @@ class ElementSource:
     def _measure(self, i: int) -> RowRecord:
         """Measure row i: its magnitudes, signs and diagonal, exact or drawn.
         Appends the signed row to the CSR (entries that come out zero, an
-        unresolved sign, are left out), stores H'_ii and returns the record."""
+        unresolved sign, are left out), stores H'_ii and returns the record.
+        The column runs over basis positions; i itself sits at position own.
+        Every draw is keyed by the index i, never by a position."""
         col = self.transformed_column(i)
+        own = int(self._compiled.position[i])
         # <i|U^dag H^2 U|i>, exactly rounded: the sum does not depend on how
         # many zero entries the column carries or how the terms are grouped
         nu_sq = math.fsum(np.abs(col) ** 2)
@@ -179,24 +199,38 @@ class ElementSource:
             keep = mags >= self.backend.magnitude_floor
             signs = np.sign(col.real).astype(np.int8)
             signed = col.real
-            diag = float(col.real[i])
+            diag = float(col.real[own])
         else:
             mags, keep = self._draw_magnitudes(i, col, nu_sq)
-            signs = self._draw_signs(i, col, nu_sq)
+            signs = self._draw_signs(i, own, col, nu_sq)
             signed = signs * mags
-            diag = self._draw_diagonal(i, col, nu_sq)
-        keep[i] = False
-        targets = np.nonzero(keep)[0]
-        vals = signed[targets]
+            diag = self._draw_diagonal(i, float(col.real[own]), nu_sq)
+        keep[own] = False
+        kept = np.nonzero(keep)[0]
+        targets = self._compiled.basis[kept]
+        vals = signed[kept]
         nonzero = vals != 0.0
         vals = vals[nonzero]
-        self._row_start[i], self._row_len[i] = len(self._targets), len(vals)
-        self._targets = np.concatenate([self._targets, targets[nonzero]])
-        self._mags = np.concatenate([self._mags, np.abs(vals)])
-        self._child_signs = np.concatenate(
-            [self._child_signs, np.where(vals > 0, -1, 1).astype(np.int64)])
+        self._row_start[i], self._row_len[i] = self._filled, len(vals)
+        self._append(targets[nonzero], np.abs(vals), np.where(vals > 0, -1, 1).astype(np.int64))
         self._diag[i] = diag
-        return RowRecord(targets, mags[targets], signs[targets])
+        return RowRecord(targets, mags[kept], signs[kept])
+
+    def _append(self, targets: np.ndarray, mags: np.ndarray, child_signs: np.ndarray) -> None:
+        """Write one row's entries after the filled ones, doubling the entry
+        arrays first when they would overflow."""
+        start, end = self._filled, self._filled + len(targets)
+        if end > len(self._targets):
+            size = max(2 * len(self._targets), end)
+            for name in ("_targets", "_mags", "_child_signs"):
+                old = getattr(self, name)
+                grown = np.zeros(size, dtype=old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        self._targets[start:end] = targets
+        self._mags[start:end] = mags
+        self._child_signs[start:end] = child_signs
+        self._filled = end
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
@@ -214,14 +248,14 @@ class ElementSource:
         keep = estimates >= np.maximum(self.backend.magnitude_floor**2, 3.0 * se)
         return np.sqrt(estimates), keep & (counts > 0)
 
-    def _draw_signs(self, i: int, col: np.ndarray, nu_sq: float) -> np.ndarray:
+    def _draw_signs(self, i: int, own: int, col: np.ndarray, nu_sq: float) -> np.ndarray:
         """sign(Re H'_ji) from the Hadamard test, p = (1 + Re H'_ji / nu) / 2,
         at every j != i that the magnitude draw can reach (q(j) > 0), all
-        drawn in one binomial call from the (SIGN, i) stream.  0 elsewhere,
-        and where the margin of successes lies within ambiguity_z sigma of a
-        coin flip."""
+        drawn in one binomial call from the (SIGN, i) stream; i sits at
+        position own of col.  0 elsewhere, and where the margin of successes
+        lies within ambiguity_z sigma of a coin flip."""
         tested = _residue_free(col, nu_sq) > 0.0
-        tested[i] = False
+        tested[own] = False
         shots = self.backend.shots_sign
         p = np.clip(0.5 * (1.0 + col.real[tested] / np.sqrt(nu_sq)), 0.0, 1.0)
         margin = 2 * self._streams.stream(SIGN, i).binomial(shots, p) - shots
@@ -230,13 +264,13 @@ class ElementSource:
         signs[tested] = np.sign(margin) * resolved
         return signs
 
-    def _draw_diagonal(self, i: int, col: np.ndarray, nu_sq: float) -> float:
+    def _draw_diagonal(self, i: int, h_ii: float, nu_sq: float) -> float:
         """H'_ii from the same estimation circuit at j = i: nu (2 p_hat - 1),
         with p = (1 + Re H'_ii / nu) / 2, drawn from the (DIAGONAL, i) stream."""
         nu = float(np.sqrt(nu_sq))
         if nu == 0.0:
             return 0.0
-        p = min(1.0, max(0.0, 0.5 * (1.0 + float(col.real[i]) / nu)))
+        p = min(1.0, max(0.0, 0.5 * (1.0 + h_ii / nu)))
         shots = self.backend.shots_sign
         successes = int(self._streams.stream(DIAGONAL, i).binomial(shots, p))
         return nu * (2.0 * successes / shots - 1.0)

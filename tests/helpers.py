@@ -5,12 +5,13 @@
 and hashes like the package's word with the same masks, so words built here
 mix freely with words the package builds.  The NSI
 functions compute one index each from the package's spectra, where
-`nsi.nsi_report` computes them together.
+`nsi.nsi_report` computes them together.  `layered_walkers` is a Hubbard
+model with a layered circuit at random angles and its walker sector.
 """
 
 import numpy as np
 
-from qcfciqmc import nsi, operators
+from qcfciqmc import exactdiag, nsi, operators, vqa
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -50,3 +51,18 @@ def nsi_thermal(h, beta: float) -> float:
 def nsi_initial(h, phi0: int, beta: float) -> float:
     _, spec_h, spec_t = nsi._spectra(h, beta)
     return nsi._initial(spec_h, spec_t, phi0, beta)
+
+
+def layered_walkers(shape, layers: int, seed: int):
+    """(h, circuit, params, walkers) for open Hubbard at U/t = 4 and a
+    layered ansatz at angles 0.1 N(0, 1); walkers is the half-filling sector
+    XOR the circuit's leading flips, sorted, the sector the walkers live in."""
+    spec = operators.HubbardSpec(shape, t=1.0, u=4.0)
+    h = operators.jordan_wigner(operators.build_hubbard(spec))
+    sector = exactdiag.number_sector_indices(spec.n_qubits, n_up=(spec.n_sites + 1) // 2,
+                                             n_dn=spec.n_sites // 2)
+    ref = vqa.lowest_diagonal_reference(h, sector)
+    circuit = vqa.layered_ansatz(vqa.hubbard_hv_generator_groups(spec), layers, ref,
+                                 spec.n_qubits)
+    params = 0.1 * np.random.default_rng(seed).standard_normal(circuit.n_slots)
+    return h, circuit, params, np.sort(sector ^ ref)

@@ -293,17 +293,22 @@ def test_fcidump_nelec_and_ms2_that_disagree_is_a_model_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "ed.json").exists()
 
 
-def test_frozen_core_ed_matches_the_full_block_with_the_core_occupied(tmp_path):
-    """Freezing orbital 1 of a 3-orbital, 4-electron chain (h11 = -2,
-    h12 = h23 = -1, (ii|ii) = 4) leaves the Hubbard dimer t = 1, U = 4 on
-    orbitals 2 and 3: `ed` must give the full H's lowest eigenvalue on the
-    (2, 2)-sector determinants that hold modes 0 and 1."""
+def chain_fcidump():
+    """A 3-orbital, 4-electron chain: h11 = -2, h12 = h23 = -1, (ii|ii) = 4."""
     data = FcidumpData(n_orbitals=3, n_electrons=4, ms2=0)
     data.set_h1(1, 1, -2.0)
     data.set_h1(1, 2, -1.0)
     data.set_h1(2, 3, -1.0)
     for i in (1, 2, 3):
         data.set_eri(i, i, i, i, 4.0)
+    return data
+
+
+def test_frozen_core_ed_matches_the_full_block_with_the_core_occupied(tmp_path):
+    """Freezing orbital 1 of the chain leaves the Hubbard dimer t = 1, U = 4
+    on orbitals 2 and 3: `ed` must give the full H's lowest eigenvalue on the
+    (2, 2)-sector determinants that hold modes 0 and 1."""
+    data = chain_fcidump()
     path = tmp_path / "chain.fcidump"
     path.write_text(serialize_fcidump(data))
     out = tmp_path / "out"
@@ -318,6 +323,19 @@ def test_frozen_core_ed_matches_the_full_block_with_the_core_occupied(tmp_path):
     e_block = np.linalg.eigvalsh(full[np.ix_(core, core)])[0]
     assert record["energy"] == pytest.approx(e_block, abs=1e-12)
     assert record["energy"] == pytest.approx(E_1X2, abs=1e-12)
+
+
+def test_a_repeated_frozen_orbital_is_a_config_error(tmp_path, capsys):
+    """Orbital 1 frozen twice would remove its two electrons twice: exit 2,
+    not the energy of a 0-electron block."""
+    path = tmp_path / "chain.fcidump"
+    path.write_text(serialize_fcidump(chain_fcidump()))
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, f"output.dir = {out}\nmodel.fcidump.path = {path}\n"
+                                "model.fcidump.frozen = 1, 1\n")
+    assert cli.main(["ed", conf]) == 2
+    assert "repeats an orbital" in capsys.readouterr().err
+    assert not (out / "ed.json").exists()
 
 
 def test_ed_dense_limit_exit_code(tmp_path):
@@ -705,6 +723,38 @@ def test_qmc_reference_names_a_model_determinant_in_every_basis(tmp_path):
     assert cli.main(["qmc", keyed]) == 0
     assert (out / "trajectory.csv").read_bytes() == default
     assert json.loads((out / "summary.json").read_text())["reference"] == 0
+
+
+@pytest.mark.parametrize("command", ["qmc", "nsi"])
+def test_a_reference_outside_the_sector_stops_qmc_only(tmp_path, capsys, command):
+    """Walker columns run over the model's sector, so qmc.reference = 0b0001
+    (one electron, in the 1x2 model's one-up, one-down sector) is a config
+    error; nsi works in the full space and still reports nsi.phi0 there."""
+    out = tmp_path / "out"
+    key = "qmc.reference" if command == "qmc" else "nsi.phi0"
+    body = BASE_1X2.format(out=out) + f"{key} = 1\n"
+    code = cli.main([command, write_conf(tmp_path, body), "--identity-basis"])
+    if command == "qmc":
+        assert code == 2
+        assert "outside the model's particle-number sector" in capsys.readouterr().err
+    else:
+        assert code == 0
+        assert json.loads((out / "nsi.json").read_text())["identity"]["phi0"] == 1
+
+
+def test_qmc_circuit_that_leaves_the_sector_is_a_model_error(tmp_path, capsys):
+    """A lone X0 Y1 rotation sends |00> to |11> on modes 0 and 1, so it
+    does not keep the 1x2 model's sector: exit 3, naming the run."""
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "leaky.txt"
+    xy = PauliRotation(PauliWord(4, 0b0011, 0b0010), angle=0.3)
+    path.write_text(serialize_circuit(Circuit(4, [xy]), np.zeros(0)))
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + f"circuit.path = {path}\n")
+    assert cli.main(["qmc", conf]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and "gate run 0 (gates 0-0, X mask 0x3)" in err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_qmc_circuit_qubit_mismatch(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qcfciqmc.matelem as me
+from helpers import layered_walkers
 from qcfciqmc.matelem import (
     ElementSource,
     ExactBackend,
@@ -14,9 +15,11 @@ from qcfciqmc.matelem import (
     SampledBackend,
     SignAmbiguityError,
     diagonal_element,
+    diagonal_elements,
     element_sign,
     get_element,
     resolved_row,
+    row_arrays,
     row_magnitudes,
     signed_row,
 )
@@ -252,6 +255,64 @@ def test_signed_row_matches_elements():
             assert row.get(j, 0.0) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend(10**4, 10**3)])
+def test_csr_rows_past_the_initial_capacity_read_as_rows_measured_alone(monkeypatch,
+                                                                         backend):
+    """With room for 4 entries, measuring every row doubles the CSR several
+    times; each row still reads as in a source that measured only that row."""
+    monkeypatch.setattr(me, "CSR_CAPACITY", 4)
+    h, circuit = _sampled_instance()
+    src = ElementSource(h, circuit, backend=backend, seed=6)
+    rows = range(1 << circuit.n_qubits)
+    row_arrays(src, rows)
+    assert src._filled > 4 * me.CSR_CAPACITY
+    assert len(src._targets) >= src._filled
+    for i in rows:
+        alone = ElementSource(h, circuit, backend=backend, seed=6)
+        for x, y in zip(resolved_row(src, i), resolved_row(alone, i)):
+            assert x.tobytes() == y.tobytes()
+        assert diagonal_element(src, i) == diagonal_element(alone, i)
+
+
+@pytest.mark.parametrize("shape, layers, seed", [((2, 2), 2, 4), ((2, 3), 1, 2)])
+@pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend()])
+def test_sector_source_measures_what_the_full_space_source_does(shape, layers, seed,
+                                                                backend):
+    """Over every walker-sector row, a source whose columns run over the
+    walker sector measures what the full-space source does: draws are keyed
+    by walker index, and row sums are exactly rounded.  The sampled records,
+    CSR rows and diagonals are byte-identical.  The exact backend keeps
+    |H'_ji| as computed, and the full path's rounding leak out of the sector
+    and back moves the last bit of a few small ones on the 2x3 circuit (by
+    under 1e-20), so there targets, signs and diagonals are compared bytewise
+    and magnitudes to 1e-15 of the row's largest."""
+    h, circuit, params, walkers = layered_walkers(shape, layers, seed)
+    full = ElementSource(h, circuit, params, backend=backend, seed=3)
+    sector = ElementSource(h, circuit, params, backend=backend, seed=3, basis=walkers)
+    assert len(sector.transformed_column(int(walkers[0]))) == len(walkers)
+    exact = isinstance(backend, ExactBackend)
+    for i in walkers.tolist():
+        a, b = full.row(i), sector.row(i)
+        (ta, ma, sa), (tb, mb, sb) = resolved_row(full, i), resolved_row(sector, i)
+        for x, y in ((a.targets, b.targets), (a.signs, b.signs), (ta, tb), (sa, sb)):
+            assert x.tobytes() == y.tobytes()
+        for x, y in ((a.mags, b.mags), (ma, mb)):
+            if exact:
+                assert (np.abs(x - y) <= 1e-15 * x.max(initial=0.0)).all()
+            else:
+                assert x.tobytes() == y.tobytes()
+    assert diagonal_elements(full, walkers).tobytes() == \
+        diagonal_elements(sector, walkers).tobytes()
+
+
+def test_sector_source_rejects_rows_outside_its_basis():
+    h, circuit, params, walkers = layered_walkers((2, 2), 1, seed=1)
+    src = ElementSource(h, circuit, params, basis=walkers)
+    outside = next(i for i in range(1 << circuit.n_qubits) if i not in set(walkers.tolist()))
+    with pytest.raises(MatelemError):
+        row_magnitudes(src, outside)
+
+
 # ---------------------------------------------------------------------------
 # sampled backend
 # ---------------------------------------------------------------------------
@@ -337,13 +398,17 @@ def test_sampled_sign_ambiguous_near_zero():
 
 
 def test_sampled_get_element_treats_ambiguous_as_zero():
-    h = PauliSum([PauliTerm(1e-6, PauliWord(1, 1, 0)), PauliTerm(1.0, PauliWord(1, 0, 1))])
+    """At 0.01 the element is in row 0's draw, its sign test is a coin flip
+    at 100 shots, and get_element serves it as 0.0."""
+    h = PauliSum([PauliTerm(0.01, PauliWord(1, 1, 0)), PauliTerm(1.0, PauliWord(1, 0, 1))])
     src = ElementSource(
         h,
         Circuit(1, []),
         backend=SampledBackend(shots_magnitude=10**6, shots_sign=100),
         seed=0,
     )
+    rec = row_magnitudes(src, 0)
+    assert rec.targets.tolist() == [1] and rec.signs.tolist() == [0]
     assert get_element(src, 0, 1) == 0.0
 
 

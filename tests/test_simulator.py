@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import PauliWord, basis_state
+from helpers import PauliWord, basis_state, layered_walkers
 from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense, word_gather
 from qcfciqmc.simulator import (
     BasisFlip,
@@ -237,12 +237,14 @@ def test_compiled_circuit_matches_per_gate_path(trial):
     compiled = compile_circuit(c, params)
     assert len(compiled.runs) < len(c.gates)  # some gates did compose
     dim = 1 << n
+    labels = compiled.labels  # the flips relabel positions instead of moving data
     for shape in ((dim,), (dim, 3)):
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for invert in (False, True):
-            np.testing.assert_allclose(compiled.apply(v, invert=invert),
-                                       apply_gates(v, n, c.gates, params, invert=invert),
-                                       atol=1e-12)
+        np.testing.assert_allclose(compiled.apply(v),
+                                   apply_gates(v, n, c.gates, params)[labels], atol=1e-12)
+        np.testing.assert_allclose(compiled.apply(v[labels], invert=True),
+                                   apply_gates(v, n, c.gates, params, invert=True),
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(12))
@@ -269,12 +271,14 @@ def test_compile_rejects_missing_parameters():
 
 
 def test_real_circuit_compiles_to_real_runs():
-    """Odd-Y rotations are real orthogonal: runs and columns are float64."""
+    """Odd-Y rotations are real orthogonal: runs and columns are float64.
+    The leading flip is no run: it relabels the positions."""
     w = PauliWord.from_label("XY")
     c = Circuit(2, [BasisFlip(0), PauliRotation(w, angle=0.3), PauliRotation(w, slot=0)])
     compiled = compile_circuit(c, [0.7])
     assert compiled.dtype == np.float64
-    assert [r.a is None for r in compiled.runs] == [True, False]
+    assert len(compiled.runs) == 1 and compiled.runs[0].a.dtype == np.float64
+    assert compiled.labels.tolist() == [1, 0, 3, 2]
     h = PauliSum([PauliTerm(0.5, PauliWord.from_label("XX")),
                   PauliTerm(-1.0, PauliWord.from_label("ZI"))])
     assert transformed_columns(h, compiled, [0, 3]).dtype == np.float64
@@ -289,3 +293,52 @@ def test_compiled_path_leaves_the_word_cache_alone():
     before = word_gather.cache_info()
     transformed_columns(h, compile_circuit(c, params), [0, 5, 99])
     assert word_gather.cache_info() == before
+
+
+# ---------------------------------------------------------------------------
+# compiled over a basis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, layers, seed", [((2, 2), 3, 7), ((2, 3), 1, 2)])
+def test_columns_over_the_walker_sector_are_the_full_columns_rows(shape, layers, seed):
+    """Columns over a basis are the full-space columns' rows at that basis up
+    to the full path's rounding leak: the full columns carry under 1e-13 nu
+    outside the walker sector, and some of it comes back.  On the 2x3 circuit
+    a few entries of up to 1e-5 nu differ from the full path's in their last
+    bit; every difference stays below 1e-15 nu."""
+    h, c, params, walkers = layered_walkers(shape, layers, seed)
+    full = transformed_columns(h, compile_circuit(c, params), walkers)
+    compiled = compile_circuit(c, params, walkers)
+    assert compiled.labels.tolist() == (walkers ^ int(walkers[0] ^ compiled.labels[0])).tolist()
+    sector = transformed_columns(h, compiled, walkers)
+    assert sector.shape == (len(walkers), len(walkers)) and sector.dtype == full.dtype
+    nu = np.sqrt((np.abs(full) ** 2).sum(axis=0))
+    rows = full[walkers]
+    assert (np.abs(sector - rows) <= 1e-15 * nu).all()
+    assert (sector == rows).mean() > 0.99
+    outside = np.ones(len(full), dtype=bool)
+    outside[walkers] = False
+    assert (np.abs(full[outside]) < 1e-13 * nu).all()
+
+
+def test_compile_over_a_basis_rejects_a_run_that_leaves_it():
+    """A lone X0 Y1 rotation sends |00> to |11> on qubits 0 and 1: over the
+    one-up, one-down sector of 4 qubits it cannot compile, and the error
+    names the run; the leading flip is a relabelling, not a run."""
+    sector = np.array([i for i in range(16) if bin(i & 0b0101).count("1") == 1
+                       and bin(i & 0b1010).count("1") == 1])
+    xy = PauliRotation(PauliWord.from_label("XYII"), angle=0.3)
+    c = Circuit(4, [BasisFlip(2), xy])
+    with pytest.raises(SimulatorError, match=r"gate run 0 \(gates 1-1, X mask 0x3\)"):
+        compile_circuit(c, (), np.sort(sector ^ 0b0100))
+    assert len(compile_circuit(c).runs) == 1  # the full space is always closed
+
+
+def test_columns_over_a_basis_reject_a_hamiltonian_that_leaves_it():
+    h = PauliSum([PauliTerm(1.0, PauliWord.from_label("ZZ")),
+                  PauliTerm(0.5, PauliWord.from_label("XI"))])
+    compiled = compile_circuit(Circuit(2, []), (), [0, 3])
+    with pytest.raises(SimulatorError, match="Hamiltonian group with X mask 0x1"):
+        transformed_columns(h, compiled, [0])
+    with pytest.raises(SimulatorError, match="not in the basis"):
+        transformed_columns(PauliSum([h.terms[0]]), compiled, [1])

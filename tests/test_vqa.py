@@ -141,9 +141,11 @@ def sector_leak(circuit, params) -> float:
     start = idx ^ flips
     outside = (up[:, None] != up[start]) | (dn[:, None] != dn[start])  # [j, i]
     eye = np.eye(1 << n, dtype=complex)
+    compiled = compile_circuit(circuit, params)
+    relabelled = np.empty_like(eye)
+    relabelled[compiled.labels] = compiled.apply(eye)  # row p holds label labels[p]
     worst = 0.0
-    for cols in (apply_gates(eye, n, circuit.gates, params),
-                 compile_circuit(circuit, params).apply(eye)):
+    for cols in (apply_gates(eye, n, circuit.gates, params), relabelled):
         weight = np.where(outside, np.abs(cols) ** 2, 0.0).sum(axis=0)
         worst = max(worst, float(np.sqrt(weight.max())))
     return worst
