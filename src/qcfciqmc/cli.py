@@ -43,8 +43,8 @@ from .operators import (
     jordan_wigner,
     parse_fcidump,
 )
-from .simulator import (BasisFlip, Circuit, PauliApply, PauliRotation, SimulatorError,
-                        compile_circuit, transformed_columns)
+from .simulator import (BasisFlip, Circuit, LeakError, PauliApply, PauliRotation,
+                        SimulatorError, compile_circuit, transformed_columns)
 from .vqa import (
     AnsatzSpec,
     OptimizerConfig,
@@ -548,15 +548,14 @@ def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis, seed):
     circuit, params, phi0 = basis
     mask = _leading_flips(circuit)
     walkers = np.sort(model.sector ^ mask)
-    k = walkers.searchsorted(phi0)
-    if k == len(walkers) or walkers[k] != phi0:
+    if phi0 not in walkers:
         raise ConfigError(f"reference determinant {phi0 ^ mask} lies outside the model's "
                           "particle-number sector")
     run_cfg = RunConfig(seed=seed, **cfg.qmc)
     try:
         src = ElementSource(model.h, circuit, params, backend=build_backend(cfg), seed=seed,
                             basis=walkers)
-    except SimulatorError as exc:
+    except LeakError as exc:
         raise ModelError(f"the walker basis leaves the model's sector: {exc}") from exc
     traj = run(model.h, circuit, params, run_cfg, source=src, phi0=phi0)
     return traj, statistics(traj)

@@ -42,6 +42,10 @@ class SimulatorError(ValueError):
     pass
 
 
+class LeakError(SimulatorError):
+    """A compiled run or H group would move weight out of its basis."""
+
+
 @dataclass(frozen=True)
 class PauliRotation:
     word: PauliWord
@@ -248,7 +252,7 @@ def _check_conserved(name: str, b: np.ndarray, labels: np.ndarray, x: int,
     leak = max(np.abs(b[inside]).max(), np.abs(b[inside ^ x]).max())
     scale = np.abs(b).max() if scale is None else scale
     if leak > LEAK_TOL * scale:
-        raise SimulatorError(f"{name} moves weight {leak:.3e} out of the basis "
+        raise LeakError(f"{name} moves weight {leak:.3e} out of the basis "
                              f"(largest coefficient {scale:.3e})")
 
 
@@ -276,8 +280,8 @@ def compile_circuit(circuit: Circuit, params=(), basis=None) -> CompiledCircuit:
 
     Over a basis smaller than the full space, the circuit must keep the
     basis, relabelled by its flips, closed: a run that would move weight
-    above LEAK_TOL of its largest coefficient out of it raises
-    SimulatorError naming the run."""
+    above LEAK_TOL of its largest coefficient out of it raises LeakError
+    naming the run."""
     _check_params(circuit, params)
     dim = 1 << circuit.n_qubits
     idx = np.arange(dim)

@@ -9,6 +9,7 @@ from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense, word_g
 from qcfciqmc.simulator import (
     BasisFlip,
     Circuit,
+    LeakError,
     PauliApply,
     PauliRotation,
     SimulatorError,
@@ -329,7 +330,7 @@ def test_compile_over_a_basis_rejects_a_run_that_leaves_it():
                        and bin(i & 0b1010).count("1") == 1])
     xy = PauliRotation(PauliWord.from_label("XYII"), angle=0.3)
     c = Circuit(4, [BasisFlip(2), xy])
-    with pytest.raises(SimulatorError, match=r"gate run 0 \(gates 1-1, X mask 0x3\)"):
+    with pytest.raises(LeakError, match=r"gate run 0 \(gates 1-1, X mask 0x3\)"):
         compile_circuit(c, (), np.sort(sector ^ 0b0100))
     assert len(compile_circuit(c).runs) == 1  # the full space is always closed
 
@@ -338,7 +339,7 @@ def test_columns_over_a_basis_reject_a_hamiltonian_that_leaves_it():
     h = PauliSum([PauliTerm(1.0, PauliWord.from_label("ZZ")),
                   PauliTerm(0.5, PauliWord.from_label("XI"))])
     compiled = compile_circuit(Circuit(2, []), (), [0, 3])
-    with pytest.raises(SimulatorError, match="Hamiltonian group with X mask 0x1"):
+    with pytest.raises(LeakError, match="Hamiltonian group with X mask 0x1"):
         transformed_columns(h, compiled, [0])
     with pytest.raises(SimulatorError, match="not in the basis"):
         transformed_columns(PauliSum([h.terms[0]]), compiled, [1])
