@@ -222,11 +222,9 @@ class ElementSource:
         start, end = self._filled, self._filled + len(targets)
         if end > len(self._targets):
             size = max(2 * len(self._targets), end)
-            for name in ("_targets", "_mags", "_child_signs"):
-                old = getattr(self, name)
-                grown = np.zeros(size, dtype=old.dtype)
-                grown[:start] = old[:start]
-                setattr(self, name, grown)
+            self._targets, self._mags, self._child_signs = (
+                np.concatenate([a[:start], np.zeros(size - start, dtype=a.dtype)])
+                for a in (self._targets, self._mags, self._child_signs))
         self._targets[start:end] = targets
         self._mags[start:end] = mags
         self._child_signs[start:end] = child_signs
