@@ -39,7 +39,6 @@ from .operators import (
     build_hubbard,
     build_molecular,
     diagonal_entry,
-    drop_word_tables,
     jordan_wigner,
     parse_fcidump,
 )
@@ -510,44 +509,46 @@ def _sector_ground_energy(model: BuiltModel) -> float:
     return diagonalize(sub.real).ground_energy()
 
 
-def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=None):
-    """Run the configured VQE at the given depth; returns a VqeResult.
+def _walker_sector(model: BuiltModel, flips: int) -> np.ndarray:
+    """The walker indices of a circuit basis, sorted: the model's sector
+    relabelled by the circuit's leading flips."""
+    return np.sort(model.sector ^ flips)
 
-    The gather tables the training built are freed on return: the H' build
-    and the projector that follow never read them, and on 2x4 they hold
-    about 150 MB."""
-    try:
-        spec = cfg.ansatz
-        seed = cfg.seed if seed is None else seed
-        if spec.kind == "hv":
-            if model.hubbard is None:
-                raise ConfigError("hv ansatz requires a hubbard model")
-            layers = spec.layers if depth is None else depth
-            groups = hubbard_hv_generator_groups(model.hubbard)
-            circuit = layered_ansatz(groups, layers, model.reference, model.n_qubits)
-            rng = np.random.default_rng(seed)
-            best = None
-            # the all-zeros point is a symmetry saddle, so every start is random
-            for _ in range(cfg.vqe_restarts):
-                init = cfg.vqe_init_scale * rng.standard_normal(circuit.n_slots)
-                res = vqe_minimize(circuit, model.h, init, cfg.optimizer)
-                if best is None or res.energy < best.energy:
-                    best = res
-            return best
-        max_ops = spec.max_operators if depth is None else depth
-        pool = singles_doubles_pool(model.n_qubits)
-        return adapt_vqe(model.h, pool, max_ops, model.reference, model.n_qubits,
-                         gradient_tol=spec.gradient_tol, config=cfg.optimizer)
-    finally:
-        drop_word_tables()
+
+def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=None):
+    """Run the configured VQE at the given depth over the walker sector;
+    returns a VqeResult.  Every circuit trained here starts by flipping to
+    model.reference."""
+    spec = cfg.ansatz
+    seed = cfg.seed if seed is None else seed
+    walkers = _walker_sector(model, model.reference)
+    if spec.kind == "hv":
+        if model.hubbard is None:
+            raise ConfigError("hv ansatz requires a hubbard model")
+        layers = spec.layers if depth is None else depth
+        groups = hubbard_hv_generator_groups(model.hubbard)
+        circuit = layered_ansatz(groups, layers, model.reference, model.n_qubits)
+        rng = np.random.default_rng(seed)
+        best = None
+        # the all-zeros point is a symmetry saddle, so every start is random
+        for _ in range(cfg.vqe_restarts):
+            init = cfg.vqe_init_scale * rng.standard_normal(circuit.n_slots)
+            res = vqe_minimize(circuit, model.h, init, cfg.optimizer, basis=walkers)
+            if best is None or res.energy < best.energy:
+                best = res
+        return best
+    max_ops = spec.max_operators if depth is None else depth
+    pool = singles_doubles_pool(model.n_qubits)
+    return adapt_vqe(model.h, pool, max_ops, model.reference, model.n_qubits,
+                     gradient_tol=spec.gradient_tol, config=cfg.optimizer, basis=walkers)
 
 
 def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis, seed):
     """The projector run in the walker basis, its columns computed over the
-    walker sector: the model's sector relabelled by the leading flips."""
+    walker sector."""
     circuit, params, phi0 = basis
     mask = _leading_flips(circuit)
-    walkers = np.sort(model.sector ^ mask)
+    walkers = _walker_sector(model, mask)
     if phi0 not in walkers:
         raise ConfigError(f"reference determinant {phi0 ^ mask} lies outside the model's "
                           "particle-number sector")

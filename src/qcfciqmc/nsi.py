@@ -12,7 +12,9 @@ average sign.  An initial-state variant conditions both traces on a reference
 basis state.  Both indicators are >= 0, because every power-series term of
 exp(-beta H~) dominates that of exp(-beta H) entrywise, so a value below the
 rounding bound of the traces is reported as 0.0: the average sign is at
-most 1 and the free-energy gap at least 0.  Everything here is exact (dense
+most 1 and the free-energy gap at least 0.  When that bound, relative to the
+initial-state quadratic form, reaches 1, no digit of the initial-state
+indicator is resolved, and it is reported as None (null in JSON).  Everything here is exact (dense
 eigendecomposition), intended as a diagnostic at desk scale rather than an
 inner-loop quantity.
 """
@@ -136,7 +138,9 @@ def _thermal(spec_h, spec_t, beta: float) -> float:
     return s if s > _rounding_bound(spec_h, spec_t, beta) else 0.0
 
 
-def _initial(spec_h, spec_t, phi0: int, beta: float) -> float:
+def _initial(spec_h, spec_t, phi0: int, beta: float) -> float | None:
+    """The initial-state indicator, or None when not one digit of it is
+    resolved: the rounding bound, relative to q_h, reaches 1."""
     if not (0 <= phi0 < spec_h.dim):
         raise NsiError("phi0 out of range")
     shift = spec_t.ground_energy()
@@ -148,7 +152,10 @@ def _initial(spec_h, spec_t, phi0: int, beta: float) -> float:
         raise NsiError("matrix-exponential overflow despite spectral shift")
     s = (q_t - q_h) / q_h
     # the bound is on errors relative to the largest term, 1 under the shift
-    return s if s > _rounding_bound(spec_h, spec_t, beta) / q_h else 0.0
+    bound = _rounding_bound(spec_h, spec_t, beta) / q_h
+    if bound >= 1.0:
+        return None
+    return s if s > bound else 0.0
 
 
 def theorem1_bound(s: StoquasticSplit, beta: float) -> float:

@@ -8,9 +8,10 @@ basis index throughout the package.
 A PauliSum acts through its grouped form, built once per sum: the words are
 grouped by X mask, and each group is one phase vector E_x over all basis
 indices with (H v)[t] = sum_x E_x[t] v[t ^ x].  apply_pauli_sum, to_dense and
-diagonal_entry all read it.  A single word acts through its gather form
-(`word_gather`), built once per distinct word and shared read-only by every
-apply_word call.
+diagonal_entry all read it.  A single word acts through its phases
+(`word_phases`), computed at the labels a caller asks for; nothing is cached
+per word.  Circuits apply their words through `simulator`'s compiled runs,
+which read each word's phases once per layout.
 
 Fermionic operators use the mode convention: spin-orbital index = 2*site + spin
 with spin up = 0.  Jordan-Wigner places the Z parity string on modes below the
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -93,40 +94,13 @@ def pauli_product(a: PauliWord, b: PauliWord):
     return (1j) ** k, PauliWord(a.n_qubits, x, z)
 
 
-def word_phases(w: PauliWord) -> np.ndarray:
+def word_phases(w: PauliWord, labels=None) -> np.ndarray:
     """The phases p of W in gather form, (W v)[t] = p[t] * v[t ^ x_mask]:
-    p[t] = i^{|x&z|} (-1)^{|(t ^ x) & z|}."""
-    idx = np.arange(1 << w.n_qubits)
+    p[t] = i^{|x&z|} (-1)^{|(t ^ x) & z|}, at the given labels t (all 2^n
+    indices in order by default)."""
+    idx = np.arange(1 << w.n_qubits) if labels is None else labels
     signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ w.x_mask) & w.z_mask) & 1)
     return ((1j) ** w.y_count) * signs
-
-
-@cache
-def _x_permutation(n_qubits: int, x_mask: int) -> np.ndarray:
-    """The gather index t ^ x over all t, read-only, one per (n, X mask)."""
-    perm = np.arange(1 << n_qubits) ^ x_mask
-    perm.flags.writeable = False
-    return perm
-
-
-@cache
-def word_gather(w: PauliWord) -> tuple:
-    """W's gather form (perm, phases), (W v)[t] = phases[t] * v[perm[t]],
-    built once per distinct word and kept read-only for the process.
-
-    The cache is unbounded on purpose: a VQE sweeps the same few dozen words
-    forward and back on every call, so any smaller bound would miss on every
-    gate.  Paths that read each word once (`PauliSum.grouped`, the compiled
-    circuit) call word_phases instead and leave the cache alone."""
-    phases = word_phases(w)
-    phases.flags.writeable = False
-    return _x_permutation(w.n_qubits, w.x_mask), phases
-
-
-def drop_word_tables() -> None:
-    """Free every gather table word_gather holds, with their permutations."""
-    word_gather.cache_clear()
-    _x_permutation.cache_clear()
 
 
 def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
@@ -134,10 +108,10 @@ def apply_word(w: PauliWord, vec: np.ndarray) -> np.ndarray:
     (2^n, m) batch of statevectors."""
     if vec.shape[0] != 1 << w.n_qubits:
         raise OperatorError("dimension mismatch")
-    perm, phases = word_gather(w)
+    phases = word_phases(w)
     if vec.ndim == 2:
         phases = phases[:, None]
-    return phases * np.take(vec, perm, axis=0)
+    return phases * np.take(vec, np.arange(vec.shape[0]) ^ w.x_mask, axis=0)
 
 
 @dataclass(frozen=True)

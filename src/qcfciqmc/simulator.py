@@ -1,32 +1,36 @@
 """Dense statevector simulation of Pauli-exponential circuits.
 
-A PauliRotation gate realizes exp(-i * angle/2 * W) for a Pauli word W, applied
-through the identity exp(-i a/2 W) = cos(a/2) I - i sin(a/2) W, so each gate
-costs one vectorized Pauli action.  Parametric gates carry a slot index into
-the parameter vector and a scale: effective angle = scale * params[slot].
-A `Circuit` is frozen: its gates are a tuple and its slot count is taken
-once, at construction, so a circuit that grows is a new circuit.  States
-are plain numpy arrays, (2^n,) or a (2^n, k) batch of columns.
+A PauliRotation gate realizes exp(-i * angle/2 * W) for a Pauli word W,
+through the identity exp(-i a/2 W) = cos(a/2) I - i sin(a/2) W.  Parametric
+gates carry a slot index into the parameter vector and a scale: effective
+angle = scale * params[slot].  A `Circuit` is frozen: its gates are a tuple
+and its slot count is taken once, at construction, so a circuit that grows
+is a new circuit.
 
-Two paths apply a circuit.  `apply_gates` goes gate by gate; the variational
-gradient needs the state between gates, and its parameters change on every
-call.  Each gate reads its word's gather form from the per-word cache of
-`operators.word_gather`, so a VQE builds each distinct word's phases and
-permutation once per process, and every rotation goes through
-`rotation_step`, which the adjoint gradient also calls with the W pair it
-has already formed.  `compile_circuit` fixes the parameters and folds each
-maximal stretch of gates that share an X mask x into one run
-v -> a * v + b * v[t ^ x], so a circuit costs one gather per run.  It
-compiles over a sorted basis of d indices, the full 2^n space by default
-or a particle-number sector: every run becomes a precomputed gather map over
-the basis positions plus one zero sentinel slot that stands for every label
-outside the basis, and a basis flip only relabels the positions.  A run
-that would move weight out of the basis is an error when the maps are
-built.  `transformed_columns`, the one source of columns of H' = U^dag H U,
-applies the compiled form and the X-grouped H, compiled over the same
-positions, and returns (d, k) blocks whose rows follow the basis order.
-The compiled path reads each word once per compile and builds its phases
-directly, outside the cache.
+A circuit is applied one way, in two parts.  `circuit_layout` builds what
+does not depend on the parameters, once per (circuit, basis).  The basis is
+a sorted array of d indices: the full 2^n space by default, or a
+particle-number sector.  Each maximal stretch of gates that share an X mask
+x and pairwise commute (their words' Y counts have equal parity) is one run
+v -> a * v + b * v[t ^ x].  The layout holds each run's partner map over the
+basis positions, plus one zero sentinel slot that stands for every label
+outside the basis; the run's closed label set, the union of its labels L
+and L ^ x, laid out in pairs (t, t ^ x); and each gate's word phases on that
+set.  A basis flip moves no data: it relabels the positions.  H's X groups
+are compiled over the output labels once per sum.  `CircuitLayout.compile`
+is the step run once per parameter vector: it composes each run over its
+closed set only, gate by gate in circuit order, and keeps a and b at the
+run's labels.  Each entry is computed as it would be over the full space, so
+a and b at the labels do not depend on the basis.  A run that would move
+weight out of the basis is an error there.  `compile_circuit` does both in
+one call.
+
+`transformed_columns`, the one source of columns of H' = U^dag H U, applies
+the compiled form and the X-grouped H, compiled over the same positions, and
+returns (d, k) blocks whose rows follow the basis order.  The variational
+layer (`vqa`) reads energies and the run-level adjoint gradient from the
+same compiled runs, and `apply_circuit` and `amplitude_vector` are the full
+space's compiled runs for states indexed by basis index.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import PauliSum, PauliWord, apply_pauli_sum, apply_word, word_phases
+from .operators import PauliSum, PauliWord, apply_pauli_sum, word_phases
 
 
 class SimulatorError(ValueError):
@@ -90,49 +94,19 @@ def _gate_angle(g: PauliRotation, params) -> float:
     return g.scale * float(params[g.slot])
 
 
-def rotation_step(g: PauliRotation, vec: np.ndarray, w_vec: np.ndarray, params,
-                  invert: bool = False) -> np.ndarray:
-    """exp(-i a/2 W) vec for the gate's angle a, or its inverse with invert,
-    given w_vec = W vec: cos(a/2) vec - i sin(a/2) w_vec.  The one rotation
-    formula of the gate-by-gate path; the adjoint gradient passes the W vec it
-    has already formed for the derivative."""
-    a = _gate_angle(g, params)
-    if invert:
-        a = -a
-    return np.cos(0.5 * a) * vec - 1j * np.sin(0.5 * a) * w_vec
-
-
-def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = False):
-    """The gates applied in order to a statevector or (2^n, k) batch; with
-    invert, their inverses in reverse order (the adjoint of the sequence)."""
-    seq = reversed(gates) if invert else gates
-    for g in seq:
-        if isinstance(g, PauliRotation):
-            vec = rotation_step(g, vec, apply_word(g.word, vec), params, invert)
-        elif isinstance(g, PauliApply):
-            vec = apply_word(g.word, vec)
-        elif isinstance(g, BasisFlip):
-            vec = apply_word(PauliWord(n_qubits, 1 << g.qubit, 0), vec)
-        else:
-            raise SimulatorError(f"unknown gate {g!r}")
-    return vec
-
-
-def _check_params(circuit: Circuit, params) -> None:
-    if circuit.n_slots > len(params):
-        raise SimulatorError(f"need {circuit.n_slots} parameters, got {len(params)}")
-
-
-def _check_state(vec: np.ndarray, circuit: Circuit, params) -> None:
+def _full_space(vec: np.ndarray, circuit: Circuit, params) -> CompiledCircuit:
+    """The circuit compiled over all 2^n indices, for a (2^n,) state."""
     if len(vec) != 1 << circuit.n_qubits:
         raise SimulatorError("state / circuit dimension mismatch")
-    _check_params(circuit, params)
+    return compile_circuit(circuit, params)
 
 
 def apply_circuit(vec: np.ndarray, circuit: Circuit, params=()) -> np.ndarray:
     """U vec for a (2^n,) state, as a new complex array."""
-    _check_state(vec, circuit, params)
-    return apply_gates(vec.astype(complex), circuit.n_qubits, circuit.gates, params)
+    compiled = _full_space(vec, circuit, params)
+    out = np.empty(vec.shape, dtype=complex)
+    out[compiled.labels] = compiled.apply(vec.astype(complex))
+    return out
 
 
 def expectation(vec: np.ndarray, h: PauliSum) -> float:
@@ -144,9 +118,8 @@ def expectation(vec: np.ndarray, h: PauliSum) -> float:
 
 def amplitude_vector(vec: np.ndarray, circuit: Circuit, params=()) -> np.ndarray:
     """Entry j equals <j|U^dag|vec>: the state resolved in the circuit basis."""
-    _check_state(vec, circuit, params)
-    return apply_gates(vec.astype(complex), circuit.n_qubits, circuit.gates, params,
-                       invert=True)
+    compiled = _full_space(vec, circuit, params)
+    return compiled.apply(vec.astype(complex)[compiled.labels], invert=True)
 
 
 # weight a compiled run or H group may move out of the basis, relative to its
@@ -155,9 +128,55 @@ LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
+class RunLayout:
+    """The parameter-free part of one run: consecutive gates that share one
+    X mask x and pairwise commute.
+
+    `partner[p]` is the position of label t ^ x for the label t at position
+    p, with the sentinel's own entry last.  The run composes over its closed
+    set, laid out as a (2, h) array of labels whose second row is the first
+    row ^ x, so a label's partner sits in the other row, same column (for
+    x = 0 both rows hold the run's labels).  Row g of `phases` holds gate g's
+    word phases on it, and `labels_at[p]` is the flat index in it of the
+    label at position p.  `edge` holds the flat indices of both ends of
+    every coupling between a position and a label outside the basis.
+    `slot_rows`, `slots` and `scales` name the run's parametric rotations."""
+
+    x: int
+    name: str
+    gates: tuple
+    partner: np.ndarray  # (d + 1,)
+    labels_at: np.ndarray  # (d,)
+    edge: np.ndarray
+    phases: np.ndarray  # (len(gates), 2, h), complex
+    slot_rows: np.ndarray
+    slots: np.ndarray
+    scales: np.ndarray
+
+    def compose(self, params) -> np.ndarray:
+        """[A, B] over the closed set, as a (2, 2, h) array.  A gate
+        (a2, b2) after (A, B) gives A' = a2 A + b2 B[t ^ x] and
+        B' = a2 B + b2 A[t ^ x]: one product with the (B, A) swap, read with
+        its rows swapped."""
+        ab = None
+        for g, p in zip(self.gates, self.phases):
+            if isinstance(g, PauliRotation):
+                half = 0.5 * _gate_angle(g, params)
+                ga, gb = np.cos(half), -1j * np.sin(half) * p
+            else:
+                ga, gb = 0.0, p
+            if ab is None:
+                ab = np.empty((2,) + p.shape, dtype=complex)
+                ab[0], ab[1] = ga, gb
+            else:
+                ab = ga * ab + gb * ab[::-1, ::-1]
+        return ab
+
+
+@dataclass(frozen=True)
 class GateRun:
-    """Consecutive gates sharing one X mask x, as v -> a * v + b * v[t ^ x],
-    stored over the positions of a basis.
+    """One run at fixed parameters, v -> a * v + b * v[t ^ x], stored over
+    the positions of a basis.
 
     `partner[p]` is the position of label t ^ x for the label t at position
     p.  Every array has one more entry than the basis, the zero sentinel slot
@@ -171,43 +190,43 @@ class GateRun:
 
 
 @dataclass(frozen=True)
-class CompiledCircuit:
-    """A circuit at fixed parameters as maximal runs of equal-X-mask gates,
-    over a sorted basis of d indices.
+class CircuitLayout:
+    """What compiling a circuit over a sorted basis of d indices needs
+    besides the parameters: its runs' layouts and the labels.
 
     Basis flips move no data: they relabel the positions, so position p
-    holds label basis[p] before U and labels[p] after it.  The grouped H is
-    compiled over `labels` once per sum, on first use, and kept here."""
+    holds label basis[p] before U and labels[p] after it.  A Pauli sum is
+    grouped over `labels` once per sum, on first use, and kept here."""
 
-    n_qubits: int
+    n_slots: int
     basis: np.ndarray  # (d,) ascending
     labels: np.ndarray  # (d,) the label at each position after U
     position: np.ndarray  # (2^n,) the position of each basis index; d outside
-    runs: tuple
-    dtype: np.dtype  # float64 when every run is real
+    runs: tuple  # RunLayout per run
     _sums: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def apply(self, vec: np.ndarray, invert: bool = False) -> np.ndarray:
-        """U vec for a (d,) state or (d, k) batch over `basis`, as a state
-        over `labels`; with invert, U^dag vec from `labels` back to `basis`."""
+    def compile(self, params) -> CompiledCircuit:
+        """The circuit at `params`: each run composed over its closed set and
+        kept at its labels.  A run stays float64 when its arrays are real,
+        which holds for the real-rotation layered ansatz.  A run that moves
+        weight above LEAK_TOL of its largest coefficient out of the basis
+        raises LeakError naming it."""
+        if self.n_slots > len(params):
+            raise SimulatorError(f"need {self.n_slots} parameters, got {len(params)}")
         d = len(self.basis)
-        if len(vec) != d:
-            raise SimulatorError("state / basis dimension mismatch")
-        padded = np.zeros((d + 1, vec.size // d), dtype=vec.dtype)
-        padded[:d] = vec.reshape(d, -1)
-        out = self._adjoint(padded) if invert else self._forward(padded)
-        return out[:d].reshape(vec.shape)
-
-    def _forward(self, vec: np.ndarray) -> np.ndarray:
+        out = []
         for r in self.runs:
-            vec = r.a * vec + r.b * vec.take(r.partner, axis=0)
-        return vec
-
-    def _adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """The adjoint of a run is conj(a) * v + (conj(b) * v)[t ^ x]."""
-        for r in reversed(self.runs):
-            vec = r.a.conj() * vec + (r.b.conj() * vec).take(r.partner, axis=0)
-        return vec
+            ab = r.compose(params)
+            if not ab.imag.any():
+                ab = ab.real
+            ab = ab.reshape(2, -1)
+            if len(r.edge):
+                _check_conserved(r.name, ab[1, r.edge], np.abs(ab).max())
+            at = np.zeros((2, d + 1), dtype=ab.dtype)  # a and b with the sentinel
+            at[:, :d] = ab[:, r.labels_at]
+            out.append(GateRun(r.x, r.partner, at[0, :, None], at[1, :, None]))
+        dtype = np.result_type(float, *(r.a for r in out))
+        return CompiledCircuit(self, tuple(out), dtype)
 
     def grouped(self, h: PauliSum) -> tuple:
         """H's X groups over `labels` as ((partner, phases), ...), phases
@@ -220,11 +239,69 @@ class CompiledCircuit:
             groups = []
             for x, phases in zip(g.masks, g.phases):
                 partner = _partners(self.position, self.basis, x)
-                _check_conserved(f"Hamiltonian group with X mask {x:#x}", phases,
-                                 self.labels, x, partner)
-                groups.append((partner, _at(phases, self.labels)))
+                out = partner[:-1] == len(self.labels)
+                if out.any():
+                    inside = self.labels[out]
+                    _check_conserved(f"Hamiltonian group with X mask {x:#x}",
+                                     np.concatenate([phases[inside], phases[inside ^ x]]),
+                                     np.abs(phases).max())
+                groups.append((partner, np.append(phases[self.labels], 0.0)[:, None]))
             hit = self._sums[id(g)] = (g, tuple(groups))  # g pins the id
         return hit[1]
+
+
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A circuit at fixed parameters: its layout and one GateRun per run."""
+
+    layout: CircuitLayout
+    runs: tuple
+    dtype: np.dtype  # float64 when every run is real
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.layout.basis
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.layout.labels
+
+    @property
+    def position(self) -> np.ndarray:
+        return self.layout.position
+
+    def apply(self, vec: np.ndarray, invert: bool = False) -> np.ndarray:
+        """U vec for a (d,) state or (d, k) batch over `basis`, as a state
+        over `labels`; with invert, U^dag vec from `labels` back to `basis`."""
+        d = len(self.basis)
+        if len(vec) != d:
+            raise SimulatorError("state / basis dimension mismatch")
+        padded = np.zeros((d + 1, vec.size // d), dtype=vec.dtype)
+        padded[:d] = vec.reshape(d, -1)
+        out = self.adjoint(padded) if invert else self.forward(padded)
+        return out[:d].reshape(vec.shape)
+
+    def forward(self, vec: np.ndarray) -> np.ndarray:
+        """U on a (d + 1, k) batch whose last row is the zero sentinel."""
+        for r in self.runs:
+            vec = r.a * vec + r.b * vec.take(r.partner, axis=0)
+        return vec
+
+    def adjoint(self, vec: np.ndarray) -> np.ndarray:
+        """U^dag on a padded batch: a run's adjoint is
+        conj(a) * v + (conj(b) * v)[t ^ x]."""
+        for r in reversed(self.runs):
+            vec = r.a.conj() * vec + (r.b.conj() * vec).take(r.partner, axis=0)
+        return vec
+
+    def apply_sum(self, h: PauliSum, vec: np.ndarray) -> np.ndarray:
+        """H on a padded (d + 1, k) batch over `labels`; the result is real
+        only when both the batch and the grouped H are."""
+        groups = self.layout.grouped(h)
+        out = np.zeros(vec.shape, dtype=np.result_type(vec, h.grouped.phases))
+        for partner, phases in groups:
+            out += phases * vec.take(partner, axis=0)
+        return out
 
 
 def _partners(position: np.ndarray, basis: np.ndarray, x: int) -> np.ndarray:
@@ -234,94 +311,91 @@ def _partners(position: np.ndarray, basis: np.ndarray, x: int) -> np.ndarray:
     return np.append(position[basis ^ x], len(basis))
 
 
-def _at(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """values at labels, plus the zero sentinel entry, as a (d + 1, 1) column."""
-    return np.append(values[labels], 0.0)[:, None]
-
-
-def _check_conserved(name: str, b: np.ndarray, labels: np.ndarray, x: int,
-                     partner: np.ndarray, scale: float | None = None) -> None:
-    """Raise unless b is negligible wherever v -> b * v[t ^ x] couples the
-    label set to a label outside it: at labels outside whose partner is
-    inside (U moves weight out) and at labels inside whose partner is
-    outside (U^dag does)."""
-    out = partner[:-1] == len(labels)
-    if not out.any():
-        return
-    inside = labels[out]
-    leak = max(np.abs(b[inside]).max(), np.abs(b[inside ^ x]).max())
-    scale = np.abs(b).max() if scale is None else scale
+def _check_conserved(name: str, edge: np.ndarray, scale: float) -> None:
+    """Raise unless b is negligible at both ends of every coupling of
+    v -> b * v[t ^ x] between the label set and a label outside it: at
+    labels outside whose partner is inside (U moves weight out) and at
+    labels inside whose partner is outside (U^dag does)."""
+    leak = np.abs(edge).max()
     if leak > LEAK_TOL * scale:
         raise LeakError(f"{name} moves weight {leak:.3e} out of the basis "
-                             f"(largest coefficient {scale:.3e})")
+                        f"(largest coefficient {scale:.3e})")
 
 
-def _gate_form(g, params) -> tuple:
-    """(x, a, b) of one gate as v -> a * v + b * v[t ^ x], a a scalar and b
-    an array; both are None for a flip."""
-    if isinstance(g, PauliRotation):
-        half = 0.5 * _gate_angle(g, params)
-        return g.word.x_mask, np.cos(half), -1j * np.sin(half) * word_phases(g.word)
-    if isinstance(g, PauliApply):
-        return g.word.x_mask, 0.0, word_phases(g.word)
+def _run_key(g) -> tuple:
+    """(x, parity) of a gate: gates of one run share the X mask x, and
+    same-X words commute exactly when their Y counts have equal parity.
+    The parity is None for a flip."""
+    if isinstance(g, (PauliRotation, PauliApply)):
+        return g.word.x_mask, g.word.y_count & 1
     if isinstance(g, BasisFlip):
-        return 1 << g.qubit, None, None
+        return 1 << g.qubit, None
     raise SimulatorError(f"unknown gate {g!r}")
 
 
-def compile_circuit(circuit: Circuit, params=(), basis=None) -> CompiledCircuit:
-    """The circuit at fixed parameters, compiled once into gate runs over
-    `basis`, a sorted array of indices (all 2^n when None).
+def circuit_layout(circuit: Circuit, basis=None) -> CircuitLayout:
+    """The parameter-free part of compiling `circuit` over `basis`, a sorted
+    array of indices (all 2^n when None).  Consecutive basis flips merge
+    into one relabelling."""
+    dim = 1 << circuit.n_qubits
+    basis = np.arange(dim) if basis is None else np.asarray(basis, dtype=np.int64)
+    if basis.ndim != 1 or not len(basis) or basis[0] < 0 or basis[-1] >= dim \
+            or (np.diff(basis) <= 0).any():
+        raise SimulatorError(f"a basis must be non-empty ascending indices in [0, {dim})")
+    d = len(basis)
+    position = np.full(dim, d, dtype=np.int64)
+    position[basis] = np.arange(d)
+    spans: list = []  # [x, parity, gates, first, last]; parity is None for flips
+    for k, g in enumerate(circuit.gates):
+        x, parity = _run_key(g)
+        last = spans[-1] if spans else None
+        if last is not None and parity is None and last[1] is None:
+            last[0] ^= x
+            last[4] = k
+        elif last is not None and parity is not None and last[:2] == [x, parity]:
+            last[2].append(g)
+            last[4] = k
+        else:
+            spans.append([x, parity, [g], k, k])
+    labels, flips = basis, 0
+    runs = []
+    for x, parity, gates, first, last in spans:
+        if parity is None:
+            labels, flips = labels ^ x, flips ^ x
+            continue
+        half = np.unique(np.minimum(labels, labels ^ x))
+        closed = np.stack([half, half ^ x])
+        flat = closed.ravel()
+        inside = position[flat ^ flips] < d  # the labels at the positions
+        labels_at = np.empty(d, dtype=np.int64)
+        labels_at[position[flat[inside] ^ flips]] = np.flatnonzero(inside)
+        slot_rows = [k for k, g in enumerate(gates)
+                     if isinstance(g, PauliRotation) and g.slot is not None]
+        runs.append(RunLayout(
+            x=x,
+            name=f"gate run {len(runs)} (gates {first}-{last}, X mask {x:#x})",
+            gates=tuple(gates),
+            partner=_partners(position, basis, x),
+            labels_at=labels_at,
+            edge=np.flatnonzero(inside != np.roll(inside, len(half))),
+            phases=np.array([word_phases(g.word, closed) for g in gates]),
+            slot_rows=np.array(slot_rows, dtype=np.int64),
+            slots=np.array([gates[k].slot for k in slot_rows], dtype=np.int64),
+            scales=np.array([gates[k].scale for k in slot_rows], dtype=float),
+        ))
+    return CircuitLayout(circuit.n_slots, basis, labels, position, tuple(runs))
 
-    Gates compose inside a run: a gate (a2, b2) after (A, B) gives
-    A' = a2 A + b2 B[t ^ x] and B' = a2 B + b2 A[t ^ x].  Consecutive basis
-    flips merge into one relabelling.  A run is stored as float64 when its
-    arrays are real, which holds for the real-rotation layered ansatz.
+
+def compile_circuit(circuit: Circuit, params=(), basis=None) -> CompiledCircuit:
+    """The circuit at fixed parameters, compiled into gate runs over `basis`,
+    a sorted array of indices (all 2^n when None): `circuit_layout` and its
+    `compile` in one call.
 
     Over a basis smaller than the full space, the circuit must keep the
     basis, relabelled by its flips, closed: a run that would move weight
     above LEAK_TOL of its largest coefficient out of it raises LeakError
     naming the run."""
-    _check_params(circuit, params)
-    dim = 1 << circuit.n_qubits
-    idx = np.arange(dim)
-    basis = idx if basis is None else np.asarray(basis, dtype=np.int64)
-    if basis.ndim != 1 or not len(basis) or basis[0] < 0 or basis[-1] >= dim \
-            or (np.diff(basis) <= 0).any():
-        raise SimulatorError(f"a basis must be non-empty ascending indices in [0, {dim})")
-    position = np.full(dim, len(basis), dtype=np.int64)
-    position[basis] = np.arange(len(basis))
-    runs: list = []  # [x, A, B, first gate, last gate]; A is None for a flip run
-    for k, g in enumerate(circuit.gates):
-        x, a, b = _gate_form(g, params)
-        last = runs[-1] if runs else None
-        if b is None:
-            if last is not None and last[1] is None:
-                last[0] ^= x
-                last[4] = k
-            else:
-                runs.append([x, None, None, k, k])
-        elif last is not None and last[1] is not None and last[0] == x:
-            big_a, big_b = last[1], last[2]
-            last[1] = a * big_a + b * big_b[idx ^ x]
-            last[2] = a * big_b + b * big_a[idx ^ x]
-            last[4] = k
-        else:
-            runs.append([x, np.full(dim, a, dtype=complex), b, k, k])
-    labels = basis
-    out = []
-    for x, a, b, first, last in runs:
-        if a is None:
-            labels = labels ^ x
-            continue
-        if not (a.imag.any() or b.imag.any()):
-            a, b = a.real.copy(), b.real.copy()
-        partner = _partners(position, basis, x)
-        _check_conserved(f"gate run {len(out)} (gates {first}-{last}, X mask {x:#x})", b,
-                         labels, x, partner, scale=max(np.abs(a).max(), np.abs(b).max()))
-        out.append(GateRun(x, partner, _at(a, labels), _at(b, labels)))
-    dtype = np.result_type(float, *(r.a for r in out))
-    return CompiledCircuit(circuit.n_qubits, basis, labels, position, tuple(out), dtype)
+    return circuit_layout(circuit, basis).compile(params)
 
 
 # columns per batch in transformed_columns: bounds the working set at
@@ -345,16 +419,12 @@ def transformed_columns(h: PauliSum, compiled: CompiledCircuit, indices) -> np.n
     pos = compiled.position[indices]
     if (pos == d).any():
         raise SimulatorError(f"column index {indices[pos == d][0]} is not in the basis")
-    groups = compiled.grouped(h)
     dtype = np.result_type(compiled.dtype, h.grouped.phases)
     out = np.empty((d, len(indices)), dtype=dtype)
     for start in range(0, len(indices), _COLUMN_BLOCK):
         block = pos[start:start + _COLUMN_BLOCK]
         state = np.zeros((d + 1, len(block)))
         state[block, np.arange(len(block))] = 1.0
-        state = compiled._forward(state)
-        h_state = np.zeros(state.shape, dtype=np.result_type(state, h.grouped.phases))
-        for partner, phases in groups:
-            h_state += phases * state.take(partner, axis=0)
-        out[:, start:start + len(block)] = compiled._adjoint(h_state)[:d]
+        state = compiled.forward(state)
+        out[:, start:start + len(block)] = compiled.adjoint(compiled.apply_sum(h, state))[:d]
     return out

@@ -9,13 +9,20 @@ Hubbard model the groups follow the Hamiltonian's structure
 generator pool by gradient magnitude.
 
 The optimizer is plain gradient descent with Armijo backtracking: deterministic
-and dependency-free, adequate at desk scale.  Gradients use the adjoint method
-(Jones & Gacon, arXiv:2009.02823): one forward pass and one reverse pass over
-the simulator's own gate steps, exact for Pauli-word rotation gates.  Inside
-`vqe_minimize` the forward pass is the state of the line search's accepted
-trial, so U|0> is built once per parameter vector tried.  States are plain
-(2^n,) arrays, and circuits are immutable: `adapt_vqe` grows its circuit by
-building a new one.
+and dependency-free, adequate at desk scale.  Energies and gradients run on
+the simulator's compiled circuit over a basis: the full 2^n space by default,
+or the walker sector the CLI passes, which the real particle-conserving
+ansatze keep closed.  `vqe_minimize` builds the circuit's layout once and
+compiles it once per parameter vector tried; the accepted trial's state
+feeds the next gradient.  The gradient is the adjoint method (Jones &
+Gacon, arXiv:2009.02823) stepped back one compiled run at a time.  A run's
+words commute, so the derivative of a run by a gate's angle a is
+-(i/2) W_g times the run, and dE/da = Im<lambda|W_g|phi> at the run's
+output, with phi the state there and lambda H psi pulled back to the same
+point.  One product of the run's phase rows with conj(lambda) * phi[t ^ x]
+gives that term for every parametric gate of the run; it is exact like the
+parameter-shift rule.  Circuits are immutable: `adapt_vqe` grows its circuit
+by building a new one.
 """
 
 from __future__ import annotations
@@ -29,19 +36,16 @@ from .operators import (
     FermionTerm,
     HubbardSpec,
     PauliSum,
-    apply_pauli_sum,
-    apply_word,
     diagonal_entry,
     jordan_wigner,
 )
 from .simulator import (
     BasisFlip,
     Circuit,
+    CompiledCircuit,
     PauliRotation,
-    apply_circuit,
-    apply_gates,
-    expectation,
-    rotation_step,
+    circuit_layout,
+    compile_circuit,
 )
 
 
@@ -227,54 +231,70 @@ def hubbard_hv_generator_groups(spec: HubbardSpec) -> list:
 # energies and gradients
 # ---------------------------------------------------------------------------
 
-def circuit_state(circuit: Circuit, params) -> np.ndarray:
-    """U|0> as a (2^n,) complex array."""
-    zero = np.zeros(1 << circuit.n_qubits, dtype=complex)
-    zero[0] = 1.0
-    return apply_circuit(zero, circuit, params)
+def _reference_state(compiled: CompiledCircuit) -> np.ndarray:
+    """U|0> over the compiled circuit's positions, as a (d + 1, 1) column
+    whose last entry is the zero sentinel."""
+    d = len(compiled.basis)
+    start = compiled.position[0]
+    if start == d:
+        raise VqaError("the basis does not hold the all-zeros state the circuit acts on")
+    vec = np.zeros((d + 1, 1))
+    vec[start] = 1.0
+    return compiled.forward(vec)
 
 
-def circuit_energy(circuit: Circuit, h: PauliSum, params) -> float:
-    return expectation(circuit_state(circuit, params), h)
+def _energy(compiled: CompiledCircuit, h: PauliSum, psi: np.ndarray) -> float:
+    """<psi|H|psi> for a padded psi over the compiled circuit's labels."""
+    if not h.hermitian:
+        raise VqaError("non-Hermitian operator in the energy")
+    return float(np.vdot(psi, compiled.apply_sum(h, psi)).real)
 
 
-def gradient(circuit: Circuit, h: PauliSum, params) -> np.ndarray:
-    """Adjoint-method gradient dE/dtheta (Jones & Gacon, arXiv:2009.02823)."""
-    return _adjoint_gradient(circuit, h, params, circuit_state(circuit, params))
+def circuit_energy(circuit: Circuit, h: PauliSum, params, basis=None) -> float:
+    """<0|U^dag H U|0>, computed over `basis` (all 2^n indices when None)."""
+    compiled = compile_circuit(circuit, params, basis)
+    return _energy(compiled, h, _reference_state(compiled))
 
 
-def _adjoint_gradient(circuit: Circuit, h: PauliSum, params, psi: np.ndarray) -> np.ndarray:
-    """dE/dtheta given psi = U|0> at `params`.
+def gradient(circuit: Circuit, h: PauliSum, params, basis=None) -> np.ndarray:
+    """Adjoint-method gradient dE/dtheta (Jones & Gacon, arXiv:2009.02823),
+    computed over `basis` (all 2^n indices when None)."""
+    compiled = compile_circuit(circuit, params, basis)
+    return _adjoint_gradient(compiled, h, _reference_state(compiled))
 
-    Start from psi and lambda = H psi, then walk the gates in reverse
-    carrying the pair (phi, lambda): phi is the state just after the current
-    gate and lambda is H psi pulled back to the same point.  For a rotation
-    exp(-i a/2 W) with a = scale * theta[slot], dE/da = Im<lambda|W|phi>,
-    weighted by the scale (chain rule) and accumulated into the slot.  W
-    acts once per rotation, on the (2^n, 2) pair: column 0 of W (phi, lambda)
-    gives the derivative, and the same product takes the pair back through
-    the gate's inverse (`rotation_step`).  Other gates step back through
-    apply_gates.  A gradient costs one word application per gate, exact like
-    the parameter-shift rule."""
-    grad = np.zeros(circuit.n_slots)
-    pair = np.stack([psi, apply_pauli_sum(h, psi)], axis=1)
-    for g in reversed(circuit.gates):
-        if isinstance(g, PauliRotation) and g.slot is not None:
-            w_pair = apply_word(g.word, pair)
-            grad[g.slot] += g.scale * np.vdot(pair[:, 1], w_pair[:, 0]).imag
-            pair = rotation_step(g, pair, w_pair, params, invert=True)
-        else:
-            pair = apply_gates(pair, circuit.n_qubits, [g], params, invert=True)
+
+def _adjoint_gradient(compiled: CompiledCircuit, h: PauliSum, psi: np.ndarray) -> np.ndarray:
+    """dE/dtheta given the padded psi = U|0> of `compiled`.
+
+    Start from phi = psi and lambda = H psi, then step back one run at a
+    time.  At a run's output, every parametric gate g of the run adds
+    scale * Im<lambda|W_g|phi> to its slot: (W_g phi)[p] is the gate's phase
+    at label p times phi at the partner position, and lambda lies in the
+    basis, so the partner's sentinel zero drops what W_g moves out of it.
+    Then the pair steps back through the run's inverse."""
+    layout = compiled.layout
+    d = len(layout.basis)
+    grad = np.zeros(layout.n_slots)
+    pair = np.concatenate([psi, compiled.apply_sum(h, psi)], axis=1)
+    for run, r in zip(reversed(compiled.runs), reversed(layout.runs)):
+        if len(r.slots):
+            overlap = np.zeros(r.phases[0].size, dtype=complex)
+            overlap[r.labels_at] = pair[:d, 1].conj() * pair[r.partner[:d], 0]
+            d_angle = (r.phases.reshape(len(r.phases), -1) @ overlap).imag[r.slot_rows]
+            grad += np.bincount(r.slots, weights=r.scales * d_angle, minlength=len(grad))
+        pair = run.a.conj() * pair + (run.b.conj() * pair).take(run.partner, axis=0)
     return grad
 
 
-def pool_gradients(psi: np.ndarray, h: PauliSum, pool) -> np.ndarray:
-    """dE/dtheta at theta = 0 for each pool generator: <psi|[H, G]|psi>."""
-    hv = apply_pauli_sum(h, psi)
+def pool_gradients(compiled: CompiledCircuit, h: PauliSum, pool) -> np.ndarray:
+    """dE/dtheta at theta = 0 for each pool generator appended to the
+    compiled circuit: <psi|[H, G]|psi> = 2 Re<H psi|G psi> for psi = U|0>,
+    with H and each generator acting through the compiled groups."""
+    psi = _reference_state(compiled)
+    hv = compiled.apply_sum(h, psi)
     out = np.zeros(len(pool))
     for k, gen in enumerate(pool):
-        gv = apply_pauli_sum(gen, psi)
-        out[k] = 2.0 * float(np.real(np.vdot(hv, gv)))
+        out[k] = 2.0 * float(np.real(np.vdot(hv, compiled.apply_sum(gen, psi))))
     return out
 
 
@@ -283,18 +303,27 @@ def pool_gradients(psi: np.ndarray, h: PauliSum, pool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def vqe_minimize(
-    circuit: Circuit, h: PauliSum, init, config: OptimizerConfig | None = None
+    circuit: Circuit, h: PauliSum, init, config: OptimizerConfig | None = None,
+    basis=None,
 ) -> VqeResult:
-    """Gradient descent with Armijo backtracking on E(theta).
+    """Gradient descent with Armijo backtracking on E(theta), over `basis`
+    (all 2^n indices when None).
 
-    U|0> is built once per parameter vector tried: the accepted trial's
-    state feeds the next gradient's reverse pass."""
+    The circuit's layout is built once, and the circuit is compiled once per
+    parameter vector tried: the accepted trial's compiled runs and state
+    feed the next gradient's reverse pass."""
     cfg = config or OptimizerConfig()
     params = np.array(init, dtype=float)
     if len(params) != circuit.n_slots:
         raise VqaError(f"need {circuit.n_slots} parameters, got {len(params)}")
-    psi = circuit_state(circuit, params)
-    energy = expectation(psi, h)
+    layout = circuit_layout(circuit, basis)
+
+    def point(p):
+        compiled = layout.compile(p)
+        psi = _reference_state(compiled)
+        return compiled, psi, _energy(compiled, h, psi)
+
+    compiled, psi, energy = point(params)
     if not np.isfinite(energy):
         raise VqaError("non-finite energy at initial parameters")
     history = [(0, energy)]
@@ -304,7 +333,7 @@ def vqe_minimize(
     # accepted step so the line search adapts to the local curvature
     step0 = cfg.initial_step
     for it in range(1, cfg.max_iterations + 1):
-        grad = _adjoint_gradient(circuit, h, params, psi)
+        grad = _adjoint_gradient(compiled, h, psi)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.gtol:
             converged = True
@@ -315,12 +344,12 @@ def vqe_minimize(
         accepted = False
         for _ in range(cfg.max_backtracks):
             trial = params - step * grad
-            psi_trial = circuit_state(circuit, trial)
-            e_trial = expectation(psi_trial, h)
+            at_trial = point(trial)
+            e_trial = at_trial[2]
             if not np.isfinite(e_trial):
                 raise VqaError("non-finite energy during line search")
             if e_trial <= energy - cfg.armijo * step * gsq:
-                params, energy, psi = trial, e_trial, psi_trial
+                params, (compiled, psi, energy) = trial, at_trial
                 accepted = True
                 break
             step *= cfg.shrink
@@ -342,20 +371,21 @@ def adapt_vqe(
     n_qubits: int,
     gradient_tol: float = 1e-3,
     config: OptimizerConfig | None = None,
+    basis=None,
 ) -> VqeResult:
     """Greedy circuit growth: append the largest-gradient pool generator,
-    re-optimize all parameters, repeat.  Outer energies are non-increasing."""
+    re-optimize all parameters, repeat.  Outer energies are non-increasing.
+    Everything runs over `basis` (all 2^n indices when None)."""
     if not pool:
         raise VqaError("empty generator pool")
     circuit = Circuit(n_qubits, preparation_gates(reference, n_qubits))
     params = np.zeros(0)
-    energy = circuit_energy(circuit, h, params)
+    energy = circuit_energy(circuit, h, params, basis)
     history = [(0, energy)]
     converged = True
     message = "max operators reached" if max_operators > 0 else "no operators requested"
     for k in range(max_operators):
-        state = circuit_state(circuit, params)
-        grads = pool_gradients(state, h, pool)
+        grads = pool_gradients(compile_circuit(circuit, params, basis), h, pool)
         pick = int(np.argmax(np.abs(grads)))
         if abs(grads[pick]) < gradient_tol:
             message = f"pool gradient {abs(grads[pick]):.2e} below tolerance"
@@ -363,7 +393,7 @@ def adapt_vqe(
         slot = circuit.n_slots
         circuit = Circuit(n_qubits, circuit.gates + generator_gates(pool[pick], slot))
         params = np.append(params, 0.0)
-        result = vqe_minimize(circuit, h, params, config)
+        result = vqe_minimize(circuit, h, params, config, basis)
         params = result.params
         if result.energy > energy + 1e-9:
             converged = False

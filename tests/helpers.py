@@ -7,11 +7,13 @@ mix freely with words the package builds.  The NSI
 functions compute one index each from the package's spectra, where
 `nsi.nsi_report` computes them together.  `layered_walkers` is a Hubbard
 model with a layered circuit at random angles and its walker sector.
+`apply_gates` applies a circuit gate by gate over all 2^n indices, the
+reference that the package's compiled runs are checked against.
 """
 
 import numpy as np
 
-from qcfciqmc import exactdiag, nsi, operators, vqa
+from qcfciqmc import exactdiag, nsi, operators, simulator, vqa
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -66,3 +68,23 @@ def layered_walkers(shape, layers: int, seed: int):
                                  spec.n_qubits)
     params = 0.1 * np.random.default_rng(seed).standard_normal(circuit.n_slots)
     return h, circuit, params, np.sort(sector ^ ref)
+
+
+def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = False):
+    """The gates applied one by one to a (2^n,) state or (2^n, k) batch,
+    exp(-i a/2 W) as cos(a/2) v - i sin(a/2) W v; with invert, their
+    inverses in reverse order (the adjoint of the sequence)."""
+    seq = reversed(gates) if invert else gates
+    for g in seq:
+        if isinstance(g, simulator.PauliRotation):
+            a = g.angle if g.slot is None else g.scale * float(params[g.slot])
+            if invert:
+                a = -a
+            vec = np.cos(0.5 * a) * vec - 1j * np.sin(0.5 * a) * operators.apply_word(g.word, vec)
+        elif isinstance(g, simulator.PauliApply):
+            vec = operators.apply_word(g.word, vec)
+        elif isinstance(g, simulator.BasisFlip):
+            vec = operators.apply_word(operators.PauliWord(n_qubits, 1 << g.qubit, 0), vec)
+        else:
+            raise simulator.SimulatorError(f"unknown gate {g!r}")
+    return vec

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -126,6 +127,23 @@ def test_indicators_below_the_rounding_bound_read_zero():
     for k in range(200):
         rep = nsi_report(sparse_gauge_stoquastic(rng, 8), (0.1, 1.0, 5.0)[k % 3], phi0=k % 8)
         assert (rep.s_thermal, rep.s_initial, rep.avg_sign, rep.delta_f) == (0.0, 0.0, 1.0, 0.0), k
+
+
+def test_unresolved_initial_indicator_reads_none():
+    """phi0 sits alone at the top of a sparse gauge-stoquastic spectrum, so
+    s_initial is exactly 0 and q_h under the common shift is about 1e-36:
+    the rounding bound over q_h exceeds 1, not one digit of s_initial is
+    resolved, and the report gives None (null in nsi.json), not 0.0."""
+    h = sparse_gauge_stoquastic(np.random.default_rng(3), 16)
+    top = 15
+    h[top, :] = h[:, top] = 0.0
+    h[top, top] = np.abs(h).sum() + 1.0
+    e0 = np.linalg.eigvalsh(h)[0]
+    beta = 83.0 / (h[top, top] - e0)
+    rep = nsi_report(h, beta, phi0=top)
+    assert rep.s_initial is None and rep.s_thermal == 0.0
+    assert json.loads(json.dumps(rep.to_dict()))["s_initial"] is None
+    assert nsi_report(h, beta, phi0=0).s_initial == 0.0
 
 
 def test_nsi_thermal_nonnegative_property():

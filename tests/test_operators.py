@@ -20,13 +20,11 @@ from qcfciqmc.operators import (
     build_hubbard,
     build_molecular,
     diagonal_entry,
-    drop_word_tables,
     jordan_wigner,
     parse_fcidump,
     pauli_product,
     serialize_fcidump,
     to_dense,
-    word_gather,
     word_phases,
 )
 
@@ -137,29 +135,14 @@ def test_apply_word_matches_dense():
         np.testing.assert_allclose(apply_word(w, vec), mat @ vec, atol=1e-12)
 
 
-def test_word_gather_is_shared_and_read_only():
-    """Equal words share one cached table, words with one X mask share one
-    permutation, and writing to either raises."""
-    w = PauliWord(5, 0b10110, 0b00111)
-    perm, phases = word_gather(w)
-    assert word_gather(PauliWord(5, 0b10110, 0b00111)) is word_gather(w)
-    assert word_gather(PauliWord(5, 0b10110, 0))[0] is perm
-    assert perm.tolist() == (np.arange(32) ^ 0b10110).tolist()
-    assert phases.tolist() == word_phases(w).tolist()
-    for table in (perm, phases):
-        with pytest.raises(ValueError):
-            table[0] = 0
-    assert apply_word(w, np.ones(32)).flags.writeable
-
-
-def test_drop_word_tables_frees_and_rebuilds():
-    w = PauliWord(4, 0b0110, 0b0011)
-    perm, phases = word_gather(w)
-    drop_word_tables()
-    assert word_gather.cache_info().currsize == 0
-    rebuilt = word_gather(w)
-    assert rebuilt[0] is not perm
-    assert rebuilt[0].tolist() == perm.tolist() and rebuilt[1].tolist() == phases.tolist()
+def test_word_phases_at_labels_are_the_full_phases_there():
+    """The compiled circuit reads a word's phases at the labels it needs;
+    they equal the full-space phases there bit for bit."""
+    rng = np.random.default_rng(6)
+    labels = rng.permutation(64)[:20]
+    for _ in range(10):
+        w = PauliWord(6, int(rng.integers(0, 64)), int(rng.integers(0, 64)))
+        assert word_phases(w, labels).tolist() == word_phases(w)[labels].tolist()
 
 
 def test_hermitian_verdict_matches_is_hermitian():

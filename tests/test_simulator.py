@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import PauliWord, basis_state, layered_walkers
-from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense, word_gather
+from helpers import PauliWord, apply_gates, basis_state, layered_walkers
+from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense
 from qcfciqmc.simulator import (
     BasisFlip,
     Circuit,
@@ -15,7 +15,6 @@ from qcfciqmc.simulator import (
     SimulatorError,
     amplitude_vector,
     apply_circuit,
-    apply_gates,
     compile_circuit,
     expectation,
     transformed_columns,
@@ -183,7 +182,7 @@ def test_expectation_rejects_non_hermitian():
 
 
 # ---------------------------------------------------------------------------
-# compiled circuits against the per-gate path
+# compiled circuits against the gate-by-gate reference
 # ---------------------------------------------------------------------------
 
 
@@ -250,7 +249,8 @@ def test_compiled_circuit_matches_per_gate_path(trial):
 
 @pytest.mark.parametrize("trial", range(12))
 def test_transformed_columns_match_per_gate_oracle(trial):
-    """apply_circuit, a per-word H and amplitude_vector give every column."""
+    """The gate-by-gate reference, a per-word H and the reference's inverse
+    give every column."""
     rng = np.random.default_rng(700 + trial)
     n = 1 + trial % 4
     c, params = run_heavy_circuit(rng, n)
@@ -260,9 +260,10 @@ def test_transformed_columns_match_per_gate_oracle(trial):
     dim = 1 << n
     cols = transformed_columns(h, compile_circuit(c, params), range(dim))
     for i in range(dim):
-        state = apply_circuit(basis_state(n, i), c, params)
+        state = apply_gates(basis_state(n, i), n, c.gates, params)
         w = per_word_sum(h, state)
-        np.testing.assert_allclose(cols[:, i], amplitude_vector(w, c, params), atol=1e-12)
+        np.testing.assert_allclose(cols[:, i], apply_gates(w, n, c.gates, params, invert=True),
+                                   atol=1e-12)
 
 
 def test_compile_rejects_missing_parameters():
@@ -283,17 +284,6 @@ def test_real_circuit_compiles_to_real_runs():
     h = PauliSum([PauliTerm(0.5, PauliWord.from_label("XX")),
                   PauliTerm(-1.0, PauliWord.from_label("ZI"))])
     assert transformed_columns(h, compiled, [0, 3]).dtype == np.float64
-
-
-def test_compiled_path_leaves_the_word_cache_alone():
-    """compile_circuit and the grouped H read each word once and build their
-    phases directly, so the per-word gather cache neither grows nor is read."""
-    rng = np.random.default_rng(77)
-    c, params = run_heavy_circuit(rng, 7)
-    h = random_complex_sum(rng, 7)
-    before = word_gather.cache_info()
-    transformed_columns(h, compile_circuit(c, params), [0, 5, 99])
-    assert word_gather.cache_info() == before
 
 
 # ---------------------------------------------------------------------------

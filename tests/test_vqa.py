@@ -2,15 +2,16 @@
 
 The gradient is checked against central finite differences, against a
 test-only parameter-shift rule, the exact rule that quantum hardware uses,
-and bit for bit against the two-pass adjoint sweep of an earlier version.
-Two training runs are pinned by the sha256 of their circuit files."""
+and against a gate-by-gate adjoint sweep over the test helpers' reference
+circuit path.  Two training runs are pinned by the sha256 of their circuit
+files."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from helpers import basis_state
+from helpers import apply_gates, basis_state
 from qcfciqmc import vqa
 from qcfciqmc.cli import serialize_circuit
 from qcfciqmc.operators import (
@@ -30,8 +31,8 @@ from qcfciqmc.simulator import (
     Circuit,
     PauliApply,
     PauliRotation,
+    CircuitLayout,
     apply_circuit,
-    apply_gates,
     compile_circuit,
 )
 from qcfciqmc.vqa import (
@@ -39,7 +40,6 @@ from qcfciqmc.vqa import (
     VqaError,
     adapt_vqe,
     circuit_energy,
-    circuit_state,
     generator_gates,
     gradient,
     hubbard_hv_generator_groups,
@@ -127,8 +127,8 @@ def test_layered_ansatz_real_orthogonal():
 def sector_leak(circuit, params) -> float:
     """Largest norm of U|i>, over every basis state i, outside the
     (n_up, n_dn) sector of i XOR the mask of the circuit's leading basis
-    flips; up spins sit on even modes.  Both ways of applying a circuit are
-    read: gate by gate (the VQE's) and compiled (the H' columns')."""
+    flips; up spins sit on even modes.  The compiled runs, which the VQE and
+    the H' columns read, and the gate-by-gate reference are both read."""
     n = circuit.n_qubits
     idx = np.arange(1 << n)
     up = sum((idx >> m) & 1 for m in range(0, n, 2))
@@ -303,8 +303,7 @@ def test_pool_gradient_matches_finite_difference():
     from qcfciqmc.vqa import preparation_gates
 
     c0 = Circuit(spec.n_qubits, preparation_gates(ref, spec.n_qubits))
-    state = circuit_state(c0, np.zeros(0))
-    grads = pool_gradients(state, h, pool)
+    grads = pool_gradients(compile_circuit(c0, ()), h, pool)
     eps = 1e-6
     for k, gen in enumerate(pool):
         cg = Circuit(spec.n_qubits, c0.gates + generator_gates(gen, 0))
@@ -339,18 +338,19 @@ def test_vqe_history_monotone_nonincreasing():
 
 
 def test_vqe_builds_each_state_once(monkeypatch):
-    """U|0> is built once per parameter vector tried: the accepted trial's
-    state feeds the next gradient instead of being built again."""
+    """The circuit is compiled once per parameter vector tried: the accepted
+    trial's runs and state feed the next gradient instead of being built
+    again."""
     spec, h = hubbard_1x2()
     c = layered_ansatz(hubbard_hv_generator_groups(spec), 2, 0b0110, spec.n_qubits)
     tried = []
-    real = vqa.apply_circuit
+    real = CircuitLayout.compile
 
-    def counting(vec, circuit, params=()):
+    def counting(layout, params):
         tried.append(tuple(params))
-        return real(vec, circuit, params)
+        return real(layout, params)
 
-    monkeypatch.setattr(vqa, "apply_circuit", counting)
+    monkeypatch.setattr(CircuitLayout, "compile", counting)
     init = 0.1 * np.random.default_rng(3).standard_normal(c.n_slots)
     res = vqe_minimize(c, h, init, OptimizerConfig(gtol=0.0, max_iterations=5))
     assert len(res.history) == 6
@@ -432,8 +432,8 @@ def test_variational_bound_2x2():
 # Python.  The two-pass oracle tests below compare two sweeps in one process
 # and hold on any machine; they are the main guard of the gradient's bits.
 
-HV_2X2_CIRCUIT_SHA256 = "20f318336aaee6db9d98a4422ab023274cb79b2d85968ee43c25bc3425a4c139"
-ADAPT_1X2_CIRCUIT_SHA256 = "24cc1ea80cd0fd3cc102f5a8fc961cef989cabc5a00af139e157beeafabb5d4c"
+HV_2X2_CIRCUIT_SHA256 = "9db2ee82c6437b123504a67020d757119af9d199707d4e12a09da45c1877efee"
+ADAPT_1X2_CIRCUIT_SHA256 = "5da1cdc6744509edcc5d3c2c3ff376aadc703637ea3cf44c31bcfbf7ac979130"
 
 
 def circuit_digest(result) -> str:
@@ -460,17 +460,18 @@ def test_adapt_1x2_circuit_pinned():
 
 
 def two_pass_gradient(circuit, h, params):
-    """The adjoint gradient as an earlier version computed it: W acts on phi
-    for the derivative, then again on the whole pair inside apply_gates'
-    inverse step."""
+    """The adjoint gradient gate by gate, on the test helpers' reference
+    path: W acts on phi for the derivative, then again on the whole pair
+    inside the reference's inverse step."""
+    n = circuit.n_qubits
     grad = np.zeros(circuit.n_slots)
-    psi = circuit_state(circuit, params)
+    psi = apply_gates(basis_state(n, 0), n, circuit.gates, params)
     pair = np.stack([psi, apply_pauli_sum(h, psi)], axis=1)
     for g in reversed(circuit.gates):
         if isinstance(g, PauliRotation) and g.slot is not None:
             phi, lam = pair[:, 0], pair[:, 1]
             grad[g.slot] += g.scale * np.vdot(lam, apply_word(g.word, phi)).imag
-        pair = apply_gates(pair, circuit.n_qubits, [g], params, invert=True)
+        pair = apply_gates(pair, n, [g], params, invert=True)
     return grad
 
 
@@ -496,6 +497,10 @@ def y_word_circuit(n_qubits, rng, n_gates=16, n_slots=3):
     return Circuit(n_qubits, gates)
 
 
+# The two tests below once compared bit for bit, while the gradient was the
+# gate-by-gate pass itself; the run-level pass sums in another order, so
+# they now compare at the parameter-shift tests' 1e-12.
+
 @pytest.mark.parametrize("trial", range(8))
 def test_gradient_equals_two_pass_oracle_bit_for_bit(trial):
     rng = np.random.default_rng(1300 + trial)
@@ -503,7 +508,8 @@ def test_gradient_equals_two_pass_oracle_bit_for_bit(trial):
     h = random_hermitian_sum(n_qubits, rng)
     c = y_word_circuit(n_qubits, rng)
     params = rng.normal(size=c.n_slots)
-    assert gradient(c, h, params).tolist() == two_pass_gradient(c, h, params).tolist()
+    np.testing.assert_allclose(gradient(c, h, params), two_pass_gradient(c, h, params),
+                               rtol=0, atol=1e-12)
 
 
 def test_layered_2x2_gradient_equals_two_pass_oracle_bit_for_bit():
@@ -511,4 +517,40 @@ def test_layered_2x2_gradient_equals_two_pass_oracle_bit_for_bit():
     ref = lowest_diagonal_reference(h, half_filling(spec))
     c = layered_ansatz(hubbard_hv_generator_groups(spec), 3, ref, spec.n_qubits)
     params = 0.2 * np.random.default_rng(7).standard_normal(c.n_slots)
-    assert gradient(c, h, params).tolist() == two_pass_gradient(c, h, params).tolist()
+    np.testing.assert_allclose(gradient(c, h, params), two_pass_gradient(c, h, params),
+                               rtol=0, atol=1e-12)
+
+
+def test_anticommuting_same_x_words_split_the_run():
+    """X0 X1 and Y0 X1 share an X mask but anticommute, so they compile to
+    two runs; the circuit still matches the reference, and the run-level
+    gradient, which needs commuting words inside a run, matches the
+    parameter-shift rule."""
+    xx, yx = PauliWord(3, 0b011, 0), PauliWord(3, 0b011, 0b001)
+    c = Circuit(3, [BasisFlip(2), PauliRotation(xx, slot=0), PauliRotation(yx, slot=0, scale=-1.5),
+                    PauliRotation(xx, slot=1, scale=0.5), PauliRotation(PauliWord(3, 0b110, 0b100),
+                                                                        slot=1)])
+    params = np.array([0.7, -0.4])
+    compiled = compile_circuit(c, params)
+    assert [r.x for r in compiled.runs] == [0b011, 0b011, 0b011, 0b110]
+    v = RNG.normal(size=8) + 1j * RNG.normal(size=8)
+    np.testing.assert_allclose(compiled.apply(v), apply_gates(v, 3, c.gates, params)[compiled.labels],
+                               rtol=0, atol=1e-12)
+    h = random_hermitian_sum(3, np.random.default_rng(11))
+    np.testing.assert_allclose(gradient(c, h, params), parameter_shift_gradient(c, h, params),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, layers", [((2, 2), 3), ((2, 3), 1)])
+def test_walker_sector_energy_and_gradient_equal_the_full_space_ones(shape, layers):
+    spec = HubbardSpec(shape=shape, t=1.0, u=4.0)
+    h = jordan_wigner(build_hubbard(spec))
+    sector = half_filling(spec)
+    ref = lowest_diagonal_reference(h, sector)
+    c = layered_ansatz(hubbard_hv_generator_groups(spec), layers, ref, spec.n_qubits)
+    params = 0.3 * np.random.default_rng(sum(shape)).standard_normal(c.n_slots)
+    walkers = np.sort(sector ^ ref)
+    assert circuit_energy(c, h, params, walkers) == pytest.approx(circuit_energy(c, h, params),
+                                                                  rel=0, abs=1e-12)
+    np.testing.assert_allclose(gradient(c, h, params, walkers), gradient(c, h, params),
+                               rtol=0, atol=1e-12)
