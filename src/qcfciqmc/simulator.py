@@ -188,6 +188,10 @@ class GateRun:
     a: np.ndarray
     b: np.ndarray
 
+    def inverse(self, vec: np.ndarray) -> np.ndarray:
+        """The run's adjoint on a padded batch: conj(a) * v + (conj(b) * v)[t ^ x]."""
+        return self.a.conj() * vec + (self.b.conj() * vec).take(self.partner, axis=0)
+
 
 @dataclass(frozen=True)
 class CircuitLayout:
@@ -216,10 +220,9 @@ class CircuitLayout:
         d = len(self.basis)
         out = []
         for r in self.runs:
-            ab = r.compose(params)
+            ab = r.compose(params).reshape(2, -1)
             if not ab.imag.any():
                 ab = ab.real
-            ab = ab.reshape(2, -1)
             if len(r.edge):
                 _check_conserved(r.name, ab[1, r.edge], np.abs(ab).max())
             at = np.zeros((2, d + 1), dtype=ab.dtype)  # a and b with the sentinel
@@ -288,10 +291,9 @@ class CompiledCircuit:
         return vec
 
     def adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """U^dag on a padded batch: a run's adjoint is
-        conj(a) * v + (conj(b) * v)[t ^ x]."""
+        """U^dag on a padded batch."""
         for r in reversed(self.runs):
-            vec = r.a.conj() * vec + (r.b.conj() * vec).take(r.partner, axis=0)
+            vec = r.inverse(vec)
         return vec
 
     def apply_sum(self, h: PauliSum, vec: np.ndarray) -> np.ndarray:
@@ -363,7 +365,9 @@ def circuit_layout(circuit: Circuit, basis=None) -> CircuitLayout:
         if parity is None:
             labels, flips = labels ^ x, flips ^ x
             continue
-        half = np.unique(np.minimum(labels, labels ^ x))
+        pairs = np.zeros(dim, dtype=bool)  # each pair {t, t ^ x} marked at its lower label
+        pairs[np.minimum(labels, labels ^ x)] = True
+        half = np.flatnonzero(pairs)
         closed = np.stack([half, half ^ x])
         flat = closed.ravel()
         inside = position[flat ^ flips] < d  # the labels at the positions

@@ -282,7 +282,7 @@ def _adjoint_gradient(compiled: CompiledCircuit, h: PauliSum, psi: np.ndarray) -
             overlap[r.labels_at] = pair[:d, 1].conj() * pair[r.partner[:d], 0]
             d_angle = (r.phases.reshape(len(r.phases), -1) @ overlap).imag[r.slot_rows]
             grad += np.bincount(r.slots, weights=r.scales * d_angle, minlength=len(grad))
-        pair = run.a.conj() * pair + (run.b.conj() * pair).take(run.partner, axis=0)
+        pair = run.inverse(pair)
     return grad
 
 
