@@ -313,12 +313,12 @@ def _partners(position: np.ndarray, basis: np.ndarray, x: int) -> np.ndarray:
     return np.append(position[basis ^ x], len(basis))
 
 
-def _check_conserved(name: str, edge: np.ndarray, scale: float) -> None:
+def _check_conserved(name: str, b_at_edge: np.ndarray, scale: float) -> None:
     """Raise unless b is negligible at both ends of every coupling of
     v -> b * v[t ^ x] between the label set and a label outside it: at
     labels outside whose partner is inside (U moves weight out) and at
     labels inside whose partner is outside (U^dag does)."""
-    leak = np.abs(edge).max()
+    leak = np.abs(b_at_edge).max()
     if leak > LEAK_TOL * scale:
         raise LeakError(f"{name} moves weight {leak:.3e} out of the basis "
                         f"(largest coefficient {scale:.3e})")
