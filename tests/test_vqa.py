@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from helpers import apply_gates, basis_state
-from qcfciqmc import vqa
 from qcfciqmc.cli import serialize_circuit
 from qcfciqmc.operators import (
     HubbardSpec,
