@@ -5,8 +5,9 @@ Each subcommand reads one flat key = value config file (dotted sections,
 writes machine-readable records into the output directory.  Exit codes:
 0 success, 2 config error, 3 model error, 4 numerical failure.
 Each walker basis {U|i>} is resolved once, by `_walker_basis`, and every
-dense matrix is read through H' = U^dag H U, the identity basis being the
-empty circuit.
+dense matrix is its block of H' = U^dag H U over the walker sector, built by
+`nsi.transformed_dense` under one dimension limit (the identity basis is the
+empty circuit).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +30,9 @@ from .fciqmc import (
     trajectory_to_csv,
 )
 from .matelem import ElementSource, ExactBackend, MatelemError, SampledBackend
-from .nsi import NsiError, transformed_nsi
+from .nsi import NsiError, nsi_report, transformed_dense
 from .operators import (
-    DENSE_LIMIT,
+    DENSE_DIM_LIMIT,
     FcidumpError,
     HubbardSpec,
     OperatorError,
@@ -43,7 +45,7 @@ from .operators import (
     parse_fcidump,
 )
 from .simulator import (BasisFlip, Circuit, LeakError, PauliApply, PauliRotation,
-                        SimulatorError, compile_circuit, transformed_columns)
+                        SimulatorError)
 from .vqa import (
     AnsatzSpec,
     OptimizerConfig,
@@ -469,27 +471,44 @@ def _write_json(cfg: ExperimentConfig, name: str, record: dict) -> Path:
 
 
 def _check_dense(model: BuiltModel) -> None:
-    """A model error when the model's dense matrices exceed the dense limit."""
-    dim = 1 << model.n_qubits
-    if dim > 1 << DENSE_LIMIT:
-        raise ModelError(f"dense dimension {dim} exceeds limit {1 << DENSE_LIMIT}")
+    """A model error when the sector (and so each walker sector) is over the limit."""
+    dim = len(model.sector)
+    if dim > DENSE_DIM_LIMIT:
+        raise ModelError(f"sector dimension {dim} exceeds the dense limit {DENSE_DIM_LIMIT}")
 
 
-def _walker_basis(model: BuiltModel, determinant=None, circuit=None, params=()):
-    """The walker basis {U|i>} as (circuit, params, phi0), the identity basis
-    (empty circuit) when no circuit is given.  phi0 is the determinant,
-    model.reference unless given, XOR the circuit's leading basis flips, so a
-    determinant names the same state in every basis: model.reference is
-    walker 0 in the circuits the CLI writes."""
+class WalkerBasis(NamedTuple):
+    """A walker basis {U|i>}: phi0 is a walker index, `position` its row in
+    the sorted walker sector `walkers`."""
+    circuit: Circuit
+    params: np.ndarray
+    phi0: int
+    walkers: np.ndarray
+    position: int
+
+
+def _walker_basis(model: BuiltModel, determinant=None, circuit=None, params=()) -> WalkerBasis:
+    """The walker basis of `circuit`, the identity basis (empty circuit)
+    when none is given.  phi0 is the determinant, model.reference unless
+    given and required to lie in the model's sector, XOR the circuit's
+    leading basis flips, so a determinant names the same state in every
+    basis: model.reference is walker 0 in the circuits the CLI writes."""
     n = model.n_qubits
     if circuit is None:
         circuit, params = Circuit(n, []), np.zeros(0)
     elif circuit.n_qubits != n:
         raise ConfigError("circuit qubit count does not match model")
-    phi0 = model.reference if determinant is None else determinant
-    if not 0 <= phi0 < 1 << n:
-        raise ConfigError(f"reference determinant {phi0} out of range for {n} qubits")
-    return circuit, params, phi0 ^ _leading_flips(circuit)
+    det = model.reference if determinant is None else determinant
+    if not 0 <= det < 1 << n:
+        raise ConfigError(f"reference determinant {det} out of range for {n} qubits")
+    flips = _leading_flips(circuit)
+    phi0 = det ^ flips
+    walkers = _walker_sector(model, flips)
+    position = int(np.searchsorted(walkers, phi0))
+    if position == len(walkers) or walkers[position] != phi0:
+        raise ConfigError(f"reference determinant {det} lies outside the model's "
+                          "particle-number sector")
+    return WalkerBasis(circuit, params, phi0, walkers, position)
 
 
 def _leading_flips(circuit: Circuit) -> int:
@@ -502,17 +521,16 @@ def _leading_flips(circuit: Circuit) -> int:
     return mask
 
 
-def _sector_ground_energy(model: BuiltModel) -> float:
-    _check_dense(model)
-    empty = compile_circuit(Circuit(model.n_qubits, []), basis=model.sector)
-    sub = transformed_columns(model.h, empty, model.sector)
-    return diagonalize(sub.real).ground_energy()
-
-
 def _walker_sector(model: BuiltModel, flips: int) -> np.ndarray:
     """The walker indices of a circuit basis, sorted: the model's sector
     relabelled by the circuit's leading flips."""
     return np.sort(model.sector ^ flips)
+
+
+def _sector_ground_energy(model: BuiltModel) -> float:
+    _check_dense(model)
+    sub = transformed_dense(model.h, Circuit(model.n_qubits, []), (), basis=model.sector)
+    return diagonalize(sub).ground_energy()
 
 
 def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=None):
@@ -543,22 +561,13 @@ def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=Non
                      gradient_tol=spec.gradient_tol, config=cfg.optimizer, basis=walkers)
 
 
-def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis, seed):
+def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis: WalkerBasis, seed):
     """The projector run in the walker basis, its columns computed over the
     walker sector."""
-    circuit, params, phi0 = basis
-    mask = _leading_flips(circuit)
-    walkers = _walker_sector(model, mask)
-    if phi0 not in walkers:
-        raise ConfigError(f"reference determinant {phi0 ^ mask} lies outside the model's "
-                          "particle-number sector")
     run_cfg = RunConfig(seed=seed, **cfg.qmc)
-    try:
-        src = ElementSource(model.h, circuit, params, backend=build_backend(cfg), seed=seed,
-                            basis=walkers)
-    except LeakError as exc:
-        raise ModelError(f"the walker basis leaves the model's sector: {exc}") from exc
-    traj = run(model.h, circuit, params, run_cfg, source=src, phi0=phi0)
+    src = ElementSource(model.h, basis.circuit, basis.params, backend=build_backend(cfg),
+                        seed=seed, basis=basis.walkers)
+    traj = run(model.h, basis.circuit, basis.params, run_cfg, source=src, phi0=basis.phi0)
     return traj, statistics(traj)
 
 
@@ -617,17 +626,18 @@ def cmd_nsi(cfg: ExperimentConfig) -> dict:
         circuits["transformed"] = load_circuit(cfg)
     record = {"command": "nsi", "model": model.label, "config": cfg.effective}
     for name, loaded in circuits.items():
-        circuit, params, phi0 = _walker_basis(model, cfg.nsi_phi0, *loaded)
-        record[name] = transformed_nsi(model.h, circuit, params, cfg.nsi_beta,
-                                       phi0=phi0).to_dict()
+        basis = _walker_basis(model, cfg.nsi_phi0, *loaded)
+        hp = transformed_dense(model.h, basis.circuit, basis.params, basis=basis.walkers)
+        rep = nsi_report(hp, cfg.nsi_beta, phi0=basis.position)
+        rep.phi0 = basis.phi0  # the walker index, not the row position
+        record[name] = rep.to_dict()
     s_identity = record["identity"]["s_thermal"]
+    line = f"nsi: identity s_thermal {s_identity!r}"
     if "transformed" in record:
         s_trans = record["transformed"]["s_thermal"]
         record["ratio"] = s_trans / s_identity if s_identity > 0.0 else None
-    _write_json(cfg, "nsi.json", record)
-    line = f"nsi: identity s_thermal {s_identity!r}"
-    if "transformed" in record:
         line += f", transformed {s_trans!r}"
+    _write_json(cfg, "nsi.json", record)
     print(line)
     return record
 
@@ -657,12 +667,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     _check_dense(model)
     identity = _walker_basis(model, cfg.reference_override)
+    header = ["depth", "e_vqe", "e_qmc_mean", "e_qmc_std", "nsi",
+              "theorem1_bound", "error"]
     rows = []
     for index, depth in enumerate(cfg.sweep_depths):
         seed = cfg.seed + index  # derived seed, one independent stream per point
-        row = {"depth": depth, "e_vqe": None, "e_qmc_mean": None,
-               "e_qmc_std": None, "nsi": None, "theorem1_bound": None,
-               "error": ""}
+        row = dict.fromkeys(header) | {"depth": depth, "error": ""}
         try:
             if depth == 0:
                 basis = identity
@@ -672,7 +682,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
                 basis = _walker_basis(model, cfg.reference_override,
                                       result.circuit, result.params)
                 row["e_vqe"] = result.energy
-            rep = transformed_nsi(model.h, basis[0], basis[1], cfg.nsi_beta)
+            hp = transformed_dense(model.h, basis.circuit, basis.params, basis=basis.walkers)
+            rep = nsi_report(hp, cfg.nsi_beta)
             row["nsi"] = rep.s_thermal
             row["theorem1_bound"] = rep.theorem1_bound
             _, stats = _run_qmc(cfg, model, basis, seed)
@@ -682,8 +693,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
             row["error"] = str(exc)
         rows.append(row)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    header = ["depth", "e_vqe", "e_qmc_mean", "e_qmc_std", "nsi",
-              "theorem1_bound", "error"]
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -746,7 +755,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ModelError as exc:
+    except (ModelError, LeakError) as exc:  # a circuit that leaves the sector
         print(f"model error: {exc}", file=sys.stderr)
         return 3
     except FAILURES as exc:

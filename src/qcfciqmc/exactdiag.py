@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DENSE_LIMIT
+from .operators import DENSE_DIM_LIMIT
 
 
 class ExactDiagError(ValueError):
@@ -35,8 +35,8 @@ def diagonalize(h: np.ndarray) -> Spectrum:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ExactDiagError("need a square matrix")
-    if h.shape[0] > 1 << DENSE_LIMIT:
-        raise ExactDiagError(f"dimension {h.shape[0]} exceeds dense limit {1 << DENSE_LIMIT}")
+    if h.shape[0] > DENSE_DIM_LIMIT:
+        raise ExactDiagError(f"dimension {h.shape[0]} exceeds dense limit {DENSE_DIM_LIMIT}")
     scale = max(np.abs(h).max(), 1.0)
     if np.abs(h - h.conj().T).max() > 1e-10 * scale:
         raise ExactDiagError("matrix is not Hermitian to 1e-10")

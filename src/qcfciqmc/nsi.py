@@ -14,19 +14,21 @@ exp(-beta H~) dominates that of exp(-beta H) entrywise, so a value below the
 rounding bound of the traces is reported as 0.0: the average sign is at
 most 1 and the free-energy gap at least 0.  When that bound, relative to the
 initial-state quadratic form, reaches 1, no digit of the initial-state
-indicator is resolved, and it is reported as None (null in JSON).  Everything here is exact (dense
-eigendecomposition), intended as a diagnostic at desk scale rather than an
-inner-loop quantity.
+indicator is resolved, and it is reported as None (null in JSON).  Everything
+here is exact (dense eigendecomposition), a desk-scale diagnostic.
+`transformed_dense` is the one dense builder of H' = U^dag H U; the command
+line builds it over the walker sector (the particle-number sector the walkers
+never leave), where phi0 is a row position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import exactdiag
-from .operators import DENSE_LIMIT, PauliSum
+from .operators import DENSE_DIM_LIMIT, PauliSum
 from .simulator import Circuit, compile_circuit, transformed_columns
 
 SPLIT_TOL = 1e-12  # off-diagonal sign classification threshold
@@ -58,19 +60,11 @@ class NsiReport:
     phi0: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "beta": self.beta,
-            "s_thermal": self.s_thermal,
-            "theorem1_bound": self.theorem1_bound,
-            "avg_sign": self.avg_sign,
-            "delta_f": self.delta_f,
-            "l1_h_plus": self.l1_h_plus,
-            "l1_alpha_minus_h_minus": self.l1_alpha_minus_h_minus,
-        }
-        if self.phi0 is not None:
-            out["phi0"] = self.phi0
-            out["s_initial"] = self.s_initial
-            out["theorem2_indicator"] = self.theorem2_indicator
+        """The fields, without the initial-state ones when phi0 is unset."""
+        out = asdict(self)
+        if self.phi0 is None:
+            for key in ("phi0", "s_initial", "theorem2_indicator"):
+                del out[key]
         return out
 
 
@@ -203,22 +197,22 @@ def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
     return rep
 
 
-def transformed_dense(h: PauliSum, u: Circuit, params=(), imag_tol: float = IMAG_TOL) -> np.ndarray:
-    """Dense similarity transform U^dag H U, all columns in one batched pass
-    through the circuit, compiled once for this call.
-
-    The result must be real to imag_tol (the real-Hamiltonian scope of this
-    package); residual imaginary parts below the tolerance are truncated."""
-    n = u.n_qubits
-    if n > DENSE_LIMIT:
-        raise NsiError("qubit count exceeds dense limit")
-    hp = transformed_columns(h, compile_circuit(u, params), range(1 << n))
+def transformed_dense(h: PauliSum, u: Circuit, params=(), basis=None,
+                      imag_tol: float = IMAG_TOL) -> np.ndarray:
+    """The d x d block of U^dag H U over `basis`, a sorted array of d indices
+    (all 2^n when None), all columns in one batched pass through the circuit
+    compiled over the basis.  The result must be real to imag_tol (the
+    real-Hamiltonian scope of this package); smaller imaginary parts are
+    truncated."""
+    dim = 1 << u.n_qubits if basis is None else len(basis)
+    if dim > DENSE_DIM_LIMIT:
+        raise NsiError(f"dimension {dim} exceeds dense limit {DENSE_DIM_LIMIT}")
+    compiled = compile_circuit(u, params, basis)
+    hp = transformed_columns(h, compiled, compiled.basis)
     worst = float(np.abs(hp.imag).max())
     if worst > imag_tol:
-        raise NsiError(
-            f"transformed Hamiltonian has imaginary residue {worst:.3e} above "
-            f"{imag_tol:.0e}; complex-valued bases are out of scope"
-        )
+        raise NsiError(f"transformed Hamiltonian has imaginary residue {worst:.3e} above "
+                       f"{imag_tol:.0e}; complex-valued bases are out of scope")
     return hp.real.copy()
 
 

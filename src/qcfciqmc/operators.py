@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 PRUNE_TOL = 1e-12
-DENSE_LIMIT = 12  # qubits; 4096^2 complex doubles is the desk ceiling of every dense path
+DENSE_DIM_LIMIT = 4900  # dimension of every dense matrix: the paper's 2x4 Hubbard sector
 
 _PAULI_LABELS = "IXYZ"
 
@@ -53,10 +53,6 @@ class PauliWord:
         full = (1 << self.n_qubits) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise OperatorError("mask exceeds qubit count")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
 
     @property
     def y_count(self) -> int:
@@ -243,11 +239,11 @@ def to_dense(h: PauliSum) -> np.ndarray:
     Each X-mask group fills its entries H[t, t ^ x] in one scatter.  The
     grouped form is the one apply_pauli_sum uses, so the dense and
     statevector constructions of an operator agree bit for bit."""
-    n = h.n_qubits
-    if n > DENSE_LIMIT:
-        raise OperatorError(f"{n} qubits exceeds dense limit {DENSE_LIMIT}")
+    dim = 1 << h.n_qubits
+    if dim > DENSE_DIM_LIMIT:
+        raise OperatorError(f"dimension {dim} exceeds dense limit {DENSE_DIM_LIMIT}")
     g = h.grouped
-    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    mat = np.zeros((dim, dim), dtype=complex)
     for x, phases in zip(g.masks, g.phases):
         mat[g.idx, g.idx ^ x] += phases
     return mat

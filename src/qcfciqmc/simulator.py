@@ -403,7 +403,7 @@ def compile_circuit(circuit: Circuit, params=(), basis=None) -> CompiledCircuit:
 
 
 # columns per batch in transformed_columns: bounds the working set at
-# d x 256 complex doubles per temporary, 16 MB at the 12-qubit dense limit
+# d x 256 complex doubles per temporary, 20 MB at the dense limit of 4900
 _COLUMN_BLOCK = 256
 
 

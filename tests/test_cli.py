@@ -269,6 +269,8 @@ def test_empty_circuit_reads_the_dense_matrix_bit_for_bit(tmp_path, source):
     cols = transformed_columns(model.h, compile_circuit(empty), model.sector)[model.sector]
     block = project_to_sector(dense, model.sector)
     assert cols.dtype == block.dtype and cols.tobytes() == block.tobytes()
+    sub = transformed_dense(model.h, empty, (), basis=model.sector)
+    assert sub.dtype == block.dtype and sub.tobytes() == block.tobytes()
     assert cli._sector_ground_energy(model) == diagonalize(block).ground_energy()
 
 
@@ -339,13 +341,33 @@ def test_a_repeated_frozen_orbital_is_a_config_error(tmp_path, capsys):
 
 
 def test_ed_dense_limit_exit_code(tmp_path):
+    """The 1x9 lattice's half-filling sector has 126^2 = 15876 determinants,
+    over the dense limit of 4900."""
     conf = write_conf(tmp_path, f"""
 output.dir = {tmp_path / 'out'}
-model.hubbard.shape = 1x7
+model.hubbard.shape = 1x9
 model.hubbard.t = 1.0
 model.hubbard.u = 4.0
 """)
     assert cli.main(["ed", conf]) == 3
+
+
+def test_the_dense_limit_counts_the_sector_dimension(tmp_path, capsys, monkeypatch):
+    """With the one dense limit below the 1x2 sector's dimension (4), the
+    commands that build dense matrices (ed, nsi, sweep) stop with a model
+    error naming the sector dimension; vqe and qmc build none."""
+    from qcfciqmc import exactdiag, nsi, operators
+
+    for module in (operators, exactdiag, nsi, cli):
+        monkeypatch.setattr(module, "DENSE_DIM_LIMIT", 3)
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, SWEEP_1X2.format(out=out)
+                      + f"circuit.path = {out / 'circuit.txt'}\n")
+    for command in ("ed", "nsi", "sweep"):
+        assert cli.main([command, conf]) == 3
+        assert "sector dimension 4 exceeds the dense limit 3" in capsys.readouterr().err
+    assert cli.main(["vqe", conf]) == 0
+    assert cli.main(["qmc", conf]) == 0
 
 
 HUBBARD_2X2 = """
@@ -576,9 +598,10 @@ def test_nsi_diagonalizing_circuit_near_zero(tmp_path):
 
 
 def test_nsi_ratio_matches_direct_computation(tmp_path):
-    from helpers import nsi_thermal
-    from qcfciqmc.nsi import transformed_nsi
-    from qcfciqmc.operators import HubbardSpec, build_hubbard, jordan_wigner, to_dense
+    """Both reports are over the walker sector: the identity block is the
+    full dense matrix's sector block, bit for bit, and the transformed block
+    is the full-space H' restricted to the walker sector."""
+    from qcfciqmc.nsi import nsi_report
     from qcfciqmc.vqa import (hubbard_hv_generator_groups, layered_ansatz,
                               lowest_diagonal_reference)
 
@@ -604,10 +627,20 @@ nsi.beta = 0.1
 """)
     assert cli.main(["nsi", conf]) == 0
     record = json.loads((out / "nsi.json").read_text())
-    s_id = nsi_thermal(to_dense(h).real, 0.1)
-    s_tr = transformed_nsi(h, circuit, params, 0.1).s_thermal
-    assert abs(record["identity"]["s_thermal"] - s_id) < 1e-12
+    position = int(np.searchsorted(sector, ref))
+    identity = nsi_report(project_to_sector(to_dense(h).real, sector), 0.1,
+                          phi0=position).to_dict()
+    assert identity.pop("phi0") == position and record["identity"].pop("phi0") == ref
+    assert json.dumps(record["identity"], sort_keys=True) == json.dumps(identity, sort_keys=True)
+
+    walkers = np.sort(sector ^ ref)  # the circuit starts by flipping to ref
+    block = project_to_sector(transformed_dense(h, circuit, params), walkers)
+    np.testing.assert_allclose(transformed_dense(h, circuit, params, basis=walkers), block,
+                               rtol=0, atol=1e-12)
+    s_tr = nsi_report(block, 0.1).s_thermal
     assert abs(record["transformed"]["s_thermal"] - s_tr) < 1e-12
+    assert record["transformed"]["phi0"] == 0
+    s_id = identity["s_thermal"]
     assert abs(record["ratio"] - s_tr / s_id) < 1e-9
 
 
@@ -641,12 +674,21 @@ def test_nsi_circuit_qubit_mismatch(tmp_path):
 
 @pytest.mark.parametrize("command, key", [("nsi", "nsi.phi0"), ("qmc", "qmc.reference"),
                                           ("sweep", "qmc.reference")])
-@pytest.mark.parametrize("value", [-1, 16])
+@pytest.mark.parametrize("value", [-1, 16, 1])
 def test_reference_determinant_out_of_range_is_a_config_error(tmp_path, capsys,
                                                               command, key, value):
-    body = SWEEP_1X2.format(out=tmp_path / "out") + f"{key} = {value}\n"
+    """1 = 0b0001 is in range but holds one electron, outside the 1x2
+    model's one-up, one-down sector; each command refuses it before any
+    training or run."""
+    out = tmp_path / "out"
+    body = SWEEP_1X2.format(out=out) + f"{key} = {value}\n"
     assert cli.main([command, write_conf(tmp_path, body), "--identity-basis"]) == 2
-    assert "out of range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if value == 1:
+        assert "lies outside the model's particle-number sector" in err
+    else:
+        assert "out of range" in err
+    assert not out.exists()
 
 
 def test_walker_basis_carries_the_determinant_through_leading_flips():
@@ -747,20 +789,22 @@ def test_qmc_reference_names_a_model_determinant_in_every_basis(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["qmc", "nsi"])
-def test_a_reference_outside_the_sector_stops_qmc_only(tmp_path, capsys, command):
-    """Walker columns run over the model's sector, so qmc.reference = 0b0001
-    (one electron, in the 1x2 model's one-up, one-down sector) is a config
-    error; nsi works in the full space and still reports nsi.phi0 there."""
+def test_a_reference_outside_the_sector_is_a_config_error(tmp_path, capsys, command):
+    """Walker columns and the NSI blocks run over the model's sector, so
+    qmc.reference or nsi.phi0 = 0b0001 (one electron, outside the 1x2
+    model's one-up, one-down sector) is a config error, in a circuit basis
+    too."""
     out = tmp_path / "out"
+    assert cli.main(["vqe", write_conf(tmp_path, BASE_1X2.format(out=out))]) == 0
     key = "qmc.reference" if command == "qmc" else "nsi.phi0"
     body = BASE_1X2.format(out=out) + f"{key} = 1\n"
-    code = cli.main([command, write_conf(tmp_path, body), "--identity-basis"])
-    if command == "qmc":
-        assert code == 2
-        assert "outside the model's particle-number sector" in capsys.readouterr().err
-    else:
-        assert code == 0
-        assert json.loads((out / "nsi.json").read_text())["identity"]["phi0"] == 1
+    assert cli.main([command, write_conf(tmp_path, body, name="a.conf"),
+                     "--identity-basis"]) == 2
+    assert "outside the model's particle-number sector" in capsys.readouterr().err
+    body += f"circuit.path = {out / 'circuit.txt'}\n"
+    assert cli.main([command, write_conf(tmp_path, body, name="b.conf")]) == 2
+    assert "outside the model's particle-number sector" in capsys.readouterr().err
+    assert not (out / "nsi.json").exists() and not (out / "trajectory.csv").exists()
 
 
 def test_qmc_circuit_that_leaves_the_sector_is_a_model_error(tmp_path, capsys):
@@ -776,6 +820,10 @@ def test_qmc_circuit_that_leaves_the_sector_is_a_model_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model error" in err and "gate run 0 (gates 0-0, X mask 0x3)" in err
     assert not (out / "trajectory.csv").exists()
+    # nsi builds its transformed block over the same walker sector
+    assert cli.main(["nsi", conf]) == 3
+    assert "gate run 0 (gates 0-0, X mask 0x3)" in capsys.readouterr().err
+    assert not (out / "nsi.json").exists()
 
 
 def test_qmc_circuit_qubit_mismatch(tmp_path):
@@ -901,14 +949,14 @@ def test_sweep_partial_failure_continues(tmp_path, monkeypatch):
 
 
 def test_sweep_row_linalg_failure_goes_into_the_row(tmp_path, monkeypatch):
-    real = cli.transformed_nsi
+    real = cli.transformed_dense
 
-    def failing(h, u, params, beta, phi0=None):
+    def failing(h, u, params=(), basis=None):
         if u.gates:  # the trained rows, not the identity row
             raise np.linalg.LinAlgError("injected eigh failure")
-        return real(h, u, params, beta, phi0=phi0)
+        return real(h, u, params, basis=basis)
 
-    monkeypatch.setattr(cli, "transformed_nsi", failing)
+    monkeypatch.setattr(cli, "transformed_dense", failing)
     out = tmp_path / "out"
     conf = write_conf(tmp_path, BASE_1X2.format(out=out) + "sweep.depths = 0, 2\n")
     assert cli.main(["sweep", conf]) == 0

@@ -66,7 +66,7 @@ def test_phase_convention():
 def test_rejects_non_hermitian_and_overflow(monkeypatch):
     with pytest.raises(ExactDiagError):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    monkeypatch.setattr(exactdiag, "DENSE_LIMIT", 2)  # 4 dimensions
+    monkeypatch.setattr(exactdiag, "DENSE_DIM_LIMIT", 4)
     with pytest.raises(ExactDiagError):
         diagonalize(np.eye(8))
 

@@ -313,6 +313,29 @@ def test_transformed_rejects_complex_basis():
         transformed_dense(h, u, ())
 
 
+def test_transformed_dense_over_a_sector_is_the_full_block(monkeypatch):
+    """Over a sorted basis the builder returns the full-space H' restricted
+    to it, and the one dimension limit counts the basis, not the qubits."""
+    from qcfciqmc import nsi
+    from qcfciqmc.exactdiag import number_sector_indices, project_to_sector
+    from qcfciqmc.vqa import hubbard_hv_generator_groups, layered_ansatz
+
+    spec = HubbardSpec((1, 3), 1.0, 4.0)
+    h = jordan_wigner(build_hubbard(spec))
+    sector = number_sector_indices(6, n_up=2, n_dn=1)
+    ref = int(sector[0])
+    circuit = layered_ansatz(hubbard_hv_generator_groups(spec), 1, ref, 6)
+    params = 0.3 * np.random.default_rng(5).standard_normal(circuit.n_slots)
+    walkers = np.sort(sector ^ ref)
+    block = transformed_dense(h, circuit, params, basis=walkers)
+    full = transformed_dense(h, circuit, params)
+    np.testing.assert_allclose(block, project_to_sector(full, walkers), rtol=0, atol=1e-12)
+    monkeypatch.setattr(nsi, "DENSE_DIM_LIMIT", len(walkers))
+    assert transformed_dense(h, circuit, params, basis=walkers).shape == block.shape
+    with pytest.raises(NsiError, match="dimension 64 exceeds dense limit 9"):
+        transformed_dense(h, circuit, params)
+
+
 def test_hubbard_1x2_identity_basis_is_sign_free():
     # the 1x2 lattice JW matrix has gauge-trivial sign structure: its thermal
     # NSI vanishes identically, so no circuit basis can be strictly below it

@@ -186,7 +186,7 @@ def test_to_dense_trace_identity():
     h = PauliSum(terms).simplify()
     mat = to_dense(h)
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
-    identity = sum(t.coefficient for t in h.terms if t.word.is_identity)
+    identity = sum(t.coefficient for t in h.terms if t.word.x_mask == 0 and t.word.z_mask == 0)
     assert abs(np.trace(mat).real - 8 * identity) < 1e-10
 
 
@@ -305,7 +305,7 @@ def test_jw_anticommutators():
             if p == q:
                 assert len(anti.terms) == 1
                 t = anti.terms[0]
-                assert t.word.is_identity and abs(t.coefficient - 1.0) < 1e-12
+                assert t.word.x_mask == 0 and t.word.z_mask == 0 and abs(t.coefficient - 1.0) < 1e-12
             else:
                 assert anti.terms == []
 

@@ -28,7 +28,7 @@ def random_circuit(rng, n_qubits, n_gates):
         label = "".join(rng.choice(list(labels)) for _ in range(n_qubits))
         w = PauliWord.from_label(label)
         kind = rng.integers(0, 3)
-        if kind == 0 and not w.is_identity:
+        if kind == 0 and (w.x_mask or w.z_mask):
             gates.append(PauliApply(w))
         elif kind == 1:
             gates.append(BasisFlip(int(rng.integers(0, n_qubits))))

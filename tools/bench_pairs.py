@@ -9,8 +9,11 @@ direction and bound are read from the BENCHMARK.json beside this tool.  Each
 pair runs `bench/run.py --trace 0` once in each tree, one after the other,
 and the order alternates from pair to pair so that a slow drift of the
 machine falls on both sides alike.  The runs are never concurrent.  After
-the pairs, each tree times `vqa.gradient` on the 3-layer 2x2 layered ansatz
-(244 gates, 18 slots) in a fresh process and reports the median of its calls.
+the pairs, each tree times the gradient the CLI's VQE runs, on the 3-layer
+2x2 layered ansatz (244 gates, 18 slots) in a fresh process: one circuit
+layout over the 36-dim walker sector, then per call `CircuitLayout.compile`,
+U|0> and the reverse pass `vqa._adjoint_gradient`.  It reports the median of
+the calls, and of the reverse pass alone.
 
 One invocation is one run: its protocol, every pair's end-to-end metrics and
 `failed` counts, a per-workload summary and the gradient times.  The record
@@ -47,23 +50,32 @@ import json, time
 import numpy as np
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.operators import HubbardSpec, build_hubbard, jordan_wigner
-from qcfciqmc.vqa import (gradient, hubbard_hv_generator_groups, layered_ansatz,
-                          lowest_diagonal_reference)
+from qcfciqmc.simulator import circuit_layout
+from qcfciqmc.vqa import (_adjoint_gradient, _reference_state, hubbard_hv_generator_groups,
+                          layered_ansatz, lowest_diagonal_reference)
 spec = HubbardSpec((2, 2), t=1.0, u=4.0)
 h = jordan_wigner(build_hubbard(spec))
-ref = lowest_diagonal_reference(h, number_sector_indices(spec.n_qubits, n_up=2, n_dn=2))
+sector = number_sector_indices(spec.n_qubits, n_up=2, n_dn=2)
+ref = lowest_diagonal_reference(h, sector)
 c = layered_ansatz(hubbard_hv_generator_groups(spec), 3, ref, spec.n_qubits)
 params = 0.2 * np.random.default_rng(1).standard_normal(c.n_slots)
-first = time.perf_counter()
-gradient(c, h, params)
-first = time.perf_counter() - first
-times = []
-for _ in range({GRADIENT_CALLS}):
+walkers = np.sort(sector ^ ref)  # the walker sector the CLI trains over
+layout = circuit_layout(c, walkers)
+
+def call():
     t0 = time.perf_counter()
-    gradient(c, h, params)
-    times.append(time.perf_counter() - t0)
-print(json.dumps({{"gates": len(c.gates), "slots": c.n_slots, "first_call_s": first,
-                  "median_s": float(np.median(times)), "min_s": min(times),
+    compiled = layout.compile(params)
+    psi = _reference_state(compiled)
+    t1 = time.perf_counter()
+    _adjoint_gradient(compiled, h, psi)
+    t2 = time.perf_counter()
+    return t2 - t0, t2 - t1
+
+first = call()[0]
+times, reverse = zip(*(call() for _ in range({GRADIENT_CALLS})))
+print(json.dumps({{"gates": len(c.gates), "slots": c.n_slots, "basis_dim": len(walkers),
+                  "first_call_s": first, "median_s": float(np.median(times)),
+                  "min_s": min(times), "reverse_median_s": float(np.median(reverse)),
                   "calls": len(times)}}))
 """
 
