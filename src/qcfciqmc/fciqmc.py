@@ -12,16 +12,22 @@ step uses (H'_ii - S) directly.  Getting either sign wrong still "runs" but
 projects onto the wrong vector.
 
 Walkers are integers; fractional probabilities round stochastically.  The
-population is two int64 arrays, the occupied indices in ascending order and
-their signed counts, and each update rule is a handful of array operations
-over them and over the rows of the element source's CSR, which the mixed
-energy and the timestep check read in place.  All randomness of a run
+population is one int64 vector of signed counts with an entry per basis
+position of the element source (`ElementSource.basis`, ascending walker
+indices): the walker sector for every command-line run, all 2^n indices for
+a source built without one.  Each update rule is a handful of vector
+operations over it and over the rows of the element source's CSR, which the
+spawning step, the mixed energy and the timestep check read in place; the
+CSR targets are walker indices, and `ElementSource.position` maps them to
+positions.  All randomness of a run
 comes from one counter-based Philox stream, the ENGINE stream of the run's
 seed (`matelem.KeyedStreams`), keyed once per run.  Within a step, one
 binomial call draws the children along the concatenated rows of every
 occupied parent, in ascending parent order, and a second one draws
-death/clone over the occupied indices.  A trajectory is therefore a pure
-function of (config, seed) no matter how the host schedules threads.
+death/clone over the occupied positions, also ascending.  A trajectory is
+therefore a pure function of (config, seed) no matter how the host
+schedules threads, and of the basis the source was built over only through
+the elements it serves.
 
 The engine's generator is not the element source's, because the timestep
 check and `row_arrays` measure rows, and so make element draws that re-key
@@ -55,33 +61,56 @@ class ExtinctionError(FciqmcError):
 
 
 class WalkerPopulation:
-    """Signed walker counts: `indices` are the occupied basis indices in
-    ascending order and `signed` their nonzero signed counts, both int64.
-    Treated as immutable; the update rules return new populations."""
+    """Signed walker counts over the basis of an element source: `counts[p]`
+    is the signed int64 count on walker index `basis[p]`, zero where no
+    walker sits, so a population of d positions is one (d,) vector however
+    many walkers it holds.  `indices` and `signed` read the occupied walker
+    indices, ascending, and their counts.  Treated as immutable; the update
+    rules return new populations over the same basis."""
 
-    def __init__(self, counts: dict | None = None):
-        items = sorted((int(i), int(c)) for i, c in (counts or {}).items() if c != 0)
-        self.indices = np.array([i for (i, _) in items], dtype=np.int64)
-        self.signed = np.array([c for (_, c) in items], dtype=np.int64)
+    def __init__(self, basis: np.ndarray, counts: np.ndarray):
+        self.basis, self.counts = basis, counts
 
     @classmethod
-    def from_arrays(cls, indices: np.ndarray, signed: np.ndarray) -> "WalkerPopulation":
-        """Wrap arrays that already hold ascending unique indices and nonzero counts."""
-        pop = cls.__new__(cls)
-        pop.indices, pop.signed = indices, signed
-        return pop
+    def from_dict(cls, src: ElementSource, counts: dict | None = None) -> "WalkerPopulation":
+        """{walker index: signed count} over the basis of `src`; an index
+        outside that basis is an error."""
+        d = len(src.basis)
+        vec = np.zeros(d, dtype=np.int64)
+        for i, c in (counts or {}).items():
+            p = int(src.position[i]) if 0 <= i < len(src.position) else d
+            if p == d:
+                raise FciqmcError(f"walker index {i} lies outside the source's basis")
+            vec[p] = c
+        return cls(src.basis, vec)
+
+    @classmethod
+    def single(cls, src: ElementSource, index: int, count: int) -> "WalkerPopulation":
+        return cls.from_dict(src, {index: count})
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.basis[self.counts != 0]
+
+    @property
+    def signed(self) -> np.ndarray:
+        return self.counts[self.counts != 0]
 
     @property
     def total_walkers(self) -> int:
-        return int(np.abs(self.signed).sum())
+        return int(np.abs(self.counts).sum())
 
     @property
     def n_occupied(self) -> int:
-        return len(self.indices)
+        return int(np.count_nonzero(self.counts))
 
-    @classmethod
-    def single(cls, index: int, count: int) -> "WalkerPopulation":
-        return cls({index: count})
+    def items(self) -> list:
+        """[(walker index, signed count)] over the occupied indices, ascending."""
+        return list(zip(self.indices.tolist(), self.signed.tolist()))
+
+    def values(self) -> list:
+        """The signed counts of the occupied indices, in ascending index order."""
+        return self.signed.tolist()
 
 
 @dataclass
@@ -153,23 +182,8 @@ class Trajectory:
 # single update rules
 # ---------------------------------------------------------------------------
 
-def _sum_by_index(idx: np.ndarray, vals: np.ndarray) -> tuple:
-    """Per-index int64 sums of `vals`, by ascending index; zero sums dropped."""
-    if len(idx) == 0:
-        return idx, vals
-    order = idx.argsort()
-    idx, vals = idx[order], vals[order]
-    starts = np.empty(len(idx), dtype=bool)
-    starts[0] = True
-    np.not_equal(idx[1:], idx[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    sums = np.add.reduceat(vals, first)
-    keep = sums != 0
-    return idx[first[keep]], sums[keep]
-
-
 def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
-               rng: np.random.Generator) -> dict:
+               rng: np.random.Generator) -> WalkerPopulation:
     """Children spawned off every occupied index; accumulated apart from parents.
 
     Per parent walker on i and connection j: count floor(p) + Bernoulli(frac)
@@ -177,28 +191,31 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     per-connection Bernoulli sums collapse to one binomial draw per (i, j).
     One binomial call covers the concatenated rows of all occupied parents in
     ascending parent order, which consumes the generator's stream exactly as one
-    call per parent would.  Returns {j: signed child count}, zeros dropped."""
-    targets, mags, csigns, lens = row_arrays(src, pop.indices)
-    if len(targets) == 0:
-        return {}
-    n = np.abs(pop.signed).repeat(lens)
+    call per parent would.  Returns the children as a population over the
+    same basis, summed per target in int64."""
+    occ = pop.counts.nonzero()[0]
+    signed = pop.counts[occ]
+    targets, mags, csigns, lens = row_arrays(src, pop.basis[occ])
+    n = np.abs(signed).repeat(lens)
     p = mags * delta_tau
     base = np.floor(p)
     children = n * base.astype(np.int64) + rng.binomial(n, p - base)
-    children *= np.sign(pop.signed).repeat(lens) * csigns
-    idx, sums = _sum_by_index(targets, children)
-    return dict(zip(idx.tolist(), sums.tolist()))
+    children *= np.sign(signed).repeat(lens) * csigns
+    counts = np.zeros(len(pop.counts), dtype=np.int64)
+    np.add.at(counts, src.position[targets], children)
+    return WalkerPopulation(pop.basis, counts)
 
 
 def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
                      delta_tau: float, rng: np.random.Generator) -> WalkerPopulation:
     """Diagonal step: die with probability (H'_ii - S) dt if positive, else clone.
 
-    One vectorized binomial draw covers all occupied indices."""
-    occ, signed = pop.indices, pop.signed
+    One vectorized binomial draw covers all occupied positions, ascending."""
+    occ = pop.counts.nonzero()[0]
     if len(occ) == 0:
-        return WalkerPopulation()
-    d = (diagonal_elements(src, occ) - shift) * delta_tau
+        return pop
+    signed = pop.counts[occ]
+    d = (diagonal_elements(src, pop.basis[occ]) - shift) * delta_tau
     p = np.abs(d)
     if p.max() > 1.0:
         warnings.warn(
@@ -207,18 +224,15 @@ def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
         )
         p = np.minimum(p, 1.0)
     flips = rng.binomial(np.abs(signed), p)
+    counts = pop.counts.copy()
     # dying walkers move the count towards zero, cloned ones away from it
-    signed = signed - np.where(d > 0, flips, -flips) * np.sign(signed)
-    keep = signed != 0
-    return WalkerPopulation.from_arrays(occ[keep], signed[keep])
+    counts[occ] = signed - np.where(d > 0, flips, -flips) * np.sign(signed)
+    return WalkerPopulation(pop.basis, counts)
 
 
-def annihilate(parents: WalkerPopulation, spawned: dict) -> WalkerPopulation:
-    """Signed per-index sum; exact cancellation removes the entry."""
-    k = len(spawned)
-    idx = np.concatenate([parents.indices, np.fromiter(spawned, np.int64, k)])
-    vals = np.concatenate([parents.signed, np.fromiter(spawned.values(), np.int64, k)])
-    return WalkerPopulation.from_arrays(*_sum_by_index(idx, vals))
+def annihilate(parents: WalkerPopulation, spawned: WalkerPopulation) -> WalkerPopulation:
+    """Signed per-position sum; exact cancellation empties the position."""
+    return WalkerPopulation(parents.basis, parents.counts + spawned.counts)
 
 
 def update_shift(ctl: ShiftController, n_now: int, n_prev: int, delta_tau: float) -> float:
@@ -233,24 +247,23 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
     """E = H'_00 + sum_{j != 0} H'_{j,phi0} c_j / c_0 over occupied j.
 
     Returns None while the reference is unoccupied (estimate undefined).  The
-    reference's row is found in the population by binary search, and the sum
-    runs in the row's order, one term at a time, so its rounding does not
-    depend on how the population is stored."""
-    idx = pop.indices
-    k = idx.searchsorted(phi0)
-    if k == len(idx) or idx[k] != phi0:
+    counts on the reference's row targets are read through the source's
+    position map, and the sum runs over the occupied targets in the row's
+    order, one term at a time, so its rounding does not depend on how the
+    population is stored."""
+    counts = pop.counts
+    k = src.position[phi0]
+    if k == len(counts) or counts[k] == 0:
         return None
-    e = diagonal_elements(src, [phi0])[0]
+    c_0 = int(counts[k])
+    e = float(diagonal_elements(src, [phi0])[0])
     targets, mags, csigns = resolved_row(src, phi0)
-    pos = idx.searchsorted(targets)
-    # the count on each target of the row; 0 where the target is unoccupied
-    c = pop.signed.take(pos, mode="clip") * (idx.take(pos, mode="clip") == targets)
-    c_0 = int(pop.signed[k])
+    c = counts[src.position[targets]]
     # -s * m is H'_{j,phi0} exactly; the child sign s is -sign(H'_{j,phi0})
     for s, m, c_j in zip(csigns.tolist(), mags.tolist(), c.tolist()):
         if c_j:
             e += -s * m * c_j / c_0
-    return float(e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +294,7 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
     src = source if source is not None else ElementSource(
         h, circuit, params, backend=backend, seed=cfg.seed
     )
-    pop = WalkerPopulation.single(phi0, cfg.initial_walkers)
+    pop = WalkerPopulation.single(src, phi0, cfg.initial_walkers)
     e_ref = float(diagonal_elements(src, [phi0])[0])
     ctl = ShiftController(
         shift=e_ref,
@@ -291,16 +304,20 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
     )
     traj = Trajectory(config=cfg, reference=phi0)
     rng = KeyedStreams(cfg.seed).stream(ENGINE)  # not the source's; see the module notes
-    warned = False
-    checked = np.zeros(1 << src.n_qubits, dtype=bool)  # rows seen occupied
+    # the timestep check runs on each position's first occupation, until it
+    # warns or every position has been checked
+    unchecked = np.ones(len(src.basis), dtype=bool)
+    n_unchecked = len(unchecked)
     traj.records.append(TrajectoryRecord(
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, phi0)
     ))
     for step in range(1, cfg.n_steps + 1):
-        if not warned:
-            fresh = pop.indices[~checked[pop.indices]]
-            checked[fresh] = True
-            warned = _check_timestep(src, fresh.tolist(), cfg.delta_tau, ctl.shift)
+        if n_unchecked:
+            fresh = (unchecked & (pop.counts != 0)).nonzero()[0]
+            unchecked[fresh] = False
+            n_unchecked -= len(fresh)
+            if _check_timestep(src, src.basis[fresh].tolist(), cfg.delta_tau, ctl.shift):
+                n_unchecked = 0
         spawned = spawn_step(pop, src, cfg.delta_tau, rng)
         survivors = death_clone_step(pop, src, ctl.shift, cfg.delta_tau, rng)
         pop = annihilate(survivors, spawned)

@@ -167,12 +167,21 @@ class ElementSource:
         self._child_signs = np.zeros(CSR_CAPACITY, dtype=np.int64)  # -sign(H'_ji)
         self._diag = np.full(dim, np.nan)  # H'_ii of each measured row
 
+    @property
+    def basis(self) -> np.ndarray:
+        """The ascending walker indices the source was built over."""
+        return self._compiled.basis
+
+    @property
+    def position(self) -> np.ndarray:
+        """The position of each walker index in `basis`; len(basis) outside it."""
+        return self._compiled.position
+
     def transformed_column(self, i: int) -> np.ndarray:
         """Column i of H' over the source's basis: entry p equals
         <basis[p]|U^dag H U|i>, where basis holds the ascending indices the
         source was built over."""
-        basis = self._compiled.basis
-        if not (0 <= i < 1 << self.n_qubits) or self._compiled.position[i] == len(basis):
+        if not (0 <= i < 1 << self.n_qubits) or self.position[i] == len(self.basis):
             raise MatelemError(f"basis index {i} is out of range or outside the source's basis")
         return transformed_columns(self.hamiltonian, self._compiled, [i])[:, 0]
 
@@ -190,7 +199,7 @@ class ElementSource:
         The column runs over basis positions; i itself sits at position own.
         Every draw is keyed by the index i, never by a position."""
         col = self.transformed_column(i)
-        own = int(self._compiled.position[i])
+        own = int(self.position[i])
         # <i|U^dag H^2 U|i>, exactly rounded: the sum does not depend on how
         # many zero entries the column carries or how the terms are grouped
         nu_sq = math.fsum(np.abs(col) ** 2)
@@ -207,7 +216,7 @@ class ElementSource:
             diag = self._draw_diagonal(i, float(col.real[own]), nu_sq)
         keep[own] = False
         kept = np.nonzero(keep)[0]
-        targets = self._compiled.basis[kept]
+        targets = self.basis[kept]
         vals = signed[kept]
         nonzero = vals != 0.0
         vals = vals[nonzero]
@@ -300,7 +309,7 @@ def _row_lengths(src: ElementSource, indices: np.ndarray) -> np.ndarray:
     """The CSR row lengths of `indices`, once each of those rows not measured
     yet is measured, in the order given."""
     lens = src._row_len[indices]
-    if (lens < 0).any():
+    if len(lens) and lens.min() < 0:
         for i in dict.fromkeys(indices[lens < 0].tolist()):
             row_magnitudes(src, i)
         lens = src._row_len[indices]

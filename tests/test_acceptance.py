@@ -330,7 +330,7 @@ def test_ac07_single_step_mean_matches_linear_propagator():
     shift = -0.1
     dt = 0.05
     c0 = np.array([300, -150, 80, 0], dtype=float)
-    pop0 = WalkerPopulation({i: int(c0[i]) for i in range(4)})
+    pop0 = WalkerPopulation.from_dict(src, {i: int(c0[i]) for i in range(4)})
     n_trials = 100_000
     acc = np.zeros(4)
     t0 = time.perf_counter()

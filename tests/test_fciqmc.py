@@ -77,7 +77,7 @@ def diag_source(values):
 
 
 def test_population_drops_zero_entries():
-    pop = WalkerPopulation({3: 0, 5: -2, 1: 4})
+    pop = WalkerPopulation.from_dict(x_source(0.5, n_qubits=3), {3: 0, 5: -2, 1: 4})
     assert counts_of(pop) == {5: -2, 1: 4}
     assert pop.total_walkers == 6
     assert pop.n_occupied == 2
@@ -92,27 +92,27 @@ def test_population_drops_zero_entries():
 def test_spawn_probability_small_p():
     """p = |H_ji| dt = 0.005; children over 1e4 parents within 3 sigma."""
     src = x_source(0.5)
-    pop = WalkerPopulation.single(0, 10**4)
+    pop = WalkerPopulation.single(src, 0, 10**4)
     spawned = spawn_step(pop, src, 0.01, rng_for(0))
     mean = 10**4 * 0.005
     sigma = np.sqrt(10**4 * 0.005 * 0.995)
-    assert abs(abs(spawned[1]) - mean) < 3 * sigma
+    assert abs(abs(counts_of(spawned)[1]) - mean) < 3 * sigma
 
 
 def test_spawn_nothing_for_diagonal_h():
     src = diag_source([0.3, -0.8])
-    pop = WalkerPopulation.single(0, 500)
-    assert spawn_step(pop, src, 0.1, rng_for(1)) == {}
+    pop = WalkerPopulation.single(src, 0, 500)
+    assert counts_of(spawn_step(pop, src, 0.1, rng_for(1))) == {}
 
 
 def test_spawn_integer_plus_bernoulli():
     """p = 2.3 from one parent: count in {2, 3} with mean 2.3 over seeded trials."""
     src = x_source(2.3)
-    pop = WalkerPopulation.single(0, 1)
+    pop = WalkerPopulation.single(src, 0, 1)
     counts = []
     for step in range(10**4):
         spawned = spawn_step(pop, src, 1.0, rng_for(step))
-        counts.append(abs(spawned[1]))
+        counts.append(abs(counts_of(spawned)[1]))
     counts = np.asarray(counts)
     assert set(np.unique(counts)) <= {2, 3}
     se = np.sqrt(0.3 * 0.7 / len(counts))
@@ -122,14 +122,14 @@ def test_spawn_integer_plus_bernoulli():
 def test_spawn_sign_convention():
     """Positive H_ji spawns opposite-sign children (projector carries -H_ji)."""
     plus = x_source(0.8)
-    spawned = spawn_step(WalkerPopulation.single(0, 2000), plus, 0.5, rng_for(3))
-    assert spawned[1] < 0
+    spawned = spawn_step(WalkerPopulation.single(plus, 0, 2000), plus, 0.5, rng_for(3))
+    assert counts_of(spawned)[1] < 0
     minus = x_source(-0.8)
-    spawned = spawn_step(WalkerPopulation.single(0, 2000), minus, 0.5, rng_for(3))
-    assert spawned[1] > 0
+    spawned = spawn_step(WalkerPopulation.single(minus, 0, 2000), minus, 0.5, rng_for(3))
+    assert counts_of(spawned)[1] > 0
     # negative parents flip both
-    spawned = spawn_step(WalkerPopulation({0: -2000}), plus, 0.5, rng_for(3))
-    assert spawned[1] > 0
+    spawned = spawn_step(WalkerPopulation.from_dict(plus, {0: -2000}), plus, 0.5, rng_for(3))
+    assert counts_of(spawned)[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,14 @@ def test_spawn_sign_convention():
 
 def test_death_noop_at_shift_equal_diagonal():
     src = diag_source([0.7, 0.0])
-    pop = WalkerPopulation.single(0, 1234)
+    pop = WalkerPopulation.single(src, 0, 1234)
     out = death_clone_step(pop, src, 0.7, 0.05, rng_for(4))
     assert counts_of(out) == {0: 1234}
 
 
 def test_death_certain_at_probability_one():
     src = diag_source([2.0, 0.0])
-    pop = WalkerPopulation.single(0, 999)
+    pop = WalkerPopulation.single(src, 0, 999)
     out = death_clone_step(pop, src, 0.0, 0.5, rng_for(5))  # (2-0)*0.5 = 1
     assert counts_of(out) == {}
 
@@ -154,7 +154,7 @@ def test_death_certain_at_probability_one():
 def test_clone_growth_statistics():
     """(H_ii - S) dt = -0.2 on 1e5 walkers: growth factor 1.2 within 3 sigma."""
     src = diag_source([-0.2, 0.0])
-    pop = WalkerPopulation.single(0, 10**5)
+    pop = WalkerPopulation.single(src, 0, 10**5)
     out = death_clone_step(pop, src, 0.0, 1.0, rng_for(6))
     mean = 10**5 * 1.2
     sigma = np.sqrt(10**5 * 0.2 * 0.8)
@@ -163,14 +163,14 @@ def test_clone_growth_statistics():
 
 def test_death_never_flips_sign():
     src = diag_source([5.0, 0.0])
-    pop = WalkerPopulation({0: -50})
+    pop = WalkerPopulation.from_dict(src, {0: -50})
     out = death_clone_step(pop, src, 0.0, 0.19, rng_for(7))
     assert counts_of(out).get(0, 0) <= 0
 
 
 def test_death_clamps_and_warns():
     src = diag_source([4.0, 0.0])
-    pop = WalkerPopulation.single(0, 100)
+    pop = WalkerPopulation.single(src, 0, 100)
     with pytest.warns(UserWarning, match="clamped"):
         out = death_clone_step(pop, src, 0.0, 0.5, rng_for(8))  # d = 2 -> 1
     assert counts_of(out) == {}
@@ -181,18 +181,24 @@ def test_death_clamps_and_warns():
 # ---------------------------------------------------------------------------
 
 
+def populations(*counts):
+    """Populations over one 3-qubit source's basis, from {index: count} dicts."""
+    src = x_source(0.5, n_qubits=3)
+    return [WalkerPopulation.from_dict(src, c) for c in counts]
+
+
 def test_annihilate_exact_cancellation():
-    out = annihilate(WalkerPopulation({4: 3}), {4: -3})
+    out = annihilate(*populations({4: 3}, {4: -3}))
     assert counts_of(out) == {}
 
 
 def test_annihilate_partial():
-    out = annihilate(WalkerPopulation({4: 5}), {4: -2})
+    out = annihilate(*populations({4: 5}, {4: -2}))
     assert counts_of(out) == {4: 3}
 
 
 def test_annihilate_disjoint_union():
-    out = annihilate(WalkerPopulation({1: 2, 3: -1}), {0: 7})
+    out = annihilate(*populations({1: 2, 3: -1}, {0: 7}))
     assert counts_of(out) == {1: 2, 3: -1, 0: 7}
 
 
@@ -249,13 +255,13 @@ def test_controller_updates_only_on_interval():
 
 def test_mixed_energy_reference_only():
     src = x_source(0.5)
-    pop = WalkerPopulation.single(0, 77)
+    pop = WalkerPopulation.single(src, 0, 77)
     assert mixed_energy(pop, src, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mixed_energy_missing_when_reference_empty():
     src = x_source(0.5)
-    pop = WalkerPopulation.single(1, 10)
+    pop = WalkerPopulation.single(src, 1, 10)
     assert mixed_energy(pop, src, 0) is None
 
 
@@ -272,8 +278,8 @@ def test_mixed_energy_exact_on_ground_state_populations():
     scale = 10**6
     counts = {int(sector[k]): int(round(scale * ground[k] / ground[ref_pos]))
               for k in range(len(sector))}
-    pop = WalkerPopulation(counts)
     src = ElementSource(h, Circuit(spec.n_qubits, []))
+    pop = WalkerPopulation.from_dict(src, counts)
     e = mixed_energy(pop, src, int(sector[ref_pos]))
     assert e == pytest.approx(vals[0], abs=1e-4)
 
@@ -288,7 +294,7 @@ def test_mixed_energy_diagonalizing_basis():
     from qcfciqmc.matelem import signed_row
 
     assert signed_row(src, 1) == []
-    pop = WalkerPopulation.single(1, 40)
+    pop = WalkerPopulation.single(src, 1, 40)
     assert mixed_energy(pop, src, 1) == pytest.approx(-0.7, abs=1e-10)
 
 
@@ -310,7 +316,7 @@ def test_single_step_expectation_matches_linear_propagator():
     shift = -0.1
     dt = 0.05
     c0 = np.array([300, -150, 80, 0], dtype=float)
-    pop0 = WalkerPopulation({i: int(c0[i]) for i in range(4)})
+    pop0 = WalkerPopulation.from_dict(src, {i: int(c0[i]) for i in range(4)})
     n_trials = 20000
     acc = np.zeros(4)
     for step in range(n_trials):
@@ -340,11 +346,11 @@ def test_identity_basis_matches_classical_probabilities():
     h = PauliSum([PauliTerm(0.4, PauliWord(2, 0b01, 0)), PauliTerm(0.2, PauliWord(2, 0b10, 0))])
     src = ElementSource(h, Circuit(2, []))
     dt = 0.25
-    pop = WalkerPopulation.single(0, 1)
+    pop = WalkerPopulation.single(src, 0, 1)
     hits = {1: 0, 2: 0}
     n_trials = 40000
     for step in range(n_trials):
-        spawned = spawn_step(pop, src, dt, rng_for(step))
+        spawned = counts_of(spawn_step(pop, src, dt, rng_for(step)))
         for j in hits:
             if spawned.get(j):
                 hits[j] += 1
@@ -418,13 +424,13 @@ def test_engine_consumes_the_stream_as_the_per_parent_loop(backend):
     for trial in range(12):
         occ = pick.choice(sector, size=int(pick.integers(1, len(sector) + 1)), replace=False)
         counts = pick.integers(1, 3000, size=len(occ)) * pick.choice([-1, 1], size=len(occ))
-        pop = WalkerPopulation(dict(zip(occ.tolist(), counts.tolist())))
+        pop = WalkerPopulation.from_dict(src_new, dict(zip(occ.tolist(), counts.tolist())))
         dt = float(pick.choice([0.003, 0.05, 0.7, 1.3]))
         shift = float(pick.normal())
         rng_new, rng_oracle = rng_for(trial), rng_for(trial)
         spawned = spawn_step(pop, src_new, dt, rng_new)
         survivors = death_clone_step(pop, src_new, shift, dt, rng_new)
-        assert spawned == spawn_step_oracle(pop, src_oracle, dt, rng_oracle)
+        assert counts_of(spawned) == spawn_step_oracle(pop, src_oracle, dt, rng_oracle)
         assert counts_of(survivors) == death_clone_oracle(pop, src_oracle, shift, dt, rng_oracle)
         np.testing.assert_equal(rng_new.bit_generator.state, rng_oracle.bit_generator.state)
 
@@ -459,7 +465,7 @@ def test_mixed_energy_matches_dict_oracle_bit_for_bit(backend):
         phi0 = int(occ[0])
         if trial % 4 == 0:
             occ, counts = occ[1:], counts[1:]
-        pop = WalkerPopulation(dict(zip(occ.tolist(), counts.tolist())))
+        pop = WalkerPopulation.from_dict(src_new, dict(zip(occ.tolist(), counts.tolist())))
         e = mixed_energy(pop, src_new, phi0)
         assert e == mixed_energy_oracle(pop, src_oracle, phi0)
         assert (e is None) == (trial % 4 == 0)
@@ -567,6 +573,46 @@ def test_run_measures_each_row_once(monkeypatch, backend):
     assert sorted(drawn) == sorted(set(requested))
 
 
+def hubbard_walker_run(shape, layers):
+    """(h, circuit, params, walker sector, phi0) on open Hubbard at U/t = 4:
+    the identity basis at layers = 0, else a layered basis at angles of
+    +-0.02 with seeded signs, whose walker index 0 is the reference."""
+    from qcfciqmc.vqa import (hubbard_hv_generator_groups, layered_ansatz,
+                              lowest_diagonal_reference)
+
+    spec = HubbardSpec(shape=shape, t=1.0, u=4.0)
+    h = jordan_wigner(build_hubbard(spec))
+    sector = number_sector_indices(spec.n_qubits, n_up=(spec.n_sites + 1) // 2,
+                                   n_dn=spec.n_sites // 2)
+    ref = lowest_diagonal_reference(h, sector)
+    if layers == 0:
+        return h, Circuit(spec.n_qubits, []), (), sector, ref
+    circuit = layered_ansatz(hubbard_hv_generator_groups(spec), layers, ref, spec.n_qubits)
+    signs = np.where(np.random.default_rng(2).random(circuit.n_slots) < 0.5, -1.0, 1.0)
+    return h, circuit, 0.02 * signs, np.sort(sector ^ ref), 0
+
+
+@pytest.mark.parametrize("shape, layers, backend", [
+    ((2, 2), 0, ExactBackend()),
+    ((2, 3), 0, ExactBackend()),
+    ((2, 2), 1, SampledBackend()),
+], ids=["2x2-identity-exact", "2x3-identity-exact", "2x2-layered-sampled"])
+def test_sector_and_full_space_sources_run_the_same_trajectory(shape, layers, backend):
+    """A population over the walker sector and one over all 2^n indices hold
+    their walkers at different positions of the same walker indices; the
+    trajectories agree byte for byte."""
+    h, circuit, params, walkers, phi0 = hubbard_walker_run(shape, layers)
+    cfg = RunConfig(delta_tau=0.01, total_time=0.4, initial_walkers=2000, seed=3,
+                    threshold=2500)
+    texts = []
+    for basis in (walkers, None):
+        src = ElementSource(h, circuit, params, backend=backend, seed=3, basis=basis)
+        traj = run(h, circuit, params, cfg, source=src, phi0=phi0)
+        texts.append(trajectory_to_csv(traj))
+    assert texts[0] == texts[1]
+    assert max(r.n_occupied for r in traj.records) > 10
+
+
 def two_spin_source():
     """H = 0.5 (X0 + X1) + Z0 + Z1.  With S = H'_00 = 2, the row L1 magnitude
     |H'_ii - S| + sum_j |H'_ji| is 1 on row 0, 3 on rows 1 and 2, 5 on row 3."""
@@ -601,7 +647,7 @@ def test_run_extinction_raises(monkeypatch):
     import qcfciqmc.fciqmc as engine
 
     monkeypatch.setattr(
-        engine, "death_clone_step", lambda pop, src, s, dt, rng: WalkerPopulation({})
+        engine, "death_clone_step", lambda pop, src, s, dt, rng: WalkerPopulation.from_dict(src)
     )
     h = PauliSum([PauliTerm(0.3, PauliWord(1, 0, 1))])
     cfg = RunConfig(total_time=1.0, delta_tau=0.1, initial_walkers=5, seed=2)
