@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -463,10 +464,24 @@ def load_circuit(cfg: ExperimentConfig):
 # shared pieces
 # ---------------------------------------------------------------------------
 
+def _finite_or_null(value):
+    """`value` with every non-finite float, such as an overflowed bound,
+    replaced by None: JSON (RFC 8259) has no token for them, and None
+    writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(cfg: ExperimentConfig, name: str, record: dict) -> Path:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / name
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(record), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

@@ -75,7 +75,8 @@ def _check_real_symmetric(h) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NsiError("need a square matrix")
     scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.T).max() > 1e-10 * scale:
+    asym = h - h.T
+    if np.abs(asym, out=asym).max() > 1e-10 * scale:
         raise NsiError("matrix is not symmetric")
     return h
 
@@ -87,8 +88,8 @@ def split(h, split_tol: float = SPLIT_TOL) -> StoquasticSplit:
     including sub-tolerance positive noise, stays in H_minus so that the two
     parts reconstruct H exactly."""
     h = _check_real_symmetric(h)
-    off = h - np.diag(np.diag(h))
-    plus = np.where(off > split_tol, off, 0.0)
+    plus = np.where(h > split_tol, h, 0.0)
+    np.fill_diagonal(plus, 0.0)
     return StoquasticSplit(h_minus=h - plus, h_plus=plus, alpha=float(np.diag(h).max()))
 
 
@@ -100,16 +101,31 @@ def _l1(m: np.ndarray) -> float:
     return float(np.abs(m).sum())
 
 
+def _l1_alpha_minus(s: StoquasticSplit) -> float:
+    """||alpha I - H_minus||_1, summed over the same entries as the matrix
+    itself would be, without building the identity or the difference."""
+    m = np.abs(s.h_minus)
+    np.fill_diagonal(m, np.abs(s.alpha - np.diag(s.h_minus)))
+    return float(m.sum())
+
+
 def _spectra(h, beta: float):
     """Set-up shared by the indicators: the beta check, the split (which
-    checks that H is real symmetric), and one diagonalization each of H and
-    H~."""
+    checks that H is real symmetric) reduced to its L1 norms
+    (||H_plus||_1, ||alpha I - H_minus||_1), and one diagonalization each
+    of H and H~.  H~ is formed in the split's H_minus, and the split is
+    released before either eigensolve, so that only H, H~ and H's
+    eigenvectors are held while H~ is diagonalized."""
     if beta <= 0:
         raise NsiError("beta must be positive")
     sp = split(h)
+    norms = (_l1(sp.h_plus), _l1_alpha_minus(sp))
+    h_tilde = sp.h_minus
+    h_tilde -= sp.h_plus
+    del sp
     spec_h = exactdiag.diagonalize(np.asarray(h))
-    spec_t = exactdiag.diagonalize(bosonic_form(sp))
-    return sp, spec_h, spec_t
+    spec_t = exactdiag.diagonalize(h_tilde)
+    return norms, spec_h, spec_t
 
 
 def _rounding_bound(spec_h, spec_t, beta: float) -> float:
@@ -158,9 +174,10 @@ def theorem1_bound(s: StoquasticSplit, beta: float) -> float:
     The L1 norm is the entrywise sum of magnitudes.  Returns +inf on overflow."""
     if beta < 0:
         raise NsiError("beta must be non-negative")
-    dim = s.h_minus.shape[0]
-    l1_plus = _l1(s.h_plus)
-    l1_am = _l1(s.alpha * np.eye(dim) - s.h_minus)
+    return _theorem1(_l1(s.h_plus), _l1_alpha_minus(s), beta)
+
+
+def _theorem1(l1_plus: float, l1_am: float, beta: float) -> float:
     with np.errstate(over="ignore"):
         val = 2.0 * np.exp(beta * l1_am) * np.sinh(beta * l1_plus)
     return float(val)
@@ -179,16 +196,16 @@ def theorem2_indicator(h, phi0: int) -> float:
 def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
     """Full indicator bundle for one (H, beta) pair and optional reference;
     H and H~ are diagonalized once each."""
-    sp, spec_h, spec_t = _spectra(h, beta)
+    (l1_plus, l1_am), spec_h, spec_t = _spectra(h, beta)
     s_th = _thermal(spec_h, spec_t, beta)
     rep = NsiReport(
         beta=beta,
         s_thermal=s_th,
-        theorem1_bound=theorem1_bound(sp, beta),
+        theorem1_bound=_theorem1(l1_plus, l1_am, beta),
         avg_sign=1.0 / (1.0 + s_th),
         delta_f=np.log1p(s_th) / beta,
-        l1_h_plus=_l1(sp.h_plus),
-        l1_alpha_minus_h_minus=_l1(sp.alpha * np.eye(spec_h.dim) - sp.h_minus),
+        l1_h_plus=l1_plus,
+        l1_alpha_minus_h_minus=l1_am,
     )
     if phi0 is not None:
         rep.phi0 = int(phi0)

@@ -714,6 +714,27 @@ nsi.beta = -0.5
     assert cli.main(["nsi", conf]) == 4
 
 
+def test_nsi_overflowed_bound_is_written_as_null(tmp_path):
+    """At beta 1000 the dimer's Theorem-1 bound overflows a double: nsi.json
+    holds null for it and parses under a reader that refuses NaN and
+    Infinity."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, f"""
+output.dir = {out}
+model.hubbard.shape = 1x2
+model.hubbard.u = 4.0
+nsi.beta = 1000
+""")
+    assert cli.main(["nsi", conf]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    record = json.loads((out / "nsi.json").read_text(), parse_constant=refuse)
+    assert record["identity"]["theorem1_bound"] is None
+    assert math.isfinite(record["identity"]["s_thermal"])
+
+
 # ---------------------------------------------------------------------------
 # cmd_qmc
 # ---------------------------------------------------------------------------
