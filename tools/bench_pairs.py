@@ -13,7 +13,12 @@ the pairs, each tree times the gradient the CLI's VQE runs, on the 3-layer
 2x2 layered ansatz (244 gates, 18 slots) in a fresh process: one circuit
 layout over the 36-dim walker sector, then per call `CircuitLayout.compile`,
 U|0> and the reverse pass `vqa._adjoint_gradient`.  It reports the median of
-the calls, and of the reverse pass alone.
+the calls, and of the reverse pass alone.  Each tree also times one engine
+step, in another fresh process: `fciqmc.run` over an `ElementSource` built on
+the 36-dim 2x2 walker sector, identity basis, exact backend, with the run
+settings and seed 1 of `qmc_identity_2x2` (6000 steps, about 7700 walkers
+once the shift holds them).  It reports the median over the runs of seconds
+per step.
 
 One invocation is one run: its protocol, every pair's end-to-end metrics and
 `failed` counts, a per-workload summary and the gradient times.  The record
@@ -79,6 +84,38 @@ print(json.dumps({{"gates": len(c.gates), "slots": c.n_slots, "basis_dim": len(w
                   "calls": len(times)}}))
 """
 
+ENGINE_RUNS = 5
+
+ENGINE_TIMER = f"""
+import json, time
+import numpy as np
+from qcfciqmc.exactdiag import number_sector_indices
+from qcfciqmc.fciqmc import RunConfig, run
+from qcfciqmc.matelem import ElementSource, ExactBackend
+from qcfciqmc.operators import HubbardSpec, build_hubbard, jordan_wigner
+from qcfciqmc.simulator import Circuit
+from qcfciqmc.vqa import lowest_diagonal_reference
+spec = HubbardSpec((2, 2), t=1.0, u=4.0)
+h = jordan_wigner(build_hubbard(spec))
+sector = number_sector_indices(spec.n_qubits, n_up=2, n_dn=2)
+ref = lowest_diagonal_reference(h, sector)
+circuit = Circuit(spec.n_qubits, [])
+cfg = RunConfig(delta_tau=1e-2, total_time=60.0, initial_walkers=6000, threshold=5000,
+                damping=0.5, seed=1)  # qmc_identity_2x2 at seed 1
+
+def one_run():
+    src = ElementSource(h, circuit, (), backend=ExactBackend(), seed=cfg.seed, basis=sector)
+    t0 = time.perf_counter()
+    traj = run(h, circuit, (), cfg, source=src, phi0=int(ref))
+    return (time.perf_counter() - t0) / cfg.n_steps, traj.records[-1].n_walkers
+
+per_step, walkers = zip(*(one_run() for _ in range({ENGINE_RUNS})))
+print(json.dumps({{"basis_dim": len(sector), "steps": cfg.n_steps,
+                  "final_walkers": walkers[0], "runs": len(per_step),
+                  "median_s_per_step": float(np.median(per_step)),
+                  "min_s_per_step": min(per_step)}}))
+"""
+
 
 def child_env(tree: Path) -> dict:
     env = dict(os.environ)
@@ -124,8 +161,9 @@ def bench_run(tree: Path, workload: str, seed: int) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def gradient_time(tree: Path) -> dict:
-    out = subprocess.run([sys.executable, "-c", GRADIENT_TIMER],
+def timed(tree: Path, script: str) -> dict:
+    """The JSON line that `script` prints, run in a fresh process on `tree`."""
+    out = subprocess.run([sys.executable, "-c", script],
                          env=child_env(tree), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -192,7 +230,8 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k}: " + ", ".join(
                 f"{side} {pair[side]['metrics']}" for side in order), file=sys.stderr)
         run["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
-    run["gradient_per_call"] = {side: gradient_time(tree) for side, tree in trees.items()}
+    run["gradient_per_call"] = {side: timed(tree, GRADIENT_TIMER) for side, tree in trees.items()}
+    run["engine_step_per_call"] = {side: timed(tree, ENGINE_TIMER) for side, tree in trees.items()}
     record["runs"].append(run)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
