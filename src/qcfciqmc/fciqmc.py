@@ -12,22 +12,22 @@ step uses (H'_ii - S) directly.  Getting either sign wrong still "runs" but
 projects onto the wrong vector.
 
 Walkers are integers; fractional probabilities round stochastically.  The
-population is one int64 vector of signed counts with an entry per basis
+population is one int64 vector of signed counts, one entry per basis
 position of the element source (`ElementSource.basis`, ascending walker
 indices): the walker sector for every command-line run, all 2^n indices for
 a source built without one.  Each update rule is a handful of vector
 operations over it and over the rows of the element source's CSR, which the
-spawning step, the mixed energy and the timestep check read in place; the
-CSR targets are walker indices, and `ElementSource.position` maps them to
-positions.  All randomness of a run
-comes from one counter-based Philox stream, the ENGINE stream of the run's
-seed (`matelem.KeyedStreams`), keyed once per run.  Within a step, one
-binomial call draws the children along the concatenated rows of every
-occupied parent, in ascending parent order, and a second one draws
-death/clone over the occupied positions, also ascending.  A trajectory is
-therefore a pure function of (config, seed) no matter how the host
-schedules threads, and of the basis the source was built over only through
-the elements it serves.
+mixed energy and the timestep check read in place.  CSR targets are walker
+indices; `ElementSource.position` maps them to the positions where the
+spawned children are summed.  All randomness of a run comes from one
+counter-based Philox stream, the ENGINE stream of the run's seed
+(`matelem.KeyedStreams`), keyed once per run.  Within a step, one binomial
+call draws the children along the concatenated rows of every occupied
+parent, in ascending parent order, and a second one draws death/clone over
+the occupied positions, also ascending.  A trajectory is therefore a pure
+function of (config, seed) no matter how the host schedules threads, and
+the basis the source was built over enters it only through the elements
+the source serves.
 
 The engine's generator is not the element source's, because the timestep
 check and `row_arrays` measure rows, and so make element draws that re-key

@@ -25,8 +25,9 @@ The source compiles its circuit once, at its fixed parameters, into gate
 runs over its basis (`simulator.compile_circuit`): the full 2^n space by
 default, or the walker sector, where a column has d entries instead of 2^n.
 Every column is computed from those runs and the grouped H.  Only column
-positions are local to the basis; stream keys, record and CSR targets and
-the diagonal stay indexed by walker index, and the row norm and the
+positions are local to the basis (`ElementSource.basis` and `.position` map
+between positions and walker indices); stream keys, record and CSR targets
+and the diagonal stay indexed by walker index, and the row norm and the
 magnitude distribution are summed exactly rounded (`math.fsum`), so a
 sector source draws what the full-space source does.  Row i is one
 measurement event, `ElementSource._measure`:
@@ -309,8 +310,9 @@ def _row_lengths(src: ElementSource, indices: np.ndarray) -> np.ndarray:
     """The CSR row lengths of `indices`, once each of those rows not measured
     yet is measured, in the order given."""
     lens = src._row_len[indices]
-    if len(lens) and lens.min() < 0:
-        for i in dict.fromkeys(indices[lens < 0].tolist()):
+    fresh = (lens < 0).nonzero()[0]
+    if len(fresh):
+        for i in dict.fromkeys(indices[fresh].tolist()):
             row_magnitudes(src, i)
         lens = src._row_len[indices]
     return lens
