@@ -199,8 +199,10 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     n = np.abs(signed).repeat(lens)
     p = mags * delta_tau
     base = np.floor(p)
-    children = n * base.astype(np.int64) + rng.binomial(n, p - base)
-    children *= np.sign(signed).repeat(lens) * csigns
+    children = rng.binomial(n, p - base)
+    children += n * base.astype(np.int64)
+    children *= np.sign(signed).repeat(lens)
+    children *= csigns
     counts = np.zeros(len(pop.counts), dtype=np.int64)
     np.add.at(counts, src.position[targets], children)
     return WalkerPopulation(pop.basis, counts)
@@ -224,9 +226,12 @@ def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
         )
         p = np.minimum(p, 1.0)
     flips = rng.binomial(np.abs(signed), p)
-    counts = pop.counts.copy()
     # dying walkers move the count towards zero, cloned ones away from it
-    counts[occ] = signed - np.where(d > 0, flips, -flips) * np.sign(signed)
+    step = np.where(d > 0, -flips, flips)
+    step *= np.sign(signed)
+    step += signed
+    counts = pop.counts.copy()
+    counts[occ] = step
     return WalkerPopulation(pop.basis, counts)
 
 

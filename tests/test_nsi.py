@@ -261,6 +261,19 @@ def test_report_relations():
                       "s_initial", "theorem2_indicator"}
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_report_norms_equal_their_definitions_bit_for_bit(seed):
+    """The L1 norms and the Theorem-1 bound of a report equal the sums over
+    H_plus and alpha I - H_minus built as matrices, to the last bit."""
+    rng = np.random.default_rng(seed)
+    h = np.round(random_symmetric(rng, 9), 1)  # exact zeros off and on the diagonal
+    sp = split(h)
+    rep = nsi_report(h, 0.7)
+    assert rep.l1_h_plus == float(np.abs(sp.h_plus).sum())
+    assert rep.l1_alpha_minus_h_minus == float(np.abs(sp.alpha * np.eye(9) - sp.h_minus).sum())
+    assert rep.theorem1_bound == theorem1_bound(sp, 0.7)
+
+
 def test_report_diagonalizes_h_and_bosonic_form_once_each(monkeypatch):
     from qcfciqmc import nsi
 
