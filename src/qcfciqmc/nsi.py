@@ -113,15 +113,13 @@ def _spectra(h, beta: float):
     """Set-up shared by the indicators: the beta check, the split (which
     checks that H is real symmetric) reduced to its L1 norms
     (||H_plus||_1, ||alpha I - H_minus||_1), and one diagonalization each
-    of H and H~.  H~ is formed in the split's H_minus, and the split is
-    released before either eigensolve, so that only H, H~ and H's
-    eigenvectors are held while H~ is diagonalized."""
+    of H and H~.  The split is released before either eigensolve, so that
+    only H, H~ and H's eigenvectors are held while H~ is diagonalized."""
     if beta <= 0:
         raise NsiError("beta must be positive")
     sp = split(h)
     norms = (_l1(sp.h_plus), _l1_alpha_minus(sp))
-    h_tilde = sp.h_minus
-    h_tilde -= sp.h_plus
+    h_tilde = bosonic_form(sp)
     del sp
     spec_h = exactdiag.diagonalize(np.asarray(h))
     spec_t = exactdiag.diagonalize(h_tilde)
