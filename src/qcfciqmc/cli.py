@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,7 +31,7 @@ from .fciqmc import (
     trajectory_to_csv,
 )
 from .matelem import ElementSource, ExactBackend, MatelemError, SampledBackend
-from .nsi import NsiError, nsi_report, transformed_dense
+from .nsi import NsiError, check_beta, nsi_report, transformed_dense
 from .operators import (
     DENSE_DIM_LIMIT,
     FcidumpError,
@@ -77,6 +77,8 @@ class ModelError(CliError):
 FAILURES = (CliError, FciqmcError, MatelemError, NsiError, VqaError,
             OperatorError, SimulatorError, np.linalg.LinAlgError)
 
+BACKENDS = {b.kind: b for b in (ExactBackend, SampledBackend)}
+
 CIRCUIT_FORMAT = "qcfciqmc-circuit"
 CIRCUIT_VERSION = 1
 
@@ -113,16 +115,11 @@ class _Conf:
         self.mapping = dict(mapping)
         self.used: set = set()
 
-    def raw(self, key, default=None):
-        if key in self.mapping:
-            self.used.add(key)
-            return self.mapping[key]
-        return default
-
     def _typed(self, key, default, conv, what):
-        value = self.raw(key)
-        if value is None:
+        if key not in self.mapping:
             return default
+        self.used.add(key)
+        value = self.mapping[key]
         try:
             return conv(value)
         except (ValueError, TypeError):
@@ -136,6 +133,9 @@ class _Conf:
 
     def get_str(self, key, default=None):
         return self._typed(key, default, str, "a string")
+
+    def get_path(self, key, default=None):
+        return self._typed(key, default, Path, "a path")
 
     def get_bool(self, key, default=None):
         def conv(v):
@@ -154,8 +154,27 @@ class _Conf:
 
         return self._typed(key, default, conv, "comma-separated integers")
 
+    def build(self, cls, prefix, **given):
+        """A `cls` whose fields, those not `given`, are read from the keys
+        `prefix.<field>`, each with the field's default and that default's
+        type; the class's own range checks fail as config errors."""
+        readers = {bool: self.get_bool, int: self.get_int, float: self.get_float,
+                   str: self.get_str}
+        values = {f.name: readers[type(f.default)](f"{prefix}.{f.name}", f.default)
+                  for f in fields(cls) if f.name not in given}
+        return _checked(prefix, cls, **values, **given)
+
     def unknown_keys(self):
         return sorted(set(self.mapping) - self.used)
+
+
+def _checked(prefix, make, *args, **kwargs):
+    """make(*args, **kwargs), a library range check failing as a config error
+    on the `prefix` section."""
+    try:
+        return make(*args, **kwargs)
+    except (FciqmcError, MatelemError, NsiError, VqaError) as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def _parse_shape(value: str):
@@ -171,7 +190,9 @@ def _parse_shape(value: str):
 
 @dataclass
 class ExperimentConfig:
-    """Everything a subcommand needs, resolved from file + flag overrides."""
+    """Everything a subcommand needs, resolved from file + flag overrides:
+    the library objects, each built from its config section, and the
+    settings the CLI itself uses."""
 
     seed: int = 1
     output_dir: Path = Path(".")
@@ -184,11 +205,10 @@ class ExperimentConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     vqe_init_scale: float = 0.2
     vqe_restarts: int = 1
-    qmc: dict = field(default_factory=dict)
+    run: RunConfig = field(default_factory=RunConfig)
     nsi_beta: float = 0.1
     nsi_phi0: int | None = None
-    backend_kind: str = "exact"
-    backend_opts: dict = field(default_factory=dict)
+    backend: ExactBackend | SampledBackend = field(default_factory=ExactBackend)
     circuit_path: Path | None = None
     identity_basis: bool = False
     sweep_depths: list = field(default_factory=list)
@@ -203,11 +223,11 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     for key, value in (overrides or {}).items():
         mapping[key] = value
     conf = _Conf(mapping)
-    cfg = ExperimentConfig()
-    cfg.seed = conf.get_int("seed", 1)
+    cfg = ExperimentConfig()  # its defaults are those of every key read below
+    cfg.seed = conf.get_int("seed", cfg.seed)
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    cfg.output_dir = Path(conf.get_str("output.dir", "."))
+    cfg.output_dir = conf.get_path("output.dir", cfg.output_dir)
 
     has_hubbard = any(k.startswith("model.hubbard.") for k in mapping)
     has_fcidump = any(k.startswith("model.fcidump.") for k in mapping)
@@ -216,12 +236,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
                           "(model.hubbard.* or model.fcidump.*)")
     if has_hubbard:
         shape = _parse_shape(conf.get_str("model.hubbard.shape", "1x2"))
-        cfg.hubbard = HubbardSpec(
-            shape=shape,
-            t=conf.get_float("model.hubbard.t", 1.0),
-            u=conf.get_float("model.hubbard.u", 0.0),
-            periodic=conf.get_bool("model.hubbard.periodic", False),
-        )
+        cfg.hubbard = conf.build(HubbardSpec, "model.hubbard", shape=shape)
         n_up = conf.get_int("model.hubbard.n_up")
         n_dn = conf.get_int("model.hubbard.n_dn")
         if (n_up is None) != (n_dn is None):
@@ -229,77 +244,41 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         if n_up is not None:
             cfg.sector_override = (n_up, n_dn)
     else:
-        cfg.fcidump_path = Path(conf.get_str("model.fcidump.path", ""))
-        if str(cfg.fcidump_path) == "":
+        cfg.fcidump_path = conf.get_path("model.fcidump.path")
+        if cfg.fcidump_path is None:
             raise ConfigError("model.fcidump.path is required")
         if not cfg.fcidump_path.is_file():
             raise ConfigError(f"fcidump file not found: {cfg.fcidump_path}")
-        cfg.fcidump_frozen = tuple(conf.get_int_list("model.fcidump.frozen", []))
+        cfg.fcidump_frozen = tuple(conf.get_int_list("model.fcidump.frozen",
+                                                     cfg.fcidump_frozen))
         if len(set(cfg.fcidump_frozen)) != len(cfg.fcidump_frozen):
             # each frozen orbital removes its two electrons once
             raise ConfigError(f"model.fcidump.frozen repeats an orbital: {cfg.fcidump_frozen}")
 
-    kind = conf.get_str("ansatz.kind", "hv")
-    if kind not in ("hv", "adapt"):
-        raise ConfigError(f"ansatz.kind: expected hv or adapt, got {kind!r}")
-    cfg.ansatz = AnsatzSpec(
-        kind=kind,
-        layers=conf.get_int("ansatz.layers", 3),
-        max_operators=conf.get_int("ansatz.max_operators", 8),
-        gradient_tol=conf.get_float("ansatz.gradient_tol", 1e-3),
-    )
-    if cfg.ansatz.layers < 0 or cfg.ansatz.max_operators < 0:
-        raise ConfigError("ansatz depth settings must be non-negative")
-
-    base = OptimizerConfig()
-    cfg.optimizer = OptimizerConfig(
-        gtol=conf.get_float("vqe.gtol", base.gtol),
-        max_iterations=conf.get_int("vqe.max_iterations", base.max_iterations),
-        armijo=conf.get_float("vqe.armijo", base.armijo),
-        shrink=conf.get_float("vqe.shrink", base.shrink),
-        initial_step=conf.get_float("vqe.initial_step", base.initial_step),
-        max_backtracks=conf.get_int("vqe.max_backtracks", base.max_backtracks),
-    )
-    cfg.vqe_init_scale = conf.get_float("vqe.init_scale", 0.2)
-    cfg.vqe_restarts = conf.get_int("vqe.restarts", 1)
+    cfg.ansatz = conf.build(AnsatzSpec, "ansatz")
+    cfg.optimizer = conf.build(OptimizerConfig, "vqe")
+    cfg.vqe_init_scale = conf.get_float("vqe.init_scale", cfg.vqe_init_scale)
+    cfg.vqe_restarts = conf.get_int("vqe.restarts", cfg.vqe_restarts)
     if cfg.vqe_restarts < 1:
         raise ConfigError("vqe.restarts must be at least 1")
 
-    cfg.qmc = {
-        "delta_tau": conf.get_float("qmc.delta_tau", 1e-3),
-        "total_time": conf.get_float("qmc.total_time", 10.0),
-        "initial_walkers": conf.get_int("qmc.initial_walkers", 100),
-        "damping": conf.get_float("qmc.damping", 0.05),
-        "update_interval": conf.get_int("qmc.update_interval", 5),
-        "threshold": conf.get_int("qmc.threshold", 5000),
-        "equilibration_fraction": conf.get_float("qmc.equilibration_fraction", 0.5),
-    }
-    cfg.reference_override = conf.get_int("qmc.reference")
+    cfg.run = conf.build(RunConfig, "qmc", seed=cfg.seed)
+    cfg.reference_override = conf.get_int("qmc.reference", cfg.reference_override)
 
-    cfg.nsi_beta = conf.get_float("nsi.beta", 0.1)
-    cfg.nsi_phi0 = conf.get_int("nsi.phi0")
+    cfg.nsi_beta = _checked("nsi", check_beta, conf.get_float("nsi.beta", cfg.nsi_beta))
+    cfg.nsi_phi0 = conf.get_int("nsi.phi0", cfg.nsi_phi0)
 
-    cfg.backend_kind = conf.get_str("backend.kind", "exact")
-    if cfg.backend_kind not in ("exact", "sampled"):
-        raise ConfigError(f"backend.kind: expected exact or sampled, got {cfg.backend_kind!r}")
-    cfg.backend_opts = {
-        "shots_magnitude": conf.get_int("backend.shots_magnitude"),
-        "shots_sign": conf.get_int("backend.shots_sign"),
-        "magnitude_floor": conf.get_float("backend.magnitude_floor"),
-        "ambiguity_z": conf.get_float("backend.ambiguity_z"),
-    }
-    try:  # the engine and the sampled backend own their range checks
-        RunConfig(**cfg.qmc)
-        if cfg.backend_kind == "sampled":
-            build_backend(cfg)
-    except (FciqmcError, MatelemError) as exc:
-        raise ConfigError(str(exc)) from None
+    kind = conf.get_str("backend.kind", cfg.backend.kind)
+    if kind not in BACKENDS:
+        raise ConfigError(f"backend.kind: expected {' or '.join(BACKENDS)}, got {kind!r}")
+    cfg.backend = conf.build(BACKENDS[kind], "backend")
+    unread = [k for k in conf.unknown_keys() if k.startswith("backend.")]
+    if unread:
+        raise ConfigError(f"backend options not valid for {kind} backend: {unread}")
 
-    raw_circuit = conf.get_str("circuit.path")
-    if raw_circuit is not None:
-        cfg.circuit_path = Path(raw_circuit)
-    cfg.identity_basis = conf.get_bool("identity.basis", False)
-    cfg.sweep_depths = conf.get_int_list("sweep.depths", [])
+    cfg.circuit_path = conf.get_path("circuit.path", cfg.circuit_path)
+    cfg.identity_basis = conf.get_bool("identity.basis", cfg.identity_basis)
+    cfg.sweep_depths = conf.get_int_list("sweep.depths", cfg.sweep_depths)
 
     unknown = conf.unknown_keys()
     if unknown:
@@ -352,17 +331,6 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         raise ModelError(str(exc)) from exc
     return BuiltModel(h=h, n_qubits=n, sector=sector, reference=int(ref),
                       label=label, hubbard=cfg.hubbard)
-
-
-def build_backend(cfg: ExperimentConfig):
-    opts = {k: v for k, v in cfg.backend_opts.items() if v is not None}
-    if cfg.backend_kind == "exact":
-        allowed = {"magnitude_floor"}
-        bad = set(opts) - allowed
-        if bad:
-            raise ConfigError(f"backend options not valid for exact backend: {sorted(bad)}")
-        return ExactBackend(**opts)
-    return SampledBackend(**opts)
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +516,21 @@ def _sector_ground_energy(model: BuiltModel) -> float:
     return diagonalize(sub).ground_energy()
 
 
+def _check_ansatz(cfg: ExperimentConfig) -> None:
+    """A config error when the configured ansatz cannot be built for the model."""
+    if cfg.ansatz.kind == "hv" and cfg.hubbard is None:
+        raise ConfigError("hv ansatz requires a hubbard model")
+
+
 def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=None):
     """Run the configured VQE at the given depth over the walker sector;
     returns a VqeResult.  Every circuit trained here starts by flipping to
     model.reference."""
+    _check_ansatz(cfg)
     spec = cfg.ansatz
     seed = cfg.seed if seed is None else seed
     walkers = _walker_sector(model, model.reference)
     if spec.kind == "hv":
-        if model.hubbard is None:
-            raise ConfigError("hv ansatz requires a hubbard model")
         layers = spec.layers if depth is None else depth
         groups = hubbard_hv_generator_groups(model.hubbard)
         circuit = layered_ansatz(groups, layers, model.reference, model.n_qubits)
@@ -579,10 +552,10 @@ def _train_ansatz(cfg: ExperimentConfig, model: BuiltModel, depth=None, seed=Non
 def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis: WalkerBasis, seed):
     """The projector run in the walker basis, its columns computed over the
     walker sector."""
-    run_cfg = RunConfig(seed=seed, **cfg.qmc)
-    src = ElementSource(model.h, basis.circuit, basis.params, backend=build_backend(cfg),
+    src = ElementSource(model.h, basis.circuit, basis.params, backend=cfg.backend,
                         seed=seed, basis=basis.walkers)
-    traj = run(model.h, basis.circuit, basis.params, run_cfg, source=src, phi0=basis.phi0)
+    traj = run(model.h, basis.circuit, basis.params, replace(cfg.run, seed=seed),
+               source=src, phi0=basis.phi0)
     return traj, statistics(traj)
 
 
@@ -679,6 +652,8 @@ def cmd_qmc(cfg: ExperimentConfig) -> dict:
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
     if not cfg.sweep_depths:
         raise ConfigError("sweep.depths is required for the sweep command")
+    if any(cfg.sweep_depths):
+        _check_ansatz(cfg)
     model = build_model(cfg)
     _check_dense(model)
     identity = _walker_basis(model, cfg.reference_override)

@@ -104,10 +104,6 @@ class WalkerPopulation:
     def n_occupied(self) -> int:
         return int(np.count_nonzero(self.counts))
 
-    def items(self) -> list:
-        """[(walker index, signed count)] over the occupied indices, ascending."""
-        return list(zip(self.indices.tolist(), self.signed.tolist()))
-
     def values(self) -> list:
         """The signed counts of the occupied indices, in ascending index order."""
         return self.signed.tolist()
@@ -149,7 +145,7 @@ class RunConfig:
     equilibration_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.delta_tau <= 0:
+        if not self.delta_tau > 0:  # NaN too
             raise FciqmcError("delta_tau must be positive")
         if self.update_interval < 1:
             raise FciqmcError("update_interval must be at least 1")

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -110,11 +111,13 @@ class KeyedStreams:
 
 @dataclass(frozen=True)
 class ExactBackend:
+    kind: ClassVar[str] = "exact"
     magnitude_floor: float = 1e-8
 
 
 @dataclass(frozen=True)
 class SampledBackend:
+    kind: ClassVar[str] = "sampled"
     shots_magnitude: int = 10**6
     shots_sign: int = 10**4
     magnitude_floor: float = 0.0  # extra user floor on top of the 3-SE cut

@@ -109,14 +109,20 @@ def _l1_alpha_minus(s: StoquasticSplit) -> float:
     return float(m.sum())
 
 
+def check_beta(beta: float) -> float:
+    """beta, if it is a positive inverse temperature; else an NsiError."""
+    if not beta > 0:  # NaN too
+        raise NsiError("beta must be positive")
+    return beta
+
+
 def _spectra(h, beta: float):
     """Set-up shared by the indicators: the beta check, the split (which
     checks that H is real symmetric) reduced to its L1 norms
     (||H_plus||_1, ||alpha I - H_minus||_1), and one diagonalization each
     of H and H~.  The split is released before either eigensolve, so that
     only H, H~ and H's eigenvectors are held while H~ is diagonalized."""
-    if beta <= 0:
-        raise NsiError("beta must be positive")
+    check_beta(beta)
     sp = split(h)
     norms = (_l1(sp.h_plus), _l1_alpha_minus(sp))
     h_tilde = bosonic_form(sp)

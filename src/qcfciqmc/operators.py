@@ -197,9 +197,6 @@ class PauliSum:
         """is_hermitian() at its default tolerance, decided once per sum."""
         return self.is_hermitian()
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        return PauliSum(list(self.terms) + list(other.terms))
-
     def scaled(self, c) -> "PauliSum":
         return PauliSum([PauliTerm(c * t.coefficient, t.word) for t in self.terms])
 
@@ -314,8 +311,8 @@ class HubbardSpec:
     """Rectangular Hubbard lattice; n_qubits = 2 * rows * cols."""
 
     shape: tuple
-    t: float
-    u: float
+    t: float = 1.0
+    u: float = 0.0
     periodic: bool = False
 
     @property

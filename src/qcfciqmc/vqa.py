@@ -80,10 +80,16 @@ class AnsatzSpec:
     kind "hv" layers the real generator groups built from the model; kind
     "adapt" grows from the singles-doubles pool."""
 
-    kind: str = "adapt"  # "hv" | "adapt"
+    kind: str = "hv"  # "hv" | "adapt"
     layers: int = 3
     max_operators: int = 8
     gradient_tol: float = 1e-3
+
+    def __post_init__(self):
+        if self.kind not in ("hv", "adapt"):
+            raise VqaError(f"kind must be hv or adapt, got {self.kind!r}")
+        if self.layers < 0 or self.max_operators < 0:
+            raise VqaError("layers and max_operators must be non-negative")
 
 
 # ---------------------------------------------------------------------------

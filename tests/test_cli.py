@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from qcfciqmc.cli import (
     serialize_circuit,
 )
 from qcfciqmc.exactdiag import diagonalize, number_sector_indices, project_to_sector
+from qcfciqmc.fciqmc import RunConfig
+from qcfciqmc.matelem import ExactBackend, SampledBackend
 from qcfciqmc.nsi import transformed_dense
 from qcfciqmc.operators import (
     FcidumpData,
@@ -43,6 +46,7 @@ from qcfciqmc.simulator import (
     compile_circuit,
     transformed_columns,
 )
+from qcfciqmc.vqa import AnsatzSpec, OptimizerConfig
 
 E_1X2 = 2.0 - 2.0 * math.sqrt(2.0)
 
@@ -116,6 +120,8 @@ def test_load_config_requires_one_model(tmp_path):
     both = "model.hubbard.shape = 1x2\nmodel.fcidump.path = x\n"
     with pytest.raises(ConfigError, match="exactly one model"):
         load_config(write_conf(tmp_path, both))
+    with pytest.raises(ConfigError, match="model.fcidump.path is required"):
+        load_config(write_conf(tmp_path, "model.fcidump.frozen = 1\n"))
 
 
 def test_load_config_shape_and_values(tmp_path):
@@ -142,6 +148,66 @@ def test_load_config_bad_shape(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.conf")
+
+
+def test_a_config_without_optional_keys_takes_the_library_defaults(tmp_path):
+    cfg = load_config(write_conf(tmp_path, "model.hubbard.shape = 1x2\n"))
+    assert cfg.run == RunConfig(seed=1)
+    assert cfg.optimizer == OptimizerConfig()
+    assert cfg.ansatz == AnsatzSpec()
+    assert cfg.backend == ExactBackend()
+    assert cfg.hubbard == HubbardSpec((1, 2))
+    default = ExperimentConfig()
+    assert (cfg.seed, cfg.output_dir, cfg.nsi_beta, cfg.vqe_init_scale, cfg.vqe_restarts) \
+        == (default.seed, default.output_dir, default.nsi_beta, default.vqe_init_scale,
+            default.vqe_restarts)
+
+
+def test_each_section_builds_its_library_object(tmp_path):
+    """Every key of a section sets the field of the same name; qmc runs
+    take the top-level seed."""
+    cfg = load_config(write_conf(tmp_path, """
+seed = 7
+model.hubbard.shape = 1x2
+ansatz.kind = adapt
+ansatz.max_operators = 4
+vqe.armijo = 0.01
+qmc.threshold = 300
+qmc.delta_tau = 2e-3
+backend.kind = sampled
+backend.shots_sign = 4000
+backend.magnitude_floor = 1e-6
+"""))
+    assert cfg.ansatz == AnsatzSpec(kind="adapt", max_operators=4)
+    assert cfg.optimizer == OptimizerConfig(armijo=0.01)
+    assert cfg.run == RunConfig(seed=7, threshold=300, delta_tau=2e-3)
+    assert cfg.backend == SampledBackend(shots_sign=4000, magnitude_floor=1e-6)
+
+
+OUT_OF_RANGE = [
+    ("ansatz.kind = uccsd", "ansatz: kind must be hv or adapt, got 'uccsd'"),
+    ("ansatz.layers = -1", "ansatz: layers and max_operators must be non-negative"),
+    ("qmc.equilibration_fraction = 1", "qmc: equilibration_fraction must lie in"),
+    ("qmc.delta_tau = nan", "qmc: delta_tau must be positive"),
+    ("backend.kind = sampled\nbackend.shots_magnitude = 0", "backend: shots_magnitude"),
+    ("backend.kind = qpu", "backend.kind: expected exact or sampled, got 'qpu'"),
+]
+
+
+@pytest.mark.parametrize("setting, message", OUT_OF_RANGE,
+                         ids=[s.splitlines()[-1].split(" =")[0] for s, _ in OUT_OF_RANGE])
+def test_out_of_range_settings_are_config_errors_at_load(tmp_path, setting, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_conf(tmp_path, "model.hubbard.shape = 1x2\n" + setting + "\n"))
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.conf"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_config_loads(path):
+    cfg = load_config(path)
+    assert cfg.effective == parse_config_text(path.read_text())
 
 
 def test_flag_overrides_take_precedence(tmp_path):
@@ -704,14 +770,16 @@ def test_walker_basis_carries_the_determinant_through_leading_flips():
         cli._walker_basis(model, None, Circuit(4, []), ())
 
 
-def test_nsi_bad_beta_is_numerical_failure(tmp_path):
-    conf = write_conf(tmp_path, f"""
-output.dir = {tmp_path / 'out'}
-model.hubbard.shape = 1x2
-model.hubbard.u = 4.0
-nsi.beta = -0.5
-""")
-    assert cli.main(["nsi", conf]) == 4
+def test_nsi_bad_beta_is_a_config_error(tmp_path, capsys):
+    """nsi.beta must be positive: nsi and sweep stop at load with exit 2,
+    before sweep trains any depth, and write nothing."""
+    out = tmp_path / "out"
+    for beta in ("0", "-0.5", "nan"):
+        conf = write_conf(tmp_path, SWEEP_1X2.format(out=out) + f"nsi.beta = {beta}\n")
+        for command in ("nsi", "sweep"):
+            assert cli.main([command, conf]) == 2
+            assert "config error: nsi: beta must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nsi_overflowed_bound_is_written_as_null(tmp_path):
@@ -780,6 +848,17 @@ def test_qmc_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
                       + "backend.kind = sampled\n" + setting + "\n")
     assert cli.main(["qmc", conf, "--identity-basis"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ed", "vqe", "nsi", "qmc", "sweep"])
+def test_sampled_only_backend_keys_under_the_exact_backend_fail_at_load(
+        tmp_path, capsys, command):
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, SWEEP_1X2.format(out=out) + "backend.shots_sign = 4000\n")
+    assert cli.main([command, conf, "--identity-basis"]) == 2
+    assert ("not valid for exact backend: ['backend.shots_sign']"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_negative_seed_in_the_file_is_a_config_error(tmp_path, capsys):
@@ -923,6 +1002,21 @@ def test_sweep_rows_and_depth_zero(tmp_path):
     assert rows[0]["e_vqe"] == 0.0  # reference diagonal on the open dimer
 
 
+def test_each_sweep_row_runs_the_projector_at_its_derived_seed(tmp_path):
+    """Row k runs at seed + k: a second depth-0 row is the identity-basis
+    qmc run at the next seed (BASE_1X2 has seed 3)."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + "sweep.depths = 0, 0\n")
+    assert cli.main(["sweep", conf]) == 0
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    qdir = tmp_path / "qout"
+    qconf = write_conf(tmp_path, BASE_1X2.format(out=qdir), name="q.conf")
+    assert cli.main(["qmc", qconf, "--identity-basis", "--seed", "4"]) == 0
+    summary = json.loads((qdir / "summary.json").read_text())
+    assert rows[1]["e_qmc_mean"] == summary["mean_e_mixed"]
+    assert rows[1]["e_qmc_mean"] != rows[0]["e_qmc_mean"]
+
+
 def test_sweep_std_non_increasing(tmp_path):
     out = tmp_path / "out"
     conf = write_conf(tmp_path, SWEEP_1X2.format(out=out))
@@ -986,6 +1080,25 @@ def test_sweep_row_linalg_failure_goes_into_the_row(tmp_path, monkeypatch):
     assert rows[1]["error"] == "injected eigh failure"
     assert rows[1]["nsi"] is None and rows[1]["e_qmc_mean"] is None
     assert (out / "sweep.csv").read_text().splitlines()[2].endswith(",injected eigh failure")
+
+
+def test_sweep_hv_ansatz_on_an_fcidump_model_fails_before_the_first_row(tmp_path, capsys):
+    """The default hv ansatz needs a Hubbard lattice: with a trained depth
+    on an FCIDUMP model, sweep stops with exit 2 before its first row, as
+    vqe does; a depth-0 sweep trains nothing and runs."""
+    path = tmp_path / "dimer.fcidump"
+    path.write_text(serialize_fcidump(lattice_fcidump(HubbardSpec((1, 2), u=4.0))))
+    out = tmp_path / "out"
+    body = (f"output.dir = {out}\nmodel.fcidump.path = {path}\n"
+            "qmc.total_time = 1.0\nqmc.threshold = 400\n")
+    conf = write_conf(tmp_path, body + "sweep.depths = 0, 1\n")
+    for command in ("sweep", "vqe"):
+        assert cli.main([command, conf]) == 2
+        assert "hv ansatz requires a hubbard model" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["sweep", write_conf(tmp_path, body + "sweep.depths = 0\n",
+                                         name="zero.conf")]) == 0
+    assert json.loads((out / "sweep.json").read_text())["rows"][0]["error"] == ""
 
 
 def test_sweep_requires_depths(tmp_path):

@@ -35,6 +35,7 @@ from qcfciqmc.simulator import (
     compile_circuit,
 )
 from qcfciqmc.vqa import (
+    AnsatzSpec,
     OptimizerConfig,
     VqaError,
     adapt_vqe,
@@ -173,6 +174,16 @@ def test_generator_gates_reject_hermitian_input():
     gen = PauliSum([PauliTerm(1.0, PauliWord(2, 0b01, 0b01))])
     with pytest.raises(VqaError):
         generator_gates(gen, 0)
+
+
+def test_ansatz_spec_checks_its_kind_and_depths():
+    with pytest.raises(VqaError, match="kind must be hv or adapt"):
+        AnsatzSpec(kind="uccsd")
+    with pytest.raises(VqaError, match="non-negative"):
+        AnsatzSpec(layers=-1)
+    with pytest.raises(VqaError, match="non-negative"):
+        AnsatzSpec(kind="adapt", max_operators=-1)
+    assert AnsatzSpec().kind == "hv"
 
 
 def test_singles_doubles_pool_antihermitian():
