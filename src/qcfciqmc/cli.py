@@ -23,6 +23,7 @@ import numpy as np
 
 from .exactdiag import diagonalize, number_sector_indices
 from .fciqmc import (
+    MIN_SAMPLES,
     FciqmcError,
     RunConfig,
     run,
@@ -263,6 +264,11 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         raise ConfigError("vqe.restarts must be at least 1")
 
     cfg.run = conf.build(RunConfig, "qmc", seed=cfg.seed)
+    records = cfg.run.n_steps + 1  # each holds a mixed energy while the reference is occupied
+    samples = records - int(cfg.run.equilibration_fraction * records)
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"qmc: total_time / delta_tau leaves {samples} post-equilibration "
+                          f"samples; statistics needs >= {MIN_SAMPLES}")
     cfg.reference_override = conf.get_int("qmc.reference", cfg.reference_override)
 
     cfg.nsi_beta = _checked("nsi", check_beta, conf.get_float("nsi.beta", cfg.nsi_beta))

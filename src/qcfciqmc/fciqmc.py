@@ -15,19 +15,17 @@ Walkers are integers; fractional probabilities round stochastically.  The
 population is one int64 vector of signed counts, one entry per basis
 position of the element source (`ElementSource.basis`, ascending walker
 indices): the walker sector for every command-line run, all 2^n indices for
-a source built without one.  Each update rule is a handful of vector
-operations over it and over the rows of the element source's CSR, which the
-mixed energy and the timestep check read in place.  CSR targets are walker
-indices; `ElementSource.position` maps them to the positions where the
-spawned children are summed.  All randomness of a run comes from one
-counter-based Philox stream, the ENGINE stream of the run's seed
-(`matelem.KeyedStreams`), keyed once per run.  Within a step, one binomial
-call draws the children along the concatenated rows of every occupied
-parent, in ascending parent order, and a second one draws death/clone over
-the occupied positions, also ascending.  A trajectory is therefore a pure
-function of (config, seed) no matter how the host schedules threads, and
-the basis the source was built over enters it only through the elements
-the source serves.
+a source built without one.  The engine works in positions end to end: each
+update rule is a handful of vector operations over the population and over
+the source's CSR and diagonal, which are indexed by position too.  All
+randomness of a run comes from one counter-based Philox stream, the ENGINE
+stream of the run's seed (`matelem.KeyedStreams`), keyed once per run.
+Within a step, one binomial call draws the children along the concatenated
+rows of every occupied parent, in ascending parent order, and a second one
+draws death/clone over the occupied positions, also ascending.  A
+trajectory is therefore a pure function of (config, seed) no matter how the
+host schedules threads, and the basis the source was built over enters it
+only through the elements the source serves.
 
 The engine's generator is not the element source's, because the timestep
 check and `row_arrays` measure rows, and so make element draws that re-key
@@ -47,8 +45,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matelem import (ENGINE, ElementSource, KeyedStreams, diagonal_elements,
-                      resolved_row, row_arrays)
+from .matelem import (ENGINE, ElementSource, KeyedStreams, csr_row, diagonal_elements,
+                      row_arrays)
 from .simulator import Circuit
 
 
@@ -75,13 +73,9 @@ class WalkerPopulation:
     def from_dict(cls, src: ElementSource, counts: dict | None = None) -> "WalkerPopulation":
         """{walker index: signed count} over the basis of `src`; an index
         outside that basis is an error."""
-        d = len(src.basis)
-        vec = np.zeros(d, dtype=np.int64)
+        vec = np.zeros(len(src.basis), dtype=np.int64)
         for i, c in (counts or {}).items():
-            p = int(src.position[i]) if 0 <= i < len(src.position) else d
-            if p == d:
-                raise FciqmcError(f"walker index {i} lies outside the source's basis")
-            vec[p] = c
+            vec[src.position_of(i)] = c
         return cls(src.basis, vec)
 
     @classmethod
@@ -147,6 +141,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.delta_tau > 0:  # NaN too
             raise FciqmcError("delta_tau must be positive")
+        if not 0 <= self.total_time < math.inf:  # NaN too
+            raise FciqmcError("total_time must be finite and non-negative")
         if self.update_interval < 1:
             raise FciqmcError("update_interval must be at least 1")
         if not (0 <= self.equilibration_fraction < 1):
@@ -191,7 +187,7 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     same basis, summed per target in int64."""
     occ = pop.counts.nonzero()[0]
     signed = pop.counts[occ]
-    targets, mags, csigns, lens = row_arrays(src, pop.basis[occ])
+    targets, mags, csigns, lens = row_arrays(src, occ)
     n = np.abs(signed).repeat(lens)
     p = mags * delta_tau
     base = np.floor(p)
@@ -200,7 +196,7 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     children *= np.sign(signed).repeat(lens)
     children *= csigns
     counts = np.zeros(len(pop.counts), dtype=np.int64)
-    np.add.at(counts, src.position[targets], children)
+    np.add.at(counts, targets, children)
     return WalkerPopulation(pop.basis, counts)
 
 
@@ -213,7 +209,7 @@ def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
     if len(occ) == 0:
         return pop
     signed = pop.counts[occ]
-    d = (diagonal_elements(src, pop.basis[occ]) - shift) * delta_tau
+    d = (diagonal_elements(src, occ) - shift) * delta_tau
     p = np.abs(d)
     if p.max() > 1.0:
         warnings.warn(
@@ -244,23 +240,19 @@ def update_shift(ctl: ShiftController, n_now: int, n_prev: int, delta_tau: float
     return ctl.shift - ctl.damping / (ctl.update_interval * delta_tau) * math.log(n_now / n_prev)
 
 
-def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
-    """E = H'_00 + sum_{j != 0} H'_{j,phi0} c_j / c_0 over occupied j.
-
-    Returns None while the reference is unoccupied (estimate undefined).  The
-    counts on the reference's row targets are read through the source's
-    position map, and the sum runs over the occupied targets in the row's
-    order, one term at a time, so its rounding does not depend on how the
-    population is stored."""
+def mixed_energy(pop: WalkerPopulation, src: ElementSource, ref: int):
+    """E = H'_00 + sum_{j != 0} H'_{j,0} c_j / c_0 over occupied j, the
+    reference 0 at basis position `ref`; None while it is unoccupied.  The
+    sum runs over the occupied targets in the reference row's order, one
+    term at a time, so its rounding does not depend on the storage."""
     counts = pop.counts
-    k = src.position[phi0]
-    if k == len(counts) or counts[k] == 0:
+    c_0 = int(counts[ref])
+    if c_0 == 0:
         return None
-    c_0 = int(counts[k])
-    e = float(diagonal_elements(src, [phi0])[0])
-    targets, mags, csigns = resolved_row(src, phi0)
-    c = counts[src.position[targets]]
-    # -s * m is H'_{j,phi0} exactly; the child sign s is -sign(H'_{j,phi0})
+    e = float(diagonal_elements(src, [ref])[0])
+    targets, mags, csigns = csr_row(src, ref)
+    c = counts[targets]
+    # -s * m is H'_{j,0} exactly; the child sign s is -sign(H'_{j,0})
     for s, m, c_j in zip(csigns.tolist(), mags.tolist(), c.tolist()):
         if c_j:
             e += -s * m * c_j / c_0
@@ -274,15 +266,14 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, phi0: int):
 def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
                     shift: float) -> bool:
     """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
-    newly occupied rows `fresh`; True once the warning is given."""
-    for i in fresh:
-        l1 = abs(diagonal_elements(src, [i])[0] - shift) + sum(resolved_row(src, i)[1].tolist())
+    newly occupied positions `fresh`; True once the warning is given."""
+    for p in fresh:
+        l1 = abs(diagonal_elements(src, [p])[0] - shift) + sum(csr_row(src, p)[1].tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
-                f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index {i}; "
-                "the stochastic propagator is a poor approximation at this step size",
-                stacklevel=3,
-            )
+                f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index "
+                f"{src.basis[p]}; the stochastic propagator is a poor approximation "
+                "at this step size", stacklevel=3)
             return True
     return False
 
@@ -296,7 +287,8 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         h, circuit, params, backend=backend, seed=cfg.seed
     )
     pop = WalkerPopulation.single(src, phi0, cfg.initial_walkers)
-    e_ref = float(diagonal_elements(src, [phi0])[0])
+    ref = src.position_of(phi0)
+    e_ref = float(diagonal_elements(src, [ref])[0])
     ctl = ShiftController(
         shift=e_ref,
         damping=cfg.damping,
@@ -310,14 +302,14 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
     unchecked = np.ones(len(src.basis), dtype=bool)
     n_unchecked = len(unchecked)
     traj.records.append(TrajectoryRecord(
-        0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, phi0)
+        0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, ref)
     ))
     for step in range(1, cfg.n_steps + 1):
         if n_unchecked:
             fresh = (unchecked & (pop.counts != 0)).nonzero()[0]
             unchecked[fresh] = False
             n_unchecked -= len(fresh)
-            if _check_timestep(src, src.basis[fresh].tolist(), cfg.delta_tau, ctl.shift):
+            if _check_timestep(src, fresh.tolist(), cfg.delta_tau, ctl.shift):
                 n_unchecked = 0
         spawned = spawn_step(pop, src, cfg.delta_tau, rng)
         survivors = death_clone_step(pop, src, ctl.shift, cfg.delta_tau, rng)
@@ -328,7 +320,7 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
         ctl.observe(step, total, cfg.delta_tau)
         traj.records.append(TrajectoryRecord(
             step, step * cfg.delta_tau, ctl.shift, total, pop.n_occupied,
-            mixed_energy(pop, src, phi0),
+            mixed_energy(pop, src, ref),
         ))
     return traj
 
@@ -340,6 +332,8 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
 # samples spread over at most this many ulps are one value up to roundoff,
 # such as a mixed energy that an exact basis makes constant
 ROUNDOFF_ULPS = 64
+
+MIN_SAMPLES = 16  # the fewest post-equilibration samples, and blocks of a level
 
 
 @dataclass
@@ -370,11 +364,11 @@ def blocking_analysis(samples) -> tuple:
     constant = np.ptp(x) <= ROUNDOFF_ULPS * np.spacing(np.abs(x).max())
     levels = []
     size = 1
-    while len(x) >= 16:
+    while len(x) >= MIN_SAMPLES:
         n = len(x)
         se = float(np.std(x, ddof=1) / np.sqrt(n))
         levels.append(BlockingLevel(size, n, se))
-        if n // 2 < 16:
+        if n // 2 < MIN_SAMPLES:
             break
         if n % 2:
             x = x[:-1]
@@ -405,8 +399,9 @@ def _post_equilibration(traj: Trajectory) -> list:
 def statistics(traj: Trajectory) -> Statistics:
     post = _post_equilibration(traj)
     samples = np.asarray([r.e_mixed for r in post if r.e_mixed is not None], dtype=float)
-    if len(samples) < 16:
-        raise FciqmcError(f"only {len(samples)} post-equilibration samples; need >= 16")
+    if len(samples) < MIN_SAMPLES:
+        raise FciqmcError(f"only {len(samples)} post-equilibration samples; "
+                          f"need >= {MIN_SAMPLES}")
     levels, plateau = blocking_analysis(samples)
     return Statistics(
         mean=float(np.mean(samples)),

@@ -24,25 +24,21 @@ engine owns another (see `fciqmc`).
 The source compiles its circuit once, at its fixed parameters, into gate
 runs over its basis (`simulator.compile_circuit`): the full 2^n space by
 default, or the walker sector, where a column has d entries instead of 2^n.
-Every column is computed from those runs and the grouped H.  Only column
-positions are local to the basis (`ElementSource.basis` and `.position` map
-between positions and walker indices); stream keys, record and CSR targets
-and the diagonal stay indexed by walker index, and the row norm and the
-magnitude distribution are summed exactly rounded (`math.fsum`), so a
-sector source draws what the full-space source does.  Row i is one
-measurement event, `ElementSource._measure`:
-from one transformed column it takes the magnitude draw (ascending target
-and magnitude arrays), the sign draw (a Hadamard test for every j != i with
-q(j) > 0, all in one binomial call, of which the record keeps the signs at
-its targets) and the diagonal, exact or drawn, and writes them once into the
-row's record, its signed row in the CSR the source
-owns for the engine (targets, |H'_ji| and child signs, with a start and a
-length per row, in entry arrays that double when full) and H'_ii in the
-source's diagonal vector.  The column is
-not kept.  Every other function here only reads those stores, measuring a
-row first through `row_magnitudes` when it has none yet.  H'_ji is served
-from row i's measurement alone, so H'_ij and H'_ji are two estimates, each
-from its own row.  Nothing is persisted between runs.
+Row i is one measurement event, `ElementSource._measure`: from one
+transformed column it takes the magnitude draw, the sign draw (a Hadamard
+test for every j != i with q(j) > 0, in one binomial call) and the diagonal,
+exact or drawn.  The first measurement writes them into the only row store,
+indexed like the engine's walkers by basis position: the CSR (target
+positions, |H'_ji| and child signs, an unresolved sign left out, in entry
+arrays that double when full) and the diagonal vector.  Stream keys stay
+walker indices, and the row norm and the magnitude distribution are summed
+exactly rounded (`math.fsum`), so a sector source draws what the full-space
+source does.  The engine reads by position (`csr_row`, `row_arrays`,
+`diagonal_elements`); the other readers take walker indices and refuse one
+outside the basis.  `row_magnitudes` returns the draw itself, signs at every
+kept target included, drawn again from its keyed streams once the row is
+stored.  H'_ji is served from row i's measurement alone, so H'_ij and H'_ji
+are two estimates, each from its own row.  Nothing is kept between runs.
 """
 
 from __future__ import annotations
@@ -130,9 +126,9 @@ class SampledBackend:
 
 @dataclass(frozen=True)
 class RowRecord:
-    """What one measurement of row i yields, besides its CSR row and H'_ii."""
+    """The draw of row i: what one measurement of it yields, besides H'_ii."""
 
-    targets: np.ndarray  # the draw's kept j != i, ascending
+    targets: np.ndarray  # the draw's kept j != i, ascending walker indices
     mags: np.ndarray  # the draw's |H'_ji| estimates at `targets`
     signs: np.ndarray  # int8 sign(Re H'_ji) at `targets`; 0 where not resolved
 
@@ -157,19 +153,19 @@ class ElementSource:
         self.n_qubits = circuit.n_qubits
         # fixed for the run; columns run over its basis, all 2^n indices by default
         self._compiled = compile_circuit(circuit, params, basis)
-        self._rows: dict = {}  # i -> RowRecord
-        dim = 1 << self.n_qubits
-        # engine CSR: measured row i occupies [_row_start[i], _row_start[i] +
-        # _row_len[i]) of the entry arrays; -1 marks a row not measured yet.
-        # The entry arrays double when full: only their first _filled entries
-        # hold rows.
-        self._row_start = np.full(dim, -1, dtype=np.int64)
-        self._row_len = np.full(dim, -1, dtype=np.int64)
+        d = len(self.basis)
+        # engine CSR over basis positions: the measured row at position p
+        # occupies [_row_start[p], _row_start[p] + _row_len[p]) of the entry
+        # arrays, whose targets are positions too; -1 marks a row not measured
+        # yet.  The entry arrays double when full: only their first _filled
+        # entries hold rows.
+        self._row_start = np.full(d, -1, dtype=np.int64)
+        self._row_len = np.full(d, -1, dtype=np.int64)
         self._filled = 0
         self._targets = np.zeros(CSR_CAPACITY, dtype=np.int64)
         self._mags = np.zeros(CSR_CAPACITY)  # |H'_ji|
         self._child_signs = np.zeros(CSR_CAPACITY, dtype=np.int64)  # -sign(H'_ji)
-        self._diag = np.full(dim, np.nan)  # H'_ii of each measured row
+        self._diag = np.full(d, np.nan)  # H'_ii of each measured row
 
     @property
     def basis(self) -> np.ndarray:
@@ -181,27 +177,25 @@ class ElementSource:
         """The position of each walker index in `basis`; len(basis) outside it."""
         return self._compiled.position
 
+    def position_of(self, i: int) -> int:
+        """The position of walker index i in `basis`; an index outside it is an error."""
+        p = int(self.position[i]) if 0 <= i < len(self.position) else len(self.basis)
+        if p == len(self.basis):
+            raise MatelemError(f"basis index {i} is out of range or outside the source's basis")
+        return p
+
     def transformed_column(self, i: int) -> np.ndarray:
         """Column i of H' over the source's basis: entry p equals
         <basis[p]|U^dag H U|i>, where basis holds the ascending indices the
         source was built over."""
-        if not (0 <= i < 1 << self.n_qubits) or self.position[i] == len(self.basis):
-            raise MatelemError(f"basis index {i} is out of range or outside the source's basis")
+        self.position_of(i)
         return transformed_columns(self.hamiltonian, self._compiled, [i])[:, 0]
 
-    def row(self, i: int) -> RowRecord:
-        """The record of row i, measured on first request."""
-        rec = self._rows.get(i)
-        if rec is None:
-            rec = self._rows[i] = self._measure(i)
-        return rec
-
     def _measure(self, i: int) -> RowRecord:
-        """Measure row i: its magnitudes, signs and diagonal, exact or drawn.
-        Appends the signed row to the CSR (entries that come out zero, an
-        unresolved sign, are left out), stores H'_ii and returns the record.
-        The column runs over basis positions; i itself sits at position own.
-        Every draw is keyed by the index i, never by a position."""
+        """Row i's magnitudes, signs and diagonal, exact or drawn, each keyed
+        by the index i, never by a position.  The first measurement appends
+        the signed row to the CSR (entries that come out zero, an unresolved
+        sign, are left out) and stores H'_ii; every one returns the record."""
         col = self.transformed_column(i)
         own = int(self.position[i])
         # <i|U^dag H^2 U|i>, exactly rounded: the sum does not depend on how
@@ -220,28 +214,21 @@ class ElementSource:
             diag = self._draw_diagonal(i, float(col.real[own]), nu_sq)
         keep[own] = False
         kept = np.nonzero(keep)[0]
-        targets = self.basis[kept]
-        vals = signed[kept]
-        nonzero = vals != 0.0
-        vals = vals[nonzero]
-        self._row_start[i], self._row_len[i] = self._filled, len(vals)
-        self._append(targets[nonzero], np.abs(vals), np.where(vals > 0, -1, 1).astype(np.int64))
-        self._diag[i] = diag
-        return RowRecord(targets, mags[kept], signs[kept])
-
-    def _append(self, targets: np.ndarray, mags: np.ndarray, child_signs: np.ndarray) -> None:
-        """Write one row's entries after the filled ones, doubling the entry
-        arrays first when they would overflow."""
-        start, end = self._filled, self._filled + len(targets)
-        if end > len(self._targets):
-            size = max(2 * len(self._targets), end)
-            self._targets, self._mags, self._child_signs = (
-                np.concatenate([a[:start], np.zeros(size - start, dtype=a.dtype)])
-                for a in (self._targets, self._mags, self._child_signs))
-        self._targets[start:end] = targets
-        self._mags[start:end] = mags
-        self._child_signs[start:end] = child_signs
-        self._filled = end
+        if self._row_len[own] < 0:
+            kept_nonzero = kept[signed[kept] != 0.0]
+            vals = signed[kept_nonzero]
+            start, end = self._filled, self._filled + len(vals)
+            if end > len(self._targets):  # double the entry arrays
+                size = max(2 * len(self._targets), end)
+                self._targets, self._mags, self._child_signs = (
+                    np.concatenate([a[:start], np.zeros(size - start, dtype=a.dtype)])
+                    for a in (self._targets, self._mags, self._child_signs))
+            self._targets[start:end] = kept_nonzero
+            self._mags[start:end] = np.abs(vals)
+            self._child_signs[start:end] = np.where(vals > 0, -1, 1)
+            self._row_start[own], self._row_len[own], self._filled = start, len(vals), end
+            self._diag[own] = diag
+        return RowRecord(self.basis[kept], mags[kept], signs[kept])
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
         """|H'_ji| estimates from one multinomial draw, and which ones to keep."""
@@ -295,35 +282,38 @@ def _residue_free(col: np.ndarray, nu_sq: float) -> np.ndarray:
 
 
 def row_magnitudes(src: ElementSource, i: int) -> RowRecord:
-    """The record of row i, whose `targets` and `mags` are its magnitude draw."""
-    return src.row(i)
+    """The record of row i, whose `targets` and `mags` are its magnitude draw.
+    The first request measures the row into the CSR; a later one draws it
+    again from its keyed streams, which give the same bytes."""
+    return src._measure(i)
 
 
 def element_sign(src: ElementSource, i: int, j: int) -> int:
-    """sign(Re H'_ji), read from row i's record: exact, or its Hadamard test.
-    A j outside row i's draw has no sign, like an unresolved one."""
-    rec = src.row(i)
-    k = int(rec.targets.searchsorted(j))
-    if k == len(rec.targets) or rec.targets[k] != j or rec.signs[k] == 0:
+    """sign(Re H'_ji), read from row i's CSR row: exact, or its Hadamard
+    test.  The row holds j exactly where row i's draw kept j and resolved
+    its sign; any other j has no sign."""
+    targets, _, csigns = resolved_row(src, i)
+    k = int(targets.searchsorted(j))
+    if k == len(targets) or targets[k] != j:
         raise SignAmbiguityError(f"no sign resolved for Re H'[{j},{i}]")
-    return int(rec.signs[k])
+    return -int(csigns[k])
 
 
-def _row_lengths(src: ElementSource, indices: np.ndarray) -> np.ndarray:
-    """The CSR row lengths of `indices`, once each of those rows not measured
-    yet is measured, in the order given."""
-    lens = src._row_len[indices]
+def _row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
+    """The CSR row lengths at `positions`, once each of those rows not
+    measured yet is measured, in the order given."""
+    lens = src._row_len[positions]
     fresh = (lens < 0).nonzero()[0]
     if len(fresh):
-        for i in dict.fromkeys(indices[fresh].tolist()):
+        for i in dict.fromkeys(src.basis[positions[fresh]].tolist()):
             row_magnitudes(src, i)
-        lens = src._row_len[indices]
+        lens = src._row_len[positions]
     return lens
 
 
 def diagonal_element(src: ElementSource, i: int) -> float:
     """<phi_i|H|phi_i>; exact expectation, or shot-averaged on the sampled backend."""
-    return float(diagonal_elements(src, [i])[0])
+    return float(diagonal_elements(src, [src.position_of(i)])[0])
 
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
@@ -339,13 +329,21 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
     return float(-csigns[k] * mags[k])
 
 
-def resolved_row(src: ElementSource, i: int) -> tuple:
-    """Row i of the engine CSR as views (targets j, |H'_ji|, -sign(H'_ji))."""
-    if src._row_len[i] < 0:
-        row_magnitudes(src, i)
-    start = src._row_start[i]
-    end = start + src._row_len[i]
+def csr_row(src: ElementSource, p: int) -> tuple:
+    """The CSR row at position p as views (target positions, |H'_ji|,
+    -sign(H'_ji))."""
+    if src._row_len[p] < 0:
+        row_magnitudes(src, int(src.basis[p]))
+    start = src._row_start[p]
+    end = start + src._row_len[p]
     return src._targets[start:end], src._mags[start:end], src._child_signs[start:end]
+
+
+def resolved_row(src: ElementSource, i: int) -> tuple:
+    """Row i of the engine CSR as (targets j, |H'_ji|, -sign(H'_ji)), the
+    targets walker indices."""
+    targets, mags, csigns = csr_row(src, src.position_of(i))
+    return src.basis[targets], mags, csigns
 
 
 def signed_row(src: ElementSource, i: int) -> list:
@@ -354,25 +352,25 @@ def signed_row(src: ElementSource, i: int) -> list:
     return list(zip(targets.tolist(), (-csigns * mags).tolist()))
 
 
-def row_arrays(src: ElementSource, indices) -> tuple:
-    """Signed rows of `indices`, concatenated in the order given, as arrays
-    (targets j, |H'_ji|, -sign(H'_ji), row lengths).
+def row_arrays(src: ElementSource, positions) -> tuple:
+    """The CSR rows at `positions`, concatenated in the order given, as
+    arrays (target positions, |H'_ji|, -sign(H'_ji), row lengths).
 
     Rows not measured yet are measured first, in the order given.  The third
     array is the child-sign factor of the spawning step: the projector's
     off-diagonal weight is -H'_ji."""
-    indices = np.asarray(indices, dtype=np.int64)
-    lens = _row_lengths(src, indices)
+    positions = np.asarray(positions, dtype=np.int64)
+    lens = _row_lengths(src, positions)
     ends = lens.cumsum()
-    # position k of the output reads entry start + (k - offset) of its row
-    pos = (src._row_start[indices] - ends + lens).repeat(lens)
+    # entry k of the output reads entry start + (k - offset) of its row
+    pos = (src._row_start[positions] - ends + lens).repeat(lens)
     pos += np.arange(len(pos))
     return src._targets[pos], src._mags[pos], src._child_signs[pos], lens
 
 
-def diagonal_elements(src: ElementSource, indices) -> np.ndarray:
-    """H'_ii over `indices`, each stored when its row was measured; rows not
+def diagonal_elements(src: ElementSource, positions) -> np.ndarray:
+    """H'_ii at `positions`, each stored when its row was measured; rows not
     measured yet are measured first, in the order given."""
-    indices = np.asarray(indices, dtype=np.int64)
-    _row_lengths(src, indices)
-    return src._diag[indices]
+    positions = np.asarray(positions, dtype=np.int64)
+    _row_lengths(src, positions)
+    return src._diag[positions]

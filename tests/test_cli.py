@@ -782,6 +782,41 @@ def test_nsi_bad_beta_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("total_time, message", [
+    ("nan", "qmc: total_time must be finite and non-negative"),
+    ("inf", "qmc: total_time must be finite and non-negative"),
+    ("-1", "qmc: total_time must be finite and non-negative"),
+    ("1e-3", "leaves 1 post-equilibration samples; statistics needs >= 16"),
+])
+def test_bad_total_time_is_a_config_error(tmp_path, capsys, total_time, message):
+    """A non-finite or negative qmc.total_time, or one whose run leaves fewer
+    post-equilibration samples than statistics needs, stops qmc and sweep at
+    load with exit 2, before any model is built or file written."""
+    out = tmp_path / "out"
+    body = SWEEP_1X2.format(out=out).replace("qmc.total_time = 4.0\n", "")
+    conf = write_conf(tmp_path, body + f"qmc.total_time = {total_time}\n")
+    for command in ("qmc", "sweep"):
+        assert cli.main([command, conf, "--identity-basis"]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_fewest_planned_samples_load(tmp_path):
+    """15 steps of 1e-2 with no equilibration cut plan 16 samples, the
+    fewest statistics accepts; 14 steps plan 15, and a cut of one half
+    leaves 16 of 31 records and 15 of 30."""
+    base = "model.hubbard.shape = 1x2\nqmc.delta_tau = 1e-2\n"
+    for total_time, fraction, n_steps in (("0.15", "0", 15), ("0.14", "0", None),
+                                          ("0.3", "0.5", 30), ("0.29", "0.5", None)):
+        conf = write_conf(tmp_path, base + f"qmc.total_time = {total_time}\n"
+                          f"qmc.equilibration_fraction = {fraction}\n")
+        if n_steps is not None:
+            assert load_config(conf).run.n_steps == n_steps
+        else:
+            with pytest.raises(ConfigError, match="leaves 15 post-equilibration samples"):
+                load_config(conf)
+
+
 def test_nsi_overflowed_bound_is_written_as_null(tmp_path):
     """At beta 1000 the dimer's Theorem-1 bound overflows a double: nsi.json
     holds null for it and parses under a reader that refuses NaN and

@@ -555,11 +555,11 @@ def test_run_measures_each_row_once(monkeypatch, backend):
     spec, h = hubbard_1x2_source()
     circuit = layered_ansatz(hubbard_hv_generator_groups(spec), 1, 0b0110, spec.n_qubits)
     params = 0.3 * np.ones(circuit.n_slots)
-    requested, measured, drawn = [], [], []
-    real_row, real_measure = ElementSource.row, ElementSource._measure
+    columns, measured, drawn = [], [], []
+    real_column, real_measure = ElementSource.transformed_column, ElementSource._measure
     real_magnitudes = matelem.row_magnitudes
-    monkeypatch.setattr(ElementSource, "row",
-                        lambda self, i: requested.append(i) or real_row(self, i))
+    monkeypatch.setattr(ElementSource, "transformed_column",
+                        lambda self, i: columns.append(i) or real_column(self, i))
     monkeypatch.setattr(ElementSource, "_measure",
                         lambda self, i: measured.append(i) or real_measure(self, i))
     monkeypatch.setattr(matelem, "row_magnitudes",
@@ -568,9 +568,10 @@ def test_run_measures_each_row_once(monkeypatch, backend):
                     threshold=10**6)
     src = ElementSource(h, circuit, params, backend=backend, seed=4)
     run(h, circuit, params, cfg, source=src, phi0=0)
-    assert len(set(requested)) > 1
-    assert sorted(measured) == sorted(set(requested))
-    assert sorted(drawn) == sorted(set(requested))
+    assert len(set(columns)) > 1
+    assert sorted(columns) == sorted(set(columns))  # one column per distinct row
+    assert sorted(measured) == sorted(columns)
+    assert sorted(drawn) == sorted(columns)
 
 
 def hubbard_walker_run(shape, layers):

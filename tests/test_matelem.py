@@ -229,8 +229,9 @@ def test_elements_do_not_depend_on_the_order_rows_are_read():
 def test_second_read_of_a_row_measures_nothing(monkeypatch, backend):
     src = ElementSource(*_sampled_instance(), backend=backend, seed=2)
     measured = []
-    real_measure = src._measure
-    monkeypatch.setattr(src, "_measure", lambda i: measured.append(i) or real_measure(i))
+    real_column = src.transformed_column
+    monkeypatch.setattr(src, "transformed_column",
+                        lambda i: measured.append(i) or real_column(i))
 
     def read():
         return ([get_element(src, 0, j) for j in range(8)],
@@ -292,7 +293,7 @@ def test_sector_source_measures_what_the_full_space_source_does(shape, layers, s
     assert len(sector.transformed_column(int(walkers[0]))) == len(walkers)
     exact = isinstance(backend, ExactBackend)
     for i in walkers.tolist():
-        a, b = full.row(i), sector.row(i)
+        a, b = row_magnitudes(full, i), row_magnitudes(sector, i)
         (ta, ma, sa), (tb, mb, sb) = resolved_row(full, i), resolved_row(sector, i)
         for x, y in ((a.targets, b.targets), (a.signs, b.signs), (ta, tb), (sa, sb)):
             assert x.tobytes() == y.tobytes()
@@ -301,16 +302,64 @@ def test_sector_source_measures_what_the_full_space_source_does(shape, layers, s
                 assert (np.abs(x - y) <= 1e-15 * x.max(initial=0.0)).all()
             else:
                 assert x.tobytes() == y.tobytes()
+    # the full-space source keeps walker index i at position i
     assert diagonal_elements(full, walkers).tobytes() == \
-        diagonal_elements(sector, walkers).tobytes()
+        diagonal_elements(sector, np.arange(len(walkers))).tobytes()
+
+
+READERS = {
+    "get_element": lambda src, i: get_element(src, i, int(src.basis[0])),
+    "get_element_diagonal": lambda src, i: get_element(src, i, i),
+    "resolved_row": resolved_row,
+    "signed_row": signed_row,
+    "element_sign": lambda src, i: element_sign(src, i, int(src.basis[0])),
+    "diagonal_element": diagonal_element,
+    "row_magnitudes": row_magnitudes,
+}
 
 
 def test_sector_source_rejects_rows_outside_its_basis():
+    """Every reader by walker index refuses an index outside the basis: one
+    between basis indices, one past the last, 2^n and -1, none of which is
+    a row of the len(basis)-entry stores."""
     h, circuit, params, walkers = layered_walkers((2, 2), 1, seed=1)
     src = ElementSource(h, circuit, params, basis=walkers)
-    outside = next(i for i in range(1 << circuit.n_qubits) if i not in set(walkers.tolist()))
-    with pytest.raises(MatelemError):
-        row_magnitudes(src, outside)
+    row_arrays(src, np.arange(len(walkers)))  # every row measured
+    inside = set(walkers.tolist())
+    dim = 1 << circuit.n_qubits
+    between = next(i for i in range(int(walkers[0]), dim) if i not in inside)
+    past = next(i for i in range(len(walkers), dim) if i not in inside)
+    for reader in READERS.values():
+        for i in (between, past, dim, -1):
+            with pytest.raises(MatelemError):
+                reader(src, i)
+
+
+def test_a_row_drawn_again_is_the_row_measured():
+    """On a sampled layered 2x2 source with ambiguous signs, a second
+    row_magnitudes call draws the record again from its keyed streams: the
+    same bytes, and nothing added to the CSR.  element_sign, read from the
+    CSR, raises exactly where the record's sign is 0 and returns it elsewhere."""
+    h, circuit, params, walkers = layered_walkers((2, 2), 1, seed=1)
+    src = ElementSource(h, circuit, params, backend=SampledBackend(10**5, 100), seed=4,
+                        basis=walkers)
+    n_ambiguous = 0
+    for i in walkers.tolist():
+        first = row_magnitudes(src, i)
+        filled = src._filled
+        again = row_magnitudes(src, i)
+        assert src._filled == filled
+        for x, y in ((first.targets, again.targets), (first.mags, again.mags),
+                     (first.signs, again.signs)):
+            assert x.tobytes() == y.tobytes()
+        for j, s in zip(first.targets.tolist(), first.signs.tolist()):
+            if s == 0:
+                n_ambiguous += 1
+                with pytest.raises(SignAmbiguityError):
+                    element_sign(src, i, j)
+            else:
+                assert element_sign(src, i, j) == s
+    assert n_ambiguous > 0
 
 
 # ---------------------------------------------------------------------------
