@@ -141,8 +141,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.delta_tau > 0:  # NaN too
             raise FciqmcError("delta_tau must be positive")
-        if not 0 <= self.total_time < math.inf:  # NaN too
-            raise FciqmcError("total_time must be finite and non-negative")
+        if not 0 <= self.total_time / self.delta_tau < math.inf:  # NaN too
+            raise FciqmcError("total_time must be finite and non-negative, in finitely many steps")
         if self.update_interval < 1:
             raise FciqmcError("update_interval must be at least 1")
         if not (0 <= self.equilibration_fraction < 1):

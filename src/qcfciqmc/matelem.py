@@ -330,8 +330,8 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
 
 
 def csr_row(src: ElementSource, p: int) -> tuple:
-    """The CSR row at position p as views (target positions, |H'_ji|,
-    -sign(H'_ji))."""
+    """The CSR row at position p, measured first if it has not been, as
+    views (target positions, |H'_ji|, -sign(H'_ji))."""
     if src._row_len[p] < 0:
         row_magnitudes(src, int(src.basis[p]))
     start = src._row_start[p]

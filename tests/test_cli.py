@@ -782,19 +782,23 @@ def test_nsi_bad_beta_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("total_time, message", [
-    ("nan", "qmc: total_time must be finite and non-negative"),
-    ("inf", "qmc: total_time must be finite and non-negative"),
-    ("-1", "qmc: total_time must be finite and non-negative"),
-    ("1e-3", "leaves 1 post-equilibration samples; statistics needs >= 16"),
+@pytest.mark.parametrize("total_time, delta_tau, message", [
+    ("nan", "2e-3", "qmc: total_time must be finite and non-negative"),
+    ("inf", "2e-3", "qmc: total_time must be finite and non-negative"),
+    ("-1", "2e-3", "qmc: total_time must be finite and non-negative"),
+    ("4.0", "1e-320", "qmc: total_time must be finite and non-negative, in finitely many"),
+    ("1e-3", "1e-3", "leaves 1 post-equilibration samples; statistics needs >= 16"),
 ])
-def test_bad_total_time_is_a_config_error(tmp_path, capsys, total_time, message):
-    """A non-finite or negative qmc.total_time, or one whose run leaves fewer
-    post-equilibration samples than statistics needs, stops qmc and sweep at
-    load with exit 2, before any model is built or file written."""
+def test_bad_total_time_is_a_config_error(tmp_path, capsys, total_time, delta_tau, message):
+    """A non-finite or negative qmc.total_time, one of infinitely many steps,
+    or one whose run leaves fewer post-equilibration samples than statistics
+    needs, stops qmc and sweep at load with exit 2, before any model is
+    built or file written."""
     out = tmp_path / "out"
     body = SWEEP_1X2.format(out=out).replace("qmc.total_time = 4.0\n", "")
-    conf = write_conf(tmp_path, body + f"qmc.total_time = {total_time}\n")
+    body = body.replace("qmc.delta_tau = 2e-3\n", "")
+    conf = write_conf(tmp_path, body + f"qmc.total_time = {total_time}\n"
+                      f"qmc.delta_tau = {delta_tau}\n")
     for command in ("qmc", "sweep"):
         assert cli.main([command, conf, "--identity-basis"]) == 2
         assert message in capsys.readouterr().err

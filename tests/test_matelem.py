@@ -228,10 +228,10 @@ def test_elements_do_not_depend_on_the_order_rows_are_read():
 @pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend(10**4, 10**3)])
 def test_second_read_of_a_row_measures_nothing(monkeypatch, backend):
     src = ElementSource(*_sampled_instance(), backend=backend, seed=2)
-    measured = []
+    columns = []
     real_column = src.transformed_column
     monkeypatch.setattr(src, "transformed_column",
-                        lambda i: measured.append(i) or real_column(i))
+                        lambda i: columns.append(i) or real_column(i))
 
     def read():
         return ([get_element(src, 0, j) for j in range(8)],
@@ -239,7 +239,7 @@ def test_second_read_of_a_row_measures_nothing(monkeypatch, backend):
 
     first = read()
     assert read() == first
-    assert measured == [0]
+    assert columns == [0]
 
 
 def test_signed_row_matches_elements():
@@ -319,9 +319,10 @@ READERS = {
 
 
 def test_sector_source_rejects_rows_outside_its_basis():
-    """Every reader by walker index refuses an index outside the basis: one
-    between basis indices, one past the last, 2^n and -1, none of which is
-    a row of the len(basis)-entry stores."""
+    """Every reader by walker index refuses an index outside the basis: the
+    first gap after basis[0], the first such index at or above len(basis),
+    where a lookup in the len(basis)-entry stores would run off their end,
+    2^n and -1."""
     h, circuit, params, walkers = layered_walkers((2, 2), 1, seed=1)
     src = ElementSource(h, circuit, params, basis=walkers)
     row_arrays(src, np.arange(len(walkers)))  # every row measured
