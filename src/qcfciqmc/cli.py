@@ -420,7 +420,10 @@ def parse_circuit(text: str):
         raise ConfigError("circuit file has no params line")
     if params.shape != (n_slots,):
         raise ConfigError("circuit file: params length does not match slots")
-    circuit = Circuit(n_qubits, gates)
+    try:
+        circuit = Circuit(n_qubits, gates)
+    except SimulatorError as exc:
+        raise ConfigError(f"circuit file: {exc}") from None
     if circuit.n_slots != n_slots:
         raise ConfigError("circuit file: slot count does not match gates")
     return circuit, params

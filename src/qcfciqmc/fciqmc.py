@@ -7,9 +7,10 @@ annihilation of opposite signs.  With the identity circuit this is classical
 FCIQMC on the raw determinant basis.
 
 Sign convention that must not be broken: the projector's off-diagonal weight
-is -H'_ji, so a child on j inherits sign(i) * (-sign(H'_ji)).  The diagonal
-step uses (H'_ii - S) directly.  Getting either sign wrong still "runs" but
-projects onto the wrong vector.
+is -H'_ji, so a child on j inherits sign(i) * (-sign(H'_ji)).  The source's
+CSR holds H'_ji as measured, and `spawn_step` alone applies this rule.  The
+diagonal step uses (H'_ii - S) directly.  Getting either sign wrong still
+"runs" but projects onto the wrong vector.
 
 Walkers are integers; fractional probabilities round stochastically.  The
 population is one int64 vector of signed counts, one entry per basis
@@ -143,6 +144,8 @@ class RunConfig:
             raise FciqmcError("delta_tau must be positive")
         if not 0 <= self.total_time / self.delta_tau < math.inf:  # NaN too
             raise FciqmcError("total_time must be finite and non-negative, in finitely many steps")
+        if self.initial_walkers < 1:
+            raise FciqmcError("initial_walkers must be at least 1")
         if self.update_interval < 1:
             raise FciqmcError("update_interval must be at least 1")
         if not (0 <= self.equilibration_fraction < 1):
@@ -179,22 +182,23 @@ def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     """Children spawned off every occupied index; accumulated apart from parents.
 
     Per parent walker on i and connection j: count floor(p) + Bernoulli(frac)
-    with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)).  The
-    per-connection Bernoulli sums collapse to one binomial draw per (i, j).
-    One binomial call covers the concatenated rows of all occupied parents in
-    ascending parent order, which consumes the generator's stream exactly as one
-    call per parent would.  Returns the children as a population over the
-    same basis, summed per target in int64."""
+    with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)), a rule
+    no other code applies.  The per-connection Bernoulli sums collapse to one
+    binomial draw per (i, j).  One binomial call covers the concatenated rows
+    of all occupied parents in ascending parent order, which consumes the
+    generator's stream exactly as one call per parent would.  Returns the
+    children as a population over the same basis, summed per target in int64."""
     occ = pop.counts.nonzero()[0]
     signed = pop.counts[occ]
-    targets, mags, csigns, lens = row_arrays(src, occ)
+    targets, values, lens = row_arrays(src, occ)
     n = np.abs(signed).repeat(lens)
-    p = mags * delta_tau
+    w = values * -delta_tau  # the projector's off-diagonal weight, -H'_ji delta_tau
+    p = np.abs(w)
     base = np.floor(p)
     children = rng.binomial(n, p - base)
     children += n * base.astype(np.int64)
     children *= np.sign(signed).repeat(lens)
-    children *= csigns
+    children *= np.sign(w).astype(np.int64)
     counts = np.zeros(len(pop.counts), dtype=np.int64)
     np.add.at(counts, targets, children)
     return WalkerPopulation(pop.basis, counts)
@@ -250,12 +254,10 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, ref: int):
     if c_0 == 0:
         return None
     e = float(diagonal_elements(src, [ref])[0])
-    targets, mags, csigns = csr_row(src, ref)
-    c = counts[targets]
-    # -s * m is H'_{j,0} exactly; the child sign s is -sign(H'_{j,0})
-    for s, m, c_j in zip(csigns.tolist(), mags.tolist(), c.tolist()):
+    targets, values = csr_row(src, ref)
+    for h_j0, c_j in zip(values.tolist(), counts[targets].tolist()):
         if c_j:
-            e += -s * m * c_j / c_0
+            e += h_j0 * c_j / c_0
     return e
 
 
@@ -268,7 +270,7 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
     """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
     newly occupied positions `fresh`; True once the warning is given."""
     for p in fresh:
-        l1 = abs(diagonal_elements(src, [p])[0] - shift) + sum(csr_row(src, p)[1].tolist())
+        l1 = abs(diagonal_elements(src, [p])[0] - shift) + sum(np.abs(csr_row(src, p)[1]).tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
                 f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index "

@@ -29,16 +29,18 @@ transformed column it takes the magnitude draw, the sign draw (a Hadamard
 test for every j != i with q(j) > 0, in one binomial call) and the diagonal,
 exact or drawn.  The first measurement writes them into the only row store,
 indexed like the engine's walkers by basis position: the CSR (target
-positions, |H'_ji| and child signs, an unresolved sign left out, in entry
-arrays that double when full) and the diagonal vector.  Stream keys stay
-walker indices, and the row norm and the magnitude distribution are summed
-exactly rounded (`math.fsum`), so a sector source draws what the full-space
-source does.  The engine reads by position (`csr_row`, `row_arrays`,
-`diagonal_elements`); the other readers take walker indices and refuse one
-outside the basis.  `row_magnitudes` returns the draw itself, signs at every
-kept target included, drawn again from its keyed streams once the row is
-stored.  H'_ji is served from row i's measurement alone, so H'_ij and H'_ji
-are two estimates, each from its own row.  Nothing is kept between runs.
+positions and H'_ji as measured, an unresolved sign left out, in entry
+arrays that double when full) and the diagonal vector.  The source serves
+H'_ji itself; what the projector makes of it is `fciqmc`'s rule alone.
+Stream keys stay walker indices, and the row norm and the magnitude
+distribution are summed exactly rounded (`math.fsum`), so a sector source
+draws what the full-space source does.  The engine reads by position
+(`csr_row`, `row_arrays`, `diagonal_elements`); the other readers take
+walker indices and refuse one outside the basis.  `row_magnitudes` returns
+the draw itself, signs at every kept target included, drawn again from its
+keyed streams once the row is stored.  H'_ji is served from row i's
+measurement alone, so H'_ij and H'_ji are two estimates, each from its own
+row.  Nothing is kept between runs.
 """
 
 from __future__ import annotations
@@ -163,8 +165,7 @@ class ElementSource:
         self._row_len = np.full(d, -1, dtype=np.int64)
         self._filled = 0
         self._targets = np.zeros(CSR_CAPACITY, dtype=np.int64)
-        self._mags = np.zeros(CSR_CAPACITY)  # |H'_ji|
-        self._child_signs = np.zeros(CSR_CAPACITY, dtype=np.int64)  # -sign(H'_ji)
+        self._values = np.zeros(CSR_CAPACITY)  # H'_ji
         self._diag = np.full(d, np.nan)  # H'_ii of each measured row
 
     @property
@@ -220,12 +221,11 @@ class ElementSource:
             start, end = self._filled, self._filled + len(vals)
             if end > len(self._targets):  # double the entry arrays
                 size = max(2 * len(self._targets), end)
-                self._targets, self._mags, self._child_signs = (
+                self._targets, self._values = (
                     np.concatenate([a[:start], np.zeros(size - start, dtype=a.dtype)])
-                    for a in (self._targets, self._mags, self._child_signs))
+                    for a in (self._targets, self._values))
             self._targets[start:end] = kept_nonzero
-            self._mags[start:end] = np.abs(vals)
-            self._child_signs[start:end] = np.where(vals > 0, -1, 1)
+            self._values[start:end] = vals
             self._row_start[own], self._row_len[own], self._filled = start, len(vals), end
             self._diag[own] = diag
         return RowRecord(self.basis[kept], mags[kept], signs[kept])
@@ -292,11 +292,11 @@ def element_sign(src: ElementSource, i: int, j: int) -> int:
     """sign(Re H'_ji), read from row i's CSR row: exact, or its Hadamard
     test.  The row holds j exactly where row i's draw kept j and resolved
     its sign; any other j has no sign."""
-    targets, _, csigns = resolved_row(src, i)
+    targets, values = resolved_row(src, i)
     k = int(targets.searchsorted(j))
     if k == len(targets) or targets[k] != j:
         raise SignAmbiguityError(f"no sign resolved for Re H'[{j},{i}]")
-    return -int(csigns[k])
+    return int(np.sign(values[k]))
 
 
 def _row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
@@ -322,50 +322,47 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
     sign unresolved)."""
     if i == j:
         return diagonal_element(src, i)
-    targets, mags, csigns = resolved_row(src, i)
+    targets, values = resolved_row(src, i)
     k = int(targets.searchsorted(j))
     if k == len(targets) or targets[k] != j:
         return 0.0
-    return float(-csigns[k] * mags[k])
+    return float(values[k])
 
 
 def csr_row(src: ElementSource, p: int) -> tuple:
     """The CSR row at position p, measured first if it has not been, as
-    views (target positions, |H'_ji|, -sign(H'_ji))."""
+    views (target positions, H'_ji)."""
     if src._row_len[p] < 0:
         row_magnitudes(src, int(src.basis[p]))
     start = src._row_start[p]
     end = start + src._row_len[p]
-    return src._targets[start:end], src._mags[start:end], src._child_signs[start:end]
+    return src._targets[start:end], src._values[start:end]
 
 
 def resolved_row(src: ElementSource, i: int) -> tuple:
-    """Row i of the engine CSR as (targets j, |H'_ji|, -sign(H'_ji)), the
-    targets walker indices."""
-    targets, mags, csigns = csr_row(src, src.position_of(i))
-    return src.basis[targets], mags, csigns
+    """Row i of the engine CSR as (targets j, H'_ji), the targets walker
+    indices."""
+    targets, values = csr_row(src, src.position_of(i))
+    return src.basis[targets], values
 
 
 def signed_row(src: ElementSource, i: int) -> list:
     """All (j, H'_ji) connections from i with signs resolved, from the CSR."""
-    targets, mags, csigns = resolved_row(src, i)
-    return list(zip(targets.tolist(), (-csigns * mags).tolist()))
+    targets, values = resolved_row(src, i)
+    return list(zip(targets.tolist(), values.tolist()))
 
 
 def row_arrays(src: ElementSource, positions) -> tuple:
     """The CSR rows at `positions`, concatenated in the order given, as
-    arrays (target positions, |H'_ji|, -sign(H'_ji), row lengths).
-
-    Rows not measured yet are measured first, in the order given.  The third
-    array is the child-sign factor of the spawning step: the projector's
-    off-diagonal weight is -H'_ji."""
+    arrays (target positions, H'_ji, row lengths).  Rows not measured yet
+    are measured first, in the order given."""
     positions = np.asarray(positions, dtype=np.int64)
     lens = _row_lengths(src, positions)
     ends = lens.cumsum()
     # entry k of the output reads entry start + (k - offset) of its row
     pos = (src._row_start[positions] - ends + lens).repeat(lens)
     pos += np.arange(len(pos))
-    return src._targets[pos], src._mags[pos], src._child_signs[pos], lens
+    return src._targets[pos], src._values[pos], lens
 
 
 def diagonal_elements(src: ElementSource, positions) -> np.ndarray:

@@ -71,7 +71,9 @@ class BasisFlip:
 @dataclass(frozen=True)
 class Circuit:
     """An immutable gate sequence; `n_slots` (one past the highest parameter
-    slot a rotation reads) is taken once, when the circuit is built."""
+    slot a rotation reads) is taken once, when the circuit is built.  A gate
+    word of another size, a flip outside [0, n_qubits) and a negative slot
+    are errors."""
 
     n_qubits: int
     gates: tuple = ()
@@ -83,7 +85,11 @@ class Circuit:
             w = getattr(g, "word", None)
             if w is not None and w.n_qubits != self.n_qubits:
                 raise SimulatorError("gate word size mismatch")
+            if isinstance(g, BasisFlip) and not 0 <= g.qubit < self.n_qubits:
+                raise SimulatorError(f"flip of qubit {g.qubit} outside [0, {self.n_qubits})")
         slots = [g.slot for g in gates if isinstance(g, PauliRotation) and g.slot is not None]
+        if slots and min(slots) < 0:
+            raise SimulatorError(f"negative parameter slot {min(slots)}")
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "n_slots", max(slots) + 1 if slots else 0)
 

@@ -272,6 +272,30 @@ def test_circuit_parse_rejects_garbage():
         parse_circuit(good.replace("flip 0", "flip zero"))
     with pytest.raises(ConfigError, match="params"):
         parse_circuit(good.rsplit("params", 1)[0])  # params line removed
+    for text in BAD_GATES.values():
+        with pytest.raises(ConfigError, match="circuit file"):
+            parse_circuit(text)
+
+
+# well-formed lines whose gates no 4-qubit circuit can hold
+BAD_GATES = {
+    "flip past the last qubit": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nflip 99\nparams\n",
+    "flip of a negative qubit": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nflip -1\nparams\n",
+    "negative slot": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nrot 0x3 0x2 -1 1.0\nparams\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_GATES.values(), ids=BAD_GATES.keys())
+def test_a_circuit_file_with_a_bad_gate_is_a_config_error(tmp_path, capsys, text):
+    """qmc and nsi refuse such a file with exit 2, writing nothing."""
+    out = tmp_path / "out"
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + f"circuit.path = {path}\n")
+    for command in ("qmc", "nsi"):
+        assert cli.main([command, conf]) == 2
+        assert "circuit file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_circuit_params_length_checked():
@@ -802,6 +826,18 @@ def test_bad_total_time_is_a_config_error(tmp_path, capsys, total_time, delta_ta
     for command in ("qmc", "sweep"):
         assert cli.main([command, conf, "--identity-basis"]) == 2
         assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("walkers", ["0", "-5"])
+def test_fewer_than_one_initial_walker_is_a_config_error(tmp_path, capsys, walkers):
+    """qmc.initial_walkers below 1 stops qmc and sweep at load with exit 2,
+    before any model is built or file written."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, SWEEP_1X2.format(out=out) + f"qmc.initial_walkers = {walkers}\n")
+    for command in ("qmc", "sweep"):
+        assert cli.main([command, conf, "--identity-basis"]) == 2
+        assert "qmc: initial_walkers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

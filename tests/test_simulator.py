@@ -65,6 +65,13 @@ def test_circuit_is_frozen_with_slots_counted_once():
     assert c == Circuit(2, tuple(gates[:3])) and hash(c) == hash(Circuit(2, gates[:3]))
 
 
+@pytest.mark.parametrize("gate", [BasisFlip(2), BasisFlip(-1),
+                                  PauliRotation(PauliWord.from_label("XY"), slot=-1)])
+def test_circuit_rejects_a_flip_outside_its_qubits_and_a_negative_slot(gate):
+    with pytest.raises(SimulatorError):
+        Circuit(2, [BasisFlip(0), gate])
+
+
 def test_empty_circuit_identity():
     s = basis_state(3, 5)
     out = apply_circuit(s, Circuit(3))

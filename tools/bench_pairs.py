@@ -8,20 +8,26 @@ DIR is a git checkout of one commit that holds `bench/run.py` and
 direction and bound are read from the BENCHMARK.json beside this tool.  Each
 pair runs `bench/run.py --trace 0` once in each tree, one after the other,
 and the order alternates from pair to pair so that a slow drift of the
-machine falls on both sides alike.  The runs are never concurrent.  After
-the pairs, each tree times the gradient the CLI's VQE runs, on the 3-layer
-2x2 layered ansatz (244 gates, 18 slots) in a fresh process: one circuit
-layout over the 36-dim walker sector, then per call `CircuitLayout.compile`,
-U|0> and the reverse pass `vqa._adjoint_gradient`.  It reports the median of
-the calls, and of the reverse pass alone.  Each tree also times one engine
-step, in another fresh process: `fciqmc.run` over an `ElementSource` built on
-the 36-dim 2x2 walker sector, identity basis, exact backend, with the run
-settings and seed 1 of `qmc_identity_2x2` (6000 steps, about 7700 walkers
-once the shift holds them).  It reports the median over the runs of seconds
-per step.
+machine falls on both sides alike.  The runs are never concurrent.
+
+After the pairs come two timers, each run for TIMER_ROUNDS rounds; a round
+runs the timer once in each tree, each time in a fresh process, the order
+alternating from round to round as in the pairs.  The gradient timer times
+the gradient the CLI's VQE runs, on the 3-layer 2x2 layered ansatz (244
+gates, 18 slots): one circuit layout over the 36-dim walker sector, then per
+call `CircuitLayout.compile`, U|0> and the reverse pass
+`vqa._adjoint_gradient`; a process reports the median of its calls, and of
+the reverse pass alone.  The engine timer times one engine step:
+`fciqmc.run` over an `ElementSource` built on the 36-dim 2x2 walker sector,
+identity basis, exact backend, with the run settings and seed 1 of
+`qmc_identity_2x2` (6000 steps, about 7700 walkers once the shift holds
+them); a process reports the median over its runs of seconds per step.  Per
+timer and side, the record keeps every round's report and the median and
+quartiles of the rounds' medians, and the number of rounds that side was
+faster in.
 
 One invocation is one run: its protocol, every pair's end-to-end metrics and
-`failed` counts, a per-workload summary and the gradient times.  The record
+`failed` counts, a per-workload summary and the two timers' rounds.  The record
 holds a header (CPUs, RAM, Python, numpy, BLAS, the trees' commits) and the
 list of runs; when `--out` already holds a record of the same two commits,
 the run is appended to it, so every run made stays in the record.
@@ -84,7 +90,9 @@ print(json.dumps({{"gates": len(c.gates), "slots": c.n_slots, "basis_dim": len(w
                   "calls": len(times)}}))
 """
 
-ENGINE_RUNS = 5
+ENGINE_RUNS = 3
+
+TIMER_ROUNDS = 10
 
 ENGINE_TIMER = f"""
 import json, time
@@ -168,6 +176,24 @@ def timed(tree: Path, script: str) -> dict:
     return json.loads(out.stdout)
 
 
+def timer_rounds(trees: dict, script: str, key: str) -> dict:
+    """TIMER_ROUNDS alternating rounds of `script` in fresh processes; per
+    side, every round's report, the median and quartiles of the rounds'
+    `key` and the rounds in which that side's `key` was the lower."""
+    rounds = []
+    for k in range(TIMER_ROUNDS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        rounds.append({side: timed(trees[side], script) for side in order})
+    times = {side: np.array([r[side][key] for r in rounds]) for side in trees}
+    out = {"key": key, "order": "alternating, parent first in round 0"}
+    for side, other in (("parent", "change"), ("change", "parent")):
+        out[side] = {"median": float(np.median(times[side])),
+                     "quartiles": np.percentile(times[side], [25, 75]).tolist(),
+                     "rounds_won": f"{int((times[side] < times[other]).sum())} of {TIMER_ROUNDS}",
+                     "rounds": [r[side] for r in rounds]}
+    return out
+
+
 def summarize(pairs: list) -> dict:
     out = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}}
     for metric in BENCHMARK["end_to_end"]:
@@ -230,8 +256,8 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k}: " + ", ".join(
                 f"{side} {pair[side]['metrics']}" for side in order), file=sys.stderr)
         run["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
-    run["gradient_per_call"] = {side: timed(tree, GRADIENT_TIMER) for side, tree in trees.items()}
-    run["engine_step_per_call"] = {side: timed(tree, ENGINE_TIMER) for side, tree in trees.items()}
+    run["gradient_per_call"] = timer_rounds(trees, GRADIENT_TIMER, "median_s")
+    run["engine_step_per_call"] = timer_rounds(trees, ENGINE_TIMER, "median_s_per_step")
     record["runs"].append(run)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
