@@ -259,6 +259,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     cfg.ansatz = conf.build(AnsatzSpec, "ansatz")
     cfg.optimizer = conf.build(OptimizerConfig, "vqe")
     cfg.vqe_init_scale = conf.get_float("vqe.init_scale", cfg.vqe_init_scale)
+    if not math.isfinite(cfg.vqe_init_scale):
+        raise ConfigError(f"vqe.init_scale must be finite, got {cfg.vqe_init_scale}")
     cfg.vqe_restarts = conf.get_int("vqe.restarts", cfg.vqe_restarts)
     if cfg.vqe_restarts < 1:
         raise ConfigError("vqe.restarts must be at least 1")

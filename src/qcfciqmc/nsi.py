@@ -74,9 +74,11 @@ def _check_real_symmetric(h) -> np.ndarray:
         raise NsiError("complex Hamiltonians are out of scope for NSI computation")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NsiError("need a square matrix")
-    scale = max(np.abs(h).max(), 1.0)
+    scale = np.abs(h).max()
+    if not np.isfinite(scale):  # a NaN would fail every comparison below
+        raise NsiError("matrix has non-finite entries")
     asym = h - h.T
-    if np.abs(asym, out=asym).max() > 1e-10 * scale:
+    if np.abs(asym, out=asym).max() > 1e-10 * max(scale, 1.0):
         raise NsiError("matrix is not symmetric")
     return h
 
@@ -116,57 +118,65 @@ def check_beta(beta: float) -> float:
     return beta
 
 
-def _spectra(h, beta: float):
+def _spectra(h, beta: float, phi0: int | None = None):
     """Set-up shared by the indicators: the beta check, the split (which
     checks that H is real symmetric) reduced to its L1 norms
-    (||H_plus||_1, ||alpha I - H_minus||_1), and one diagonalization each
-    of H and H~.  The split is released before either eigensolve, so that
-    only H, H~ and H's eigenvectors are held while H~ is diagonalized."""
+    (||H_plus||_1, ||alpha I - H_minus||_1), and, of one diagonalization
+    each of H and H~, the eigenvalues and the squared eigenvector rows phi0.
+    The split is released before either eigensolve and each eigenvector
+    matrix before the next, so that only H and H~ are held while H~ is
+    diagonalized."""
     check_beta(beta)
     sp = split(h)
+    if phi0 is not None and not 0 <= phi0 < len(sp.h_plus):
+        raise NsiError("phi0 out of range")
     norms = (_l1(sp.h_plus), _l1_alpha_minus(sp))
     h_tilde = bosonic_form(sp)
     del sp
-    spec_h = exactdiag.diagonalize(np.asarray(h))
-    spec_t = exactdiag.diagonalize(h_tilde)
-    return norms, spec_h, spec_t
+    evals, rows = zip(_eigen(h, phi0), _eigen(h_tilde, phi0))
+    return norms, evals, rows
 
 
-def _rounding_bound(spec_h, spec_t, beta: float) -> float:
+def _eigen(m: np.ndarray, phi0: int | None):
+    """(eigenvalues, squared eigenvector row phi0 or None) of m: the row
+    holds the weights |<k|phi0>|^2 of <phi0|exp(-beta m)|phi0> over the
+    eigenvectors k.  It is a new array, so the eigenvector matrix is freed
+    on return."""
+    spec = exactdiag.diagonalize(m)
+    return spec.eigenvalues, None if phi0 is None else spec.eigenvectors[phi0] ** 2
+
+
+def _rounding_bound(evals, beta: float) -> float:
     """The rounding error of a shifted trace or quadratic form of H or H~,
     relative to its largest term: eigenvalue errors of order dim eps ||H||
     scaled by beta, plus dim eps for the sum.  The factor 4 leaves a margin
     of about 4 over the worst error seen on some 3000 random sparse
     gauge-stoquastic matrices (dim 4 to 64), whose indicators are exactly 0."""
-    scale = max(np.abs(spec_h.eigenvalues).max(), np.abs(spec_t.eigenvalues).max())
-    return 4.0 * spec_h.dim * np.finfo(float).eps * (1.0 + beta * scale)
+    scale = max(np.abs(e).max() for e in evals)
+    return 4.0 * len(evals[0]) * np.finfo(float).eps * (1.0 + beta * scale)
 
 
-def _thermal(spec_h, spec_t, beta: float) -> float:
-    shift = spec_t.ground_energy()  # common shift; the ratio is shift-invariant
-    z_h = exactdiag.thermal_trace(spec_h, beta, shift=shift)
-    z_t = exactdiag.thermal_trace(spec_t, beta, shift=shift)
+def _thermal(evals, beta: float) -> float:
+    """s_thermal from the eigenvalues (of H, of H~)."""
+    shift = float(evals[1][0])  # common shift; the ratio is shift-invariant
+    z_h, z_t = (float(np.exp(-beta * (e - shift)).sum()) for e in evals)
     if not (np.isfinite(z_h) and np.isfinite(z_t)) or z_h == 0.0:
         raise NsiError("thermal trace overflow despite spectral shift")
     s = (z_t - z_h) / z_h
-    return s if s > _rounding_bound(spec_h, spec_t, beta) else 0.0
+    return s if s > _rounding_bound(evals, beta) else 0.0
 
 
-def _initial(spec_h, spec_t, phi0: int, beta: float) -> float | None:
-    """The initial-state indicator, or None when not one digit of it is
+def _initial(evals, rows, beta: float) -> float | None:
+    """The initial-state indicator from the eigenvalues and the squared
+    eigenvector rows phi0 (of H, of H~), or None when not one digit of it is
     resolved: the rounding bound, relative to q_h, reaches 1."""
-    if not (0 <= phi0 < spec_h.dim):
-        raise NsiError("phi0 out of range")
-    shift = spec_t.ground_energy()
-    v = np.zeros(spec_h.dim)
-    v[phi0] = 1.0
-    q_h = exactdiag.matrix_exponential_quadratic(spec_h, v, beta, shift=shift)
-    q_t = exactdiag.matrix_exponential_quadratic(spec_t, v, beta, shift=shift)
+    shift = float(evals[1][0])
+    q_h, q_t = (float(np.exp(-beta * (e - shift)) @ w) for e, w in zip(evals, rows))
     if not (np.isfinite(q_h) and np.isfinite(q_t)) or q_h == 0.0:
         raise NsiError("matrix-exponential overflow despite spectral shift")
     s = (q_t - q_h) / q_h
     # the bound is on errors relative to the largest term, 1 under the shift
-    bound = _rounding_bound(spec_h, spec_t, beta) / q_h
+    bound = _rounding_bound(evals, beta) / q_h
     if bound >= 1.0:
         return None
     return s if s > bound else 0.0
@@ -192,6 +202,10 @@ def theorem2_indicator(h, phi0: int) -> float:
     h = _check_real_symmetric(h)
     if not (0 <= phi0 < h.shape[0]):
         raise NsiError("phi0 out of range")
+    return _theorem2(h, phi0)
+
+
+def _theorem2(h: np.ndarray, phi0: int) -> float:
     col = h[:, phi0].copy()
     col[phi0] = 0.0
     return float(col @ col)
@@ -200,8 +214,9 @@ def theorem2_indicator(h, phi0: int) -> float:
 def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
     """Full indicator bundle for one (H, beta) pair and optional reference;
     H and H~ are diagonalized once each."""
-    (l1_plus, l1_am), spec_h, spec_t = _spectra(h, beta)
-    s_th = _thermal(spec_h, spec_t, beta)
+    h = np.asarray(h)
+    (l1_plus, l1_am), evals, rows = _spectra(h, beta, phi0)
+    s_th = _thermal(evals, beta)
     rep = NsiReport(
         beta=beta,
         s_thermal=s_th,
@@ -213,8 +228,8 @@ def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
     )
     if phi0 is not None:
         rep.phi0 = int(phi0)
-        rep.s_initial = _initial(spec_h, spec_t, phi0, beta)
-        rep.theorem2_indicator = theorem2_indicator(h, phi0)
+        rep.s_initial = _initial(evals, rows, beta)
+        rep.theorem2_indicator = _theorem2(h, phi0)  # h is checked by _spectra
     return rep
 
 
@@ -230,6 +245,8 @@ def transformed_dense(h: PauliSum, u: Circuit, params=(), basis=None,
         raise NsiError(f"dimension {dim} exceeds dense limit {DENSE_DIM_LIMIT}")
     compiled = compile_circuit(u, params, basis)
     hp = transformed_columns(h, compiled, compiled.basis)
+    if not np.iscomplexobj(hp):  # a real circuit: nothing to check or truncate
+        return hp
     worst = float(np.abs(hp.imag).max())
     if worst > imag_tol:
         raise NsiError(f"transformed Hamiltonian has imaginary residue {worst:.3e} above "

@@ -62,6 +62,20 @@ class OptimizerConfig:
     initial_step: float = 1.0
     max_backtracks: int = 60
 
+    def __post_init__(self):  # each `not` test also catches NaN
+        if not self.gtol >= 0:
+            raise VqaError("gtol must be non-negative")
+        if self.max_iterations < 0:
+            raise VqaError("max_iterations must be non-negative")
+        if not 0 < self.armijo < 1:
+            raise VqaError("armijo must lie in (0, 1)")
+        if not 0 < self.shrink < 1:
+            raise VqaError("shrink must lie in (0, 1)")
+        if not self.initial_step > 0:
+            raise VqaError("initial_step must be positive")
+        if self.max_backtracks < 1:
+            raise VqaError("max_backtracks must be at least 1")
+
 
 @dataclass
 class VqeResult:

@@ -4,9 +4,10 @@
 `PauliWord` is the package's word plus a label constructor.  It compares
 and hashes like the package's word with the same masks, so words built here
 mix freely with words the package builds.  The NSI
-functions compute one index each from the package's spectra, where
-`nsi.nsi_report` computes them together.  `layered_walkers` is a Hubbard
-model with a layered circuit at random angles and its walker sector.
+functions compute one indicator each from the package's eigenvalues and
+eigenvector rows, where `nsi.nsi_report` computes them together.
+`layered_walkers` is a Hubbard model with a layered circuit at random
+angles and its walker sector.
 `apply_gates` applies a circuit gate by gate over all 2^n indices, the
 reference that the package's compiled runs are checked against.
 """
@@ -46,13 +47,13 @@ class PauliWord(operators.PauliWord):
 
 
 def nsi_thermal(h, beta: float) -> float:
-    _, spec_h, spec_t = nsi._spectra(h, beta)
-    return nsi._thermal(spec_h, spec_t, beta)
+    _, evals, _ = nsi._spectra(h, beta)
+    return nsi._thermal(evals, beta)
 
 
 def nsi_initial(h, phi0: int, beta: float) -> float:
-    _, spec_h, spec_t = nsi._spectra(h, beta)
-    return nsi._initial(spec_h, spec_t, phi0, beta)
+    _, evals, rows = nsi._spectra(h, beta, phi0)
+    return nsi._initial(evals, rows, beta)
 
 
 def layered_walkers(shape, layers: int, seed: int):

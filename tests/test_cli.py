@@ -191,6 +191,13 @@ OUT_OF_RANGE = [
     ("qmc.delta_tau = nan", "qmc: delta_tau must be positive"),
     ("backend.kind = sampled\nbackend.shots_magnitude = 0", "backend: shots_magnitude"),
     ("backend.kind = qpu", "backend.kind: expected exact or sampled, got 'qpu'"),
+    ("vqe.gtol = -1e-6", "vqe: gtol must be non-negative"),
+    ("vqe.max_iterations = -1", "vqe: max_iterations must be non-negative"),
+    ("vqe.armijo = 1", r"vqe: armijo must lie in \(0, 1\)"),
+    ("vqe.shrink = 0", r"vqe: shrink must lie in \(0, 1\)"),
+    ("vqe.initial_step = -1", "vqe: initial_step must be positive"),
+    ("vqe.max_backtracks = 0", "vqe: max_backtracks must be at least 1"),
+    ("vqe.init_scale = nan", "vqe.init_scale must be finite, got nan"),
 ]
 
 
@@ -199,6 +206,20 @@ OUT_OF_RANGE = [
 def test_out_of_range_settings_are_config_errors_at_load(tmp_path, setting, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write_conf(tmp_path, "model.hubbard.shape = 1x2\n" + setting + "\n"))
+
+
+@pytest.mark.parametrize("setting", ["vqe.initial_step = -1", "vqe.shrink = 0",
+                                     "vqe.init_scale = nan"])
+def test_a_bad_optimizer_setting_stops_vqe_at_load(tmp_path, capsys, setting):
+    """A negative first step lets the Armijo test accept uphill steps, a
+    zero shrink backtracks to zero-length steps, and a NaN start scale
+    gives NaN angles: vqe exits 2 before any model is built or file
+    written."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + setting + "\n")
+    assert cli.main(["vqe", conf]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.conf"))

@@ -1,8 +1,10 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from helpers import PauliWord, nsi_initial, nsi_thermal
 from qcfciqmc.nsi import (
@@ -79,6 +81,18 @@ def test_split_rejects_complex():
         split(np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected(bad):
+    """A NaN fails every comparison, so the symmetry test alone lets it
+    through, and the report would blame a thermal-trace overflow."""
+    h = np.eye(3)
+    h[0, 2] = h[2, 0] = bad
+    for call in (split, lambda m: nsi_report(m, 0.1, phi0=0),
+                 lambda m: theorem2_indicator(m, 0)):
+        with pytest.raises(NsiError, match="non-finite entries"):
+            call(h)
+
+
 def test_bosonic_lower_bounds_ground_energy():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -144,6 +158,18 @@ def test_unresolved_initial_indicator_reads_none():
     assert rep.s_initial is None and rep.s_thermal == 0.0
     assert json.loads(json.dumps(rep.to_dict()))["s_initial"] is None
     assert nsi_report(h, beta, phi0=0).s_initial == 0.0
+
+
+def test_nsi_thermal_matches_expm_traces():
+    """s_thermal against Tr expm(-beta H~) / Tr expm(-beta H) - 1 from
+    scipy's Pade exponentials of the two matrices."""
+    rng = np.random.default_rng(14)
+    for dim in (3, 6, 10):
+        for beta in (0.1, 0.7, 2.0):
+            h = random_symmetric(rng, dim)
+            tilde = bosonic_form(split(h))
+            z_h, z_t = np.trace(expm(-beta * h)), np.trace(expm(-beta * tilde))
+            assert abs(nsi_thermal(h, beta) - (z_t - z_h) / z_h) < 1e-10 * (z_t / z_h)
 
 
 def test_nsi_thermal_nonnegative_property():
@@ -289,6 +315,35 @@ def test_report_diagonalizes_h_and_bosonic_form_once_each(monkeypatch):
     np.testing.assert_array_equal(seen[1], bosonic_form(split(h)))
     # the same spectra as the stand-alone indicators, so the same bits
     assert (rep.s_thermal, rep.s_initial) == (s_th, s_init)
+
+
+def test_report_frees_each_eigenvector_matrix_before_the_next_eigensolve(monkeypatch):
+    """Only the eigenvalues and one squared eigenvector row outlive each
+    diagonalization, so H's eigenvector matrix is gone while H~ is
+    diagonalized: a view of its row phi0 would keep the whole matrix alive."""
+    from qcfciqmc import nsi
+
+    diagonalize = nsi.exactdiag.diagonalize
+    refs = []
+
+    def watched(m):
+        assert all(ref() is None for ref in refs)
+        spec = diagonalize(m)
+        refs.append(weakref.ref(spec.eigenvectors))
+        return spec
+
+    monkeypatch.setattr(nsi.exactdiag, "diagonalize", watched)
+    rep = nsi_report(random_symmetric(np.random.default_rng(15), 7), 0.3, phi0=4)
+    assert len(refs) == 2 and rep.s_initial is not None
+
+
+@pytest.mark.parametrize("phi0", [-1, 6])
+def test_report_rejects_phi0_out_of_range_before_any_eigensolve(monkeypatch, phi0):
+    from qcfciqmc import nsi
+
+    monkeypatch.setattr(nsi.exactdiag, "diagonalize", None)
+    with pytest.raises(NsiError, match="phi0 out of range"):
+        nsi_report(random_symmetric(np.random.default_rng(16), 6), 0.3, phi0=phi0)
 
 
 def test_transformed_identity_is_bit_identical():
