@@ -71,8 +71,8 @@ class OptimizerConfig:
             raise VqaError("armijo must lie in (0, 1)")
         if not 0 < self.shrink < 1:
             raise VqaError("shrink must lie in (0, 1)")
-        if not self.initial_step > 0:
-            raise VqaError("initial_step must be positive")
+        if not 0 < self.initial_step < np.inf:
+            raise VqaError("initial_step must be positive and finite")
         if self.max_backtracks < 1:
             raise VqaError("max_backtracks must be at least 1")
 

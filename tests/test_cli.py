@@ -195,7 +195,7 @@ OUT_OF_RANGE = [
     ("vqe.max_iterations = -1", "vqe: max_iterations must be non-negative"),
     ("vqe.armijo = 1", r"vqe: armijo must lie in \(0, 1\)"),
     ("vqe.shrink = 0", r"vqe: shrink must lie in \(0, 1\)"),
-    ("vqe.initial_step = -1", "vqe: initial_step must be positive"),
+    ("vqe.initial_step = inf", "vqe: initial_step must be positive and finite"),
     ("vqe.max_backtracks = 0", "vqe: max_backtracks must be at least 1"),
     ("vqe.init_scale = nan", "vqe.init_scale must be finite, got nan"),
 ]
