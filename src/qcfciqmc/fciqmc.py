@@ -8,7 +8,8 @@ FCIQMC on the raw determinant basis.
 
 Sign convention that must not be broken: the projector's off-diagonal weight
 is -H'_ji, so a child on j inherits sign(i) * (-sign(H'_ji)).  The source's
-CSR holds H'_ji as measured, and `spawn_step` alone applies this rule.  The
+CSR holds H'_ji as measured; only `SpawnTable`, which takes sign(-H'_ji),
+and `spawn_step`, which multiplies it by sign(i), apply this rule.  The
 diagonal step uses (H'_ii - S) directly.  Getting either sign wrong still
 "runs" but projects onto the wrong vector.
 
@@ -21,15 +22,22 @@ update rule is a handful of vector operations over the population and over
 the source's CSR and diagonal, which are indexed by position too.  All
 randomness of a run comes from one counter-based Philox stream, the ENGINE
 stream of the run's seed (`matelem.KeyedStreams`), keyed once per run.
-Within a step, one binomial call draws the children along the concatenated
-rows of every occupied parent, in ascending parent order, and a second one
-draws death/clone over the occupied positions, also ascending.  A
-trajectory is therefore a pure function of (config, seed) no matter how the
-host schedules threads, and the basis the source was built over enters it
-only through the elements the source serves.
+The steps read H' through a spawn table (`SpawnTable`): per run, the
+spawn probabilities, child signs and diagonal of every row the source has
+measured, in ascending position order, built again only when the source
+has measured a new row.  Within a step, one binomial call draws the
+children along every row of the table and a second one draws death/clone
+over its rows, each with n = |count| walkers per row, 0 on an unoccupied
+row.  numpy's binomial returns 0 for n = 0 or p = 0 without drawing from
+its stream, so the stream is consumed as by one call over the concatenated
+rows of the occupied parents in ascending parent order, and one over the
+occupied positions.  A trajectory is therefore a pure function of
+(config, seed) no matter how the host schedules threads, and the basis the
+source was built over enters it only through the elements the source
+serves.
 
 The engine's generator is not the element source's, because the timestep
-check and `row_arrays` measure rows, and so make element draws that re-key
+check and `spawn_table` measure rows, and so make element draws that re-key
 the source's generator, in the middle of a step.  Those draws are keyed by
 row, and every H'_ji is read from row i's own measurement, so the order in
 which the walkers reach rows changes neither an element nor the engine's
@@ -47,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matelem import (ENGINE, ElementSource, KeyedStreams, csr_row, diagonal_elements,
-                      row_arrays)
+                      row_arrays, row_lengths)
 from .simulator import Circuit
 
 
@@ -146,6 +154,10 @@ class RunConfig:
             raise FciqmcError("total_time must be finite and non-negative, in finitely many steps")
         if self.initial_walkers < 1:
             raise FciqmcError("initial_walkers must be at least 1")
+        if self.initial_walkers > np.iinfo(np.int64).max:
+            raise FciqmcError("initial_walkers must fit in a signed 64-bit count")
+        if not 0 <= self.damping < math.inf:  # NaN too
+            raise FciqmcError("damping must be finite and non-negative")
         if self.update_interval < 1:
             raise FciqmcError("update_interval must be at least 1")
         if not (0 <= self.equilibration_fraction < 1):
@@ -177,57 +189,113 @@ class Trajectory:
 # single update rules
 # ---------------------------------------------------------------------------
 
-def spawn_step(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
+class SpawnTable:
+    """What the spawn and death/clone steps read of every row an element
+    source has measured, at one delta_tau, the rows in ascending position
+    order and each row's entries in CSR order: per entry the row (`parents`),
+    the target position, frac(delta_tau |H'_ji|), its integer part (None when
+    every delta_tau |H'_ji| < 1) and sign(-H'_ji) as int8; per row H'_ii.
+    `n_rows` is the source's count of measured rows when it was built;
+    `spawn_table` builds a new table when that count has moved.  The arrays
+    are read only."""
+
+    def __init__(self, src: ElementSource, delta_tau: float):
+        self.source, self.delta_tau, self.n_rows = src, delta_tau, src.n_measured
+        self.rows = src.measured_positions()
+        self.targets, values, lens = row_arrays(src, self.rows)
+        self.parents = self.rows.repeat(lens)
+        # the projector's off-diagonal weight is -H'_ji delta_tau; |H'_ji| delta_tau
+        # has the same bits as its magnitude.  Computed in place: at 2x4 a
+        # table covers about 21M entries.
+        self.signs = np.sign(values).astype(np.int8)
+        np.negative(self.signs, out=self.signs)
+        p = np.abs(values, out=values)
+        p *= delta_tau
+        base = np.floor(p)
+        p -= base
+        self.frac = p
+        self.base = base.astype(np.int64) if base.any() else None
+        self.diag = diagonal_elements(src, self.rows)
+        self._death_shift, self._death = None, None
+
+    def death(self, shift: float) -> tuple:
+        """Per row at shift S: the death/clone probability |H'_ii - S| delta_tau
+        clamped to 1; -1 where walkers die (H'_ii > S), moving the count
+        towards zero, and 1 where they clone; the unclamped probabilities
+        where one exceeds 1, else None.  Kept for the last shift asked, which
+        moves only on a shift update."""
+        if shift != self._death_shift:
+            d = (self.diag - shift) * self.delta_tau
+            p = np.abs(d)
+            self._death = (np.minimum(p, 1.0), np.where(d > 0, -1, 1),
+                           p if p.max(initial=0.0) > 1.0 else None)
+            self._death_shift = shift
+        return self._death
+
+
+def spawn_table(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
+                table: SpawnTable | None = None) -> SpawnTable:
+    """The spawn table of `src` at delta_tau once every occupied row of `pop`
+    is measured (rows not measured yet are measured here, ascending): `table`
+    itself while it is that table and `src` has measured no row since it was
+    built, else a new one.  Once every row is measured it never changes."""
+    if src.n_measured < len(pop.counts):
+        row_lengths(src, pop.counts.nonzero()[0])
+    if (table is not None and table.source is src and table.delta_tau == delta_tau
+            and table.n_rows == src.n_measured):
+        return table
+    return SpawnTable(src, delta_tau)
+
+
+def spawn_step(pop: WalkerPopulation, table: SpawnTable,
                rng: np.random.Generator) -> WalkerPopulation:
     """Children spawned off every occupied index; accumulated apart from parents.
 
     Per parent walker on i and connection j: count floor(p) + Bernoulli(frac)
-    with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)), a rule
-    no other code applies.  The per-connection Bernoulli sums collapse to one
-    binomial draw per (i, j).  One binomial call covers the concatenated rows
-    of all occupied parents in ascending parent order, which consumes the
-    generator's stream exactly as one call per parent would.  Returns the
-    children as a population over the same basis, summed per target in int64."""
-    occ = pop.counts.nonzero()[0]
-    signed = pop.counts[occ]
-    targets, values, lens = row_arrays(src, occ)
-    n = np.abs(signed).repeat(lens)
-    w = values * -delta_tau  # the projector's off-diagonal weight, -H'_ji delta_tau
-    p = np.abs(w)
-    base = np.floor(p)
-    children = rng.binomial(n, p - base)
-    children += n * base.astype(np.int64)
-    children *= np.sign(signed).repeat(lens)
-    children *= np.sign(w).astype(np.int64)
+    with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)), the
+    table's sign(-H'_ji) times sign(i).  The per-connection Bernoulli sums collapse to one
+    binomial draw per (i, j) of n_i = |count_i| walkers.  One binomial call
+    covers every row of the table, occupied or not, in ascending position
+    order; n = 0 draws nothing from the generator, so this consumes the
+    stream exactly as one call per occupied parent would.  Every occupied
+    row must be in the table (`spawn_table`).  Returns the children as a
+    population over the same basis, summed per target in int64."""
+    signed = pop.counts[table.parents]
+    n = np.abs(signed)
+    children = rng.binomial(n, table.frac)
+    if table.base is not None:
+        n *= table.base
+        children += n
+    del n
+    children *= np.sign(signed, out=signed)
+    children *= table.signs
     counts = np.zeros(len(pop.counts), dtype=np.int64)
-    np.add.at(counts, targets, children)
+    np.add.at(counts, table.targets, children)
     return WalkerPopulation(pop.basis, counts)
 
 
-def death_clone_step(pop: WalkerPopulation, src: ElementSource, shift: float,
-                     delta_tau: float, rng: np.random.Generator) -> WalkerPopulation:
+def death_clone_step(pop: WalkerPopulation, table: SpawnTable, shift: float,
+                     rng: np.random.Generator) -> WalkerPopulation:
     """Diagonal step: die with probability (H'_ii - S) dt if positive, else clone.
 
-    One vectorized binomial draw covers all occupied positions, ascending."""
-    occ = pop.counts.nonzero()[0]
-    if len(occ) == 0:
-        return pop
-    signed = pop.counts[occ]
-    d = (diagonal_elements(src, occ) - shift) * delta_tau
-    p = np.abs(d)
-    if p.max() > 1.0:
-        warnings.warn(
-            f"death/clone probability {float(p.max()):.3f} clamped to 1; reduce delta_tau",
-            stacklevel=2,
-        )
-        p = np.minimum(p, 1.0)
-    flips = rng.binomial(np.abs(signed), p)
-    # dying walkers move the count towards zero, cloned ones away from it
-    step = np.where(d > 0, -flips, flips)
-    step *= np.sign(signed)
-    step += signed
+    One vectorized binomial draw covers every row of the table, ascending;
+    an unoccupied row draws nothing.  The probability is clamped to 1 on
+    every row, with a warning when an occupied row needed it."""
+    signed = pop.counts[table.rows]
+    n = np.abs(signed)
+    p, direction, unclamped = table.death(shift)
+    if unclamped is not None:
+        worst = unclamped[n > 0].max(initial=0.0)
+        if worst > 1.0:
+            warnings.warn(
+                f"death/clone probability {float(worst):.3f} clamped to 1; reduce delta_tau",
+                stacklevel=2,
+            )
+    flips = rng.binomial(n, p)
+    flips *= direction  # dying walkers move the count towards zero, cloned ones away
+    flips *= np.sign(signed)
     counts = pop.counts.copy()
-    counts[occ] = step
+    counts[table.rows] += flips
     return WalkerPopulation(pop.basis, counts)
 
 
@@ -253,8 +321,8 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, ref: int):
     c_0 = int(counts[ref])
     if c_0 == 0:
         return None
-    e = float(diagonal_elements(src, [ref])[0])
     targets, values = csr_row(src, ref)
+    e = float(src.diagonal[ref])
     for h_j0, c_j in zip(values.tolist(), counts[targets].tolist()):
         if c_j:
             e += h_j0 * c_j / c_0
@@ -303,6 +371,7 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
     # warns or every position has been checked
     unchecked = np.ones(len(src.basis), dtype=bool)
     n_unchecked = len(unchecked)
+    table = None
     traj.records.append(TrajectoryRecord(
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, ref)
     ))
@@ -313,8 +382,9 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
             n_unchecked -= len(fresh)
             if _check_timestep(src, fresh.tolist(), cfg.delta_tau, ctl.shift):
                 n_unchecked = 0
-        spawned = spawn_step(pop, src, cfg.delta_tau, rng)
-        survivors = death_clone_step(pop, src, ctl.shift, cfg.delta_tau, rng)
+        table = spawn_table(pop, src, cfg.delta_tau, table)
+        spawned = spawn_step(pop, table, rng)
+        survivors = death_clone_step(pop, table, ctl.shift, rng)
         pop = annihilate(survivors, spawned)
         total = pop.total_walkers
         if total == 0:

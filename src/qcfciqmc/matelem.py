@@ -35,7 +35,9 @@ H'_ji itself; what the projector makes of it is `fciqmc`'s rule alone.
 Stream keys stay walker indices, and the row norm and the magnitude
 distribution are summed exactly rounded (`math.fsum`), so a sector source
 draws what the full-space source does.  The engine reads by position
-(`csr_row`, `row_arrays`, `diagonal_elements`); the other readers take
+(`csr_row`, `row_arrays`, `row_lengths`, `diagonal_elements`, and
+`ElementSource.diagonal` once a row is measured) and rebuilds its spawn
+table when `ElementSource.n_measured` moves; the other readers take
 walker indices and refuse one outside the basis.  `row_magnitudes` returns
 the draw itself, signs at every kept target included, drawn again from its
 keyed streams once the row is stored.  H'_ji is served from row i's
@@ -107,10 +109,18 @@ class KeyedStreams:
         return self._generator
 
 
+def _check_cut(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # NaN too
+        raise MatelemError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class ExactBackend:
     kind: ClassVar[str] = "exact"
     magnitude_floor: float = 1e-8
+
+    def __post_init__(self):
+        _check_cut("magnitude_floor", self.magnitude_floor)
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,8 @@ class SampledBackend:
     def __post_init__(self):
         if self.shots_magnitude < 1 or self.shots_sign < 1:
             raise MatelemError("shots_magnitude and shots_sign must be at least 1")
+        _check_cut("magnitude_floor", self.magnitude_floor)
+        _check_cut("ambiguity_z", self.ambiguity_z)
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,7 @@ class ElementSource:
         self._row_start = np.full(d, -1, dtype=np.int64)
         self._row_len = np.full(d, -1, dtype=np.int64)
         self._filled = 0
+        self.n_measured = 0  # rows measured so far, the count of _row_len >= 0
         self._targets = np.zeros(CSR_CAPACITY, dtype=np.int64)
         self._values = np.zeros(CSR_CAPACITY)  # H'_ji
         self._diag = np.full(d, np.nan)  # H'_ii of each measured row
@@ -184,6 +197,15 @@ class ElementSource:
         if p == len(self.basis):
             raise MatelemError(f"basis index {i} is out of range or outside the source's basis")
         return p
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """H'_ii by position, NaN where the row is not measured yet."""
+        return self._diag
+
+    def measured_positions(self) -> np.ndarray:
+        """The positions of the rows measured so far, ascending."""
+        return (self._row_len >= 0).nonzero()[0]
 
     def transformed_column(self, i: int) -> np.ndarray:
         """Column i of H' over the source's basis: entry p equals
@@ -228,6 +250,7 @@ class ElementSource:
             self._values[start:end] = vals
             self._row_start[own], self._row_len[own], self._filled = start, len(vals), end
             self._diag[own] = diag
+            self.n_measured += 1
         return RowRecord(self.basis[kept], mags[kept], signs[kept])
 
     def _draw_magnitudes(self, i: int, col: np.ndarray, nu_sq: float):
@@ -299,7 +322,7 @@ def element_sign(src: ElementSource, i: int, j: int) -> int:
     return int(np.sign(values[k]))
 
 
-def _row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
+def row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
     """The CSR row lengths at `positions`, once each of those rows not
     measured yet is measured, in the order given."""
     lens = src._row_len[positions]
@@ -357,7 +380,7 @@ def row_arrays(src: ElementSource, positions) -> tuple:
     arrays (target positions, H'_ji, row lengths).  Rows not measured yet
     are measured first, in the order given."""
     positions = np.asarray(positions, dtype=np.int64)
-    lens = _row_lengths(src, positions)
+    lens = row_lengths(src, positions)
     ends = lens.cumsum()
     # entry k of the output reads entry start + (k - offset) of its row
     pos = (src._row_start[positions] - ends + lens).repeat(lens)
@@ -369,5 +392,5 @@ def diagonal_elements(src: ElementSource, positions) -> np.ndarray:
     """H'_ii at `positions`, each stored when its row was measured; rows not
     measured yet are measured first, in the order given."""
     positions = np.asarray(positions, dtype=np.int64)
-    _row_lengths(src, positions)
+    row_lengths(src, positions)
     return src._diag[positions]

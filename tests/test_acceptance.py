@@ -25,6 +25,7 @@ from qcfciqmc.fciqmc import (
     death_clone_step,
     run,
     spawn_step,
+    spawn_table,
     statistics,
 )
 from qcfciqmc.matelem import (
@@ -336,9 +337,10 @@ def test_ac07_single_step_mean_matches_linear_propagator():
     t0 = time.perf_counter()
     # one engine-domain generator for all trials, as the engine draws its steps
     rng = KeyedStreams(42).stream(ENGINE)
+    table = spawn_table(pop0, src, dt)
     for _ in range(n_trials):
-        spawned = spawn_step(pop0, src, dt, rng)
-        survivors = death_clone_step(pop0, src, shift, dt, rng)
+        spawned = spawn_step(pop0, table, rng)
+        survivors = death_clone_step(pop0, table, shift, rng)
         new = annihilate(survivors, spawned)
         counts = dict(zip(new.indices.tolist(), new.signed.tolist()))
         for i in range(4):

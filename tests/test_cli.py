@@ -198,6 +198,11 @@ OUT_OF_RANGE = [
     ("vqe.initial_step = inf", "vqe: initial_step must be positive and finite"),
     ("vqe.max_backtracks = 0", "vqe: max_backtracks must be at least 1"),
     ("vqe.init_scale = nan", "vqe.init_scale must be finite, got nan"),
+    ("qmc.damping = nan", "qmc: damping must be finite and non-negative"),
+    ("qmc.damping = inf", "qmc: damping must be finite and non-negative"),
+    ("qmc.damping = -1", "qmc: damping must be finite and non-negative"),
+    ("qmc.initial_walkers = 100000000000000000000",
+     "qmc: initial_walkers must fit in a signed 64-bit count"),
 ]
 
 
@@ -859,6 +864,26 @@ def test_fewer_than_one_initial_walker_is_a_config_error(tmp_path, capsys, walke
     for command in ("qmc", "sweep"):
         assert cli.main([command, conf, "--identity-basis"]) == 2
         assert "qmc: initial_walkers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_BACKEND_CUTS = [(kind, key, value) for kind, keys in (("exact", ["magnitude_floor"]),
+                                                         ("sampled", ["magnitude_floor",
+                                                                      "ambiguity_z"]))
+                    for key in keys for value in ("nan", "inf", "-1")]
+
+
+@pytest.mark.parametrize("kind, key, value", BAD_BACKEND_CUTS,
+                         ids=[f"{k}-{key}-{v}" for k, key, v in BAD_BACKEND_CUTS])
+def test_a_bad_backend_cut_stops_qmc_at_load(tmp_path, capsys, kind, key, value):
+    """A NaN or infinite magnitude floor or ambiguity z drops every
+    off-diagonal element, and a negative one means nothing: qmc exits 2
+    before any model is built or file written."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + f"backend.kind = {kind}\n"
+                      f"backend.{key} = {value}\n")
+    assert cli.main(["qmc", conf, "--identity-basis"]) == 2
+    assert f"backend: {key} must be finite and non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -27,6 +27,7 @@ from qcfciqmc.fciqmc import (
     mixed_energy,
     run,
     spawn_step,
+    spawn_table,
     statistics,
     summary_record,
     trajectory_to_csv,
@@ -93,7 +94,7 @@ def test_spawn_probability_small_p():
     """p = |H_ji| dt = 0.005; children over 1e4 parents within 3 sigma."""
     src = x_source(0.5)
     pop = WalkerPopulation.single(src, 0, 10**4)
-    spawned = spawn_step(pop, src, 0.01, rng_for(0))
+    spawned = spawn_step(pop, spawn_table(pop, src, 0.01), rng_for(0))
     mean = 10**4 * 0.005
     sigma = np.sqrt(10**4 * 0.005 * 0.995)
     assert abs(abs(counts_of(spawned)[1]) - mean) < 3 * sigma
@@ -102,7 +103,7 @@ def test_spawn_probability_small_p():
 def test_spawn_nothing_for_diagonal_h():
     src = diag_source([0.3, -0.8])
     pop = WalkerPopulation.single(src, 0, 500)
-    assert counts_of(spawn_step(pop, src, 0.1, rng_for(1))) == {}
+    assert counts_of(spawn_step(pop, spawn_table(pop, src, 0.1), rng_for(1))) == {}
 
 
 def test_spawn_integer_plus_bernoulli():
@@ -110,8 +111,9 @@ def test_spawn_integer_plus_bernoulli():
     src = x_source(2.3)
     pop = WalkerPopulation.single(src, 0, 1)
     counts = []
+    table = spawn_table(pop, src, 1.0)
     for step in range(10**4):
-        spawned = spawn_step(pop, src, 1.0, rng_for(step))
+        spawned = spawn_step(pop, table, rng_for(step))
         counts.append(abs(counts_of(spawned)[1]))
     counts = np.asarray(counts)
     assert set(np.unique(counts)) <= {2, 3}
@@ -121,14 +123,17 @@ def test_spawn_integer_plus_bernoulli():
 
 def test_spawn_sign_convention():
     """Positive H_ji spawns opposite-sign children (projector carries -H_ji)."""
+    def spawn(pop, src):
+        return spawn_step(pop, spawn_table(pop, src, 0.5), rng_for(3))
+
     plus = x_source(0.8)
-    spawned = spawn_step(WalkerPopulation.single(plus, 0, 2000), plus, 0.5, rng_for(3))
+    spawned = spawn(WalkerPopulation.single(plus, 0, 2000), plus)
     assert counts_of(spawned)[1] < 0
     minus = x_source(-0.8)
-    spawned = spawn_step(WalkerPopulation.single(minus, 0, 2000), minus, 0.5, rng_for(3))
+    spawned = spawn(WalkerPopulation.single(minus, 0, 2000), minus)
     assert counts_of(spawned)[1] > 0
     # negative parents flip both
-    spawned = spawn_step(WalkerPopulation.from_dict(plus, {0: -2000}), plus, 0.5, rng_for(3))
+    spawned = spawn(WalkerPopulation.from_dict(plus, {0: -2000}), plus)
     assert counts_of(spawned)[1] > 0
 
 
@@ -140,14 +145,14 @@ def test_spawn_sign_convention():
 def test_death_noop_at_shift_equal_diagonal():
     src = diag_source([0.7, 0.0])
     pop = WalkerPopulation.single(src, 0, 1234)
-    out = death_clone_step(pop, src, 0.7, 0.05, rng_for(4))
+    out = death_clone_step(pop, spawn_table(pop, src, 0.05), 0.7, rng_for(4))
     assert counts_of(out) == {0: 1234}
 
 
 def test_death_certain_at_probability_one():
     src = diag_source([2.0, 0.0])
     pop = WalkerPopulation.single(src, 0, 999)
-    out = death_clone_step(pop, src, 0.0, 0.5, rng_for(5))  # (2-0)*0.5 = 1
+    out = death_clone_step(pop, spawn_table(pop, src, 0.5), 0.0, rng_for(5))  # (2-0)*0.5 = 1
     assert counts_of(out) == {}
 
 
@@ -155,7 +160,7 @@ def test_clone_growth_statistics():
     """(H_ii - S) dt = -0.2 on 1e5 walkers: growth factor 1.2 within 3 sigma."""
     src = diag_source([-0.2, 0.0])
     pop = WalkerPopulation.single(src, 0, 10**5)
-    out = death_clone_step(pop, src, 0.0, 1.0, rng_for(6))
+    out = death_clone_step(pop, spawn_table(pop, src, 1.0), 0.0, rng_for(6))
     mean = 10**5 * 1.2
     sigma = np.sqrt(10**5 * 0.2 * 0.8)
     assert abs(counts_of(out)[0] - mean) < 3 * sigma
@@ -164,7 +169,7 @@ def test_clone_growth_statistics():
 def test_death_never_flips_sign():
     src = diag_source([5.0, 0.0])
     pop = WalkerPopulation.from_dict(src, {0: -50})
-    out = death_clone_step(pop, src, 0.0, 0.19, rng_for(7))
+    out = death_clone_step(pop, spawn_table(pop, src, 0.19), 0.0, rng_for(7))
     assert counts_of(out).get(0, 0) <= 0
 
 
@@ -172,8 +177,83 @@ def test_death_clamps_and_warns():
     src = diag_source([4.0, 0.0])
     pop = WalkerPopulation.single(src, 0, 100)
     with pytest.warns(UserWarning, match="clamped"):
-        out = death_clone_step(pop, src, 0.0, 0.5, rng_for(8))  # d = 2 -> 1
+        out = death_clone_step(pop, spawn_table(pop, src, 0.5), 0.0, rng_for(8))  # d = 2 -> 1
     assert counts_of(out) == {}
+
+
+def test_death_clamp_on_an_unoccupied_row_neither_warns_nor_raises():
+    """Row 0, measured, has (H'_00 - S) dt = 2.  While it holds no walker
+    the step clamps it silently and draws nothing there; once occupied it
+    warns."""
+    src = diag_source([4.0, 0.0])
+    table = spawn_table(WalkerPopulation.from_dict(src, {0: 1, 1: 1}), src, 0.5)
+    assert table.rows.tolist() == [0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = death_clone_step(WalkerPopulation.single(src, 1, 100), table, 0.0, rng_for(9))
+    assert counts_of(out) == {1: 100}
+    with pytest.warns(UserWarning, match="probability 2.000 clamped"):
+        out = death_clone_step(WalkerPopulation.from_dict(src, {0: 7, 1: 100}), table, 0.0,
+                               rng_for(9))
+    assert counts_of(out) == {1: 100}
+
+
+# ---------------------------------------------------------------------------
+# the spawn table
+# ---------------------------------------------------------------------------
+
+
+def test_spawn_table_holds_what_the_steps_read():
+    """H = 2.3 X at delta_tau = 1: per entry frac 0.3, integer part 2 and
+    the sign of -H'_ji; per row H'_ii = 0."""
+    src = x_source(2.3)
+    table = spawn_table(WalkerPopulation.from_dict(src, {0: 1, 1: -1}), src, 1.0)
+    assert table.rows.tolist() == [0, 1] and table.parents.tolist() == [0, 1]
+    assert table.targets.tolist() == [1, 0]
+    assert table.frac == pytest.approx([0.3, 0.3], abs=1e-12)
+    assert table.base.tolist() == [2, 2]
+    assert table.signs.tolist() == [-1, -1] and table.signs.dtype == np.int8
+    assert table.diag.tolist() == [0.0, 0.0]
+    assert spawn_table(WalkerPopulation.single(src, 0, 1), src, 0.1).base is None
+
+
+def test_spawn_table_is_rebuilt_only_when_a_row_is_measured():
+    """A table is kept while the source measures no new row; an occupied
+    row not measured yet is measured and gives a new table, and so does a
+    new delta_tau."""
+    src = x_source(0.5, n_qubits=2)  # rows 0 and 1 connect, and rows 2 and 3
+    pop = WalkerPopulation.single(src, 0, 10)
+    table = spawn_table(pop, src, 0.1)
+    assert table.rows.tolist() == [0] and src.n_measured == 1
+    assert spawn_table(pop, src, 0.1, table) is table
+    assert spawn_table(WalkerPopulation.single(src, 1, 0), src, 0.1, table) is table
+    pop = WalkerPopulation.from_dict(src, {0: 10, 2: -3})
+    rebuilt = spawn_table(pop, src, 0.1, table)
+    assert rebuilt is not table and rebuilt.rows.tolist() == [0, 2]
+    assert spawn_table(pop, src, 0.1, rebuilt) is rebuilt
+    assert spawn_table(pop, src, 0.2, rebuilt).delta_tau == 0.2
+
+
+def test_run_builds_a_spawn_table_only_when_the_measured_rows_change(monkeypatch):
+    """Each table of a run is built at a count of measured rows no earlier
+    table was built at, and the last one covers every row."""
+    import qcfciqmc.fciqmc as engine
+
+    built = []
+    real_table = engine.SpawnTable
+
+    def counted(src, delta_tau):
+        built.append(src.n_measured)
+        return real_table(src, delta_tau)
+
+    monkeypatch.setattr(engine, "SpawnTable", counted)
+    h, circuit, params, walkers, phi0 = hubbard_walker_run((2, 2), 0)
+    src = ElementSource(h, circuit, params, seed=3, basis=walkers)
+    cfg = RunConfig(delta_tau=0.01, total_time=1.0, initial_walkers=2000, seed=3,
+                    threshold=2500)
+    run(h, circuit, params, cfg, source=src, phi0=phi0)
+    assert built == sorted(set(built))
+    assert built[-1] == src.n_measured == len(walkers)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +399,11 @@ def test_single_step_expectation_matches_linear_propagator():
     pop0 = WalkerPopulation.from_dict(src, {i: int(c0[i]) for i in range(4)})
     n_trials = 20000
     acc = np.zeros(4)
+    table = spawn_table(pop0, src, dt)
     for step in range(n_trials):
         rng = rng_for(step)
-        spawned = spawn_step(pop0, src, dt, rng)
-        survivors = death_clone_step(pop0, src, shift, dt, rng)
+        spawned = spawn_step(pop0, table, rng)
+        survivors = death_clone_step(pop0, table, shift, rng)
         new = annihilate(survivors, spawned)
         for i in range(4):
             acc[i] += counts_of(new).get(i, 0)
@@ -349,8 +430,9 @@ def test_identity_basis_matches_classical_probabilities():
     pop = WalkerPopulation.single(src, 0, 1)
     hits = {1: 0, 2: 0}
     n_trials = 40000
+    table = spawn_table(pop, src, dt)
     for step in range(n_trials):
-        spawned = counts_of(spawn_step(pop, src, dt, rng_for(step)))
+        spawned = counts_of(spawn_step(pop, table, rng_for(step)))
         for j in hits:
             if spawned.get(j):
                 hits[j] += 1
@@ -428,8 +510,9 @@ def test_engine_consumes_the_stream_as_the_per_parent_loop(backend):
         dt = float(pick.choice([0.003, 0.05, 0.7, 1.3]))
         shift = float(pick.normal())
         rng_new, rng_oracle = rng_for(trial), rng_for(trial)
-        spawned = spawn_step(pop, src_new, dt, rng_new)
-        survivors = death_clone_step(pop, src_new, shift, dt, rng_new)
+        table = spawn_table(pop, src_new, dt)
+        spawned = spawn_step(pop, table, rng_new)
+        survivors = death_clone_step(pop, table, shift, rng_new)
         assert counts_of(spawned) == spawn_step_oracle(pop, src_oracle, dt, rng_oracle)
         assert counts_of(survivors) == death_clone_oracle(pop, src_oracle, shift, dt, rng_oracle)
         np.testing.assert_equal(rng_new.bit_generator.state, rng_oracle.bit_generator.state)
@@ -648,7 +731,8 @@ def test_run_extinction_raises(monkeypatch):
     import qcfciqmc.fciqmc as engine
 
     monkeypatch.setattr(
-        engine, "death_clone_step", lambda pop, src, s, dt, rng: WalkerPopulation.from_dict(src)
+        engine, "death_clone_step",
+        lambda pop, table, s, rng: WalkerPopulation(pop.basis, np.zeros_like(pop.counts))
     )
     h = PauliSum([PauliTerm(0.3, PauliWord(1, 0, 1))])
     cfg = RunConfig(total_time=1.0, delta_tau=0.1, initial_walkers=5, seed=2)

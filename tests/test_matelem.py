@@ -3,6 +3,8 @@
 Oracle: dense U^dag H U assembled independently from the gate matrices, not
 through the package's column plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -461,6 +463,19 @@ def test_sampled_get_element_treats_ambiguous_as_zero():
     rec = row_magnitudes(src, 0)
     assert rec.targets.tolist() == [1] and rec.signs.tolist() == [0]
     assert get_element(src, 0, 1) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("make", [
+    lambda v: ExactBackend(magnitude_floor=v),
+    lambda v: SampledBackend(magnitude_floor=v),
+    lambda v: SampledBackend(ambiguity_z=v),
+], ids=["exact-magnitude_floor", "sampled-magnitude_floor", "sampled-ambiguity_z"])
+def test_backend_cuts_must_be_finite_and_non_negative(make, value):
+    """A NaN or infinite cut compares false or true against every element
+    and would drop the whole row without an error."""
+    with pytest.raises(MatelemError, match="must be finite and non-negative"):
+        make(value)
 
 
 def test_sampled_floor_drops_small_elements():

@@ -166,9 +166,9 @@ def test_engine_draws_are_no_element_draws(monkeypatch):
     real_spawn_step = fciqmc.spawn_step
     engine_draws = []
 
-    def recorded_spawn_step(pop, src, delta_tau, rng):
+    def recorded_spawn_step(pop, table, rng):
         engine_draws.append(next_draws(rng))
-        return real_spawn_step(pop, src, delta_tau, rng)
+        return real_spawn_step(pop, table, rng)
 
     monkeypatch.setattr(fciqmc, "spawn_step", recorded_spawn_step)
     cfg = RunConfig(delta_tau=0.05, total_time=0.5, initial_walkers=200, seed=7)
@@ -177,6 +177,30 @@ def test_engine_draws_are_no_element_draws(monkeypatch):
     assert sorted(k for k in keys if k[0] == SIGN) == [(SIGN, i) for i in range(4)]
     assert len(engine_draws) == 10
     assert not element_draws & set(engine_draws)
+
+
+def test_binomial_draws_nothing_for_no_walkers_or_zero_probability():
+    """The engine's spawn and death/clone calls run over every row of its
+    spawn table, occupied or not.  That keeps each trajectory what one call
+    over the occupied rows alone draws only because numpy's binomial returns
+    0 for n = 0 or p = 0 without consuming its stream: entries with n = 0,
+    p = 0 or both, interleaved with the others, leave the same values and
+    the same generator state as one call over the other entries alone.  The
+    n and p ranges reach both of numpy's binomial samplers (n p below and
+    above 30) and p above one half."""
+    pick = np.random.default_rng(8)
+    size = 400
+    n = pick.integers(1, 5000, size=size) * (pick.random(size) < 0.7)
+    p = pick.random(size) * (pick.random(size) < 0.7)
+    p[pick.random(size) < 0.2] = 1.0
+    kept = (n > 0) & (p > 0)
+    assert 0 < kept.sum() < size and (n * p)[kept].min() < 30 < (n * p).max()
+    engine, alone = KeyedStreams(3).stream(ENGINE), KeyedStreams(3).stream(ENGINE)
+    draws = engine.binomial(n, p)
+    assert draws[kept].tolist() == alone.binomial(n[kept], p[kept]).tolist()
+    assert not draws[~kept].any()
+    np.testing.assert_equal(engine.bit_generator.state, alone.bit_generator.state)
+    assert next_draws(engine) == next_draws(alone)
 
 
 def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
@@ -189,17 +213,20 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
     real_spawn_step = fciqmc.spawn_step
     seen = []
 
-    def resolve_a_row_then_spawn(pop, src, delta_tau, rng):
+    src = ElementSource(h, Circuit(spec.n_qubits, []), backend=SampledBackend(10**4, 10**3),
+                        seed=11)
+
+    def resolve_a_row_then_spawn(pop, table, rng):
         before, n_rows = next_draws(rng), (src._row_len >= 0).sum()
         # a full-space source: the position of walker index i is i
         row_arrays(src, [next(i for i in sector if src._row_len[i] < 0)])
         assert (src._row_len >= 0).sum() == n_rows + 1  # a fresh magnitude draw was made
         assert next_draws(rng) == before
         seen.append(before)
-        return real_spawn_step(pop, src, delta_tau, rng)
+        return real_spawn_step(pop, table, rng)
 
     monkeypatch.setattr(fciqmc, "spawn_step", resolve_a_row_then_spawn)
     cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
-    run(h, Circuit(spec.n_qubits, []), (), cfg, backend=SampledBackend(10**4, 10**3), phi0=ref)
+    run(h, Circuit(spec.n_qubits, []), (), cfg, source=src, phi0=ref)
     assert len(seen) == 5
     assert seen[0] == tuple(layout_rng(11, ENGINE).random(4).tolist())
