@@ -197,16 +197,17 @@ class SpawnTable:
     every delta_tau |H'_ji| < 1) and sign(-H'_ji) as int8; per row H'_ii.
     `n_rows` is the source's count of measured rows when it was built;
     `spawn_table` builds a new table when that count has moved.  The arrays
-    are read only."""
+    are read only; they take 25 bytes per entry, 33 with the integer part."""
 
     def __init__(self, src: ElementSource, delta_tau: float):
         self.source, self.delta_tau, self.n_rows = src, delta_tau, src.n_measured
         self.rows = src.measured_positions()
         self.targets, values, lens = row_arrays(src, self.rows)
         self.parents = self.rows.repeat(lens)
-        # the projector's off-diagonal weight is -H'_ji delta_tau; |H'_ji| delta_tau
-        # has the same bits as its magnitude.  Computed in place: at 2x4 a
-        # table covers about 21M entries.
+        # the projector's off-diagonal weight is -H'_ji delta_tau: its sign is
+        # -sign(H'_ji), and |H'_ji| * delta_tau rounds to the bits of its
+        # magnitude.  Computed in place, as a table of the trained 2x4 basis
+        # covers about 21M entries.
         self.signs = np.sign(values).astype(np.int8)
         np.negative(self.signs, out=self.signs)
         p = np.abs(values, out=values)

@@ -867,10 +867,10 @@ def test_fewer_than_one_initial_walker_is_a_config_error(tmp_path, capsys, walke
     assert not out.exists()
 
 
-BAD_BACKEND_CUTS = [(kind, key, value) for kind, keys in (("exact", ["magnitude_floor"]),
-                                                         ("sampled", ["magnitude_floor",
-                                                                      "ambiguity_z"]))
-                    for key in keys for value in ("nan", "inf", "-1")]
+BAD_BACKEND_CUTS = [(kind, key, value)
+                    for kind, key in (("exact", "magnitude_floor"), ("sampled", "magnitude_floor"),
+                                      ("sampled", "ambiguity_z"))
+                    for value in ("nan", "inf", "-1")]
 
 
 @pytest.mark.parametrize("kind, key, value", BAD_BACKEND_CUTS,

@@ -213,10 +213,8 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
     real_spawn_step = fciqmc.spawn_step
     seen = []
 
-    src = ElementSource(h, Circuit(spec.n_qubits, []), backend=SampledBackend(10**4, 10**3),
-                        seed=11)
-
     def resolve_a_row_then_spawn(pop, table, rng):
+        src = table.source
         before, n_rows = next_draws(rng), (src._row_len >= 0).sum()
         # a full-space source: the position of walker index i is i
         row_arrays(src, [next(i for i in sector if src._row_len[i] < 0)])
@@ -227,6 +225,6 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
 
     monkeypatch.setattr(fciqmc, "spawn_step", resolve_a_row_then_spawn)
     cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
-    run(h, Circuit(spec.n_qubits, []), (), cfg, source=src, phi0=ref)
+    run(h, Circuit(spec.n_qubits, []), (), cfg, backend=SampledBackend(10**4, 10**3), phi0=ref)
     assert len(seen) == 5
     assert seen[0] == tuple(layout_rng(11, ENGINE).random(4).tolist())
