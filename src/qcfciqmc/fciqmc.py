@@ -9,7 +9,7 @@ FCIQMC on the raw determinant basis.
 Sign convention that must not be broken: the projector's off-diagonal weight
 is -H'_ji, so a child on j inherits sign(i) * (-sign(H'_ji)).  The source's
 CSR holds H'_ji as measured; only `SpawnTable`, which takes sign(-H'_ji),
-and `spawn_step`, which multiplies it by sign(i), apply this rule.  The
+and the step, which multiplies it by sign(i), apply this rule.  The
 diagonal step uses (H'_ii - S) directly.  Getting either sign wrong still
 "runs" but projects onto the wrong vector.
 
@@ -23,15 +23,17 @@ the source's CSR and diagonal, which are indexed by position too.  All
 randomness of a run comes from one counter-based Philox stream, the ENGINE
 stream of the run's seed (`matelem.KeyedStreams`), keyed once per run.
 The steps read H' through a spawn table (`SpawnTable`): per run, the
-spawn probabilities, child signs and diagonal of every row the source has
-measured, in ascending position order, built again only when the source
-has measured a new row.  Within a step, one binomial call draws the
-children along every row of the table and a second one draws death/clone
-over its rows, each with n = |count| walkers per row, 0 on an unoccupied
-row.  numpy's binomial returns 0 for n = 0 or p = 0 without drawing from
-its stream, so the stream is consumed as by one call over the concatenated
-rows of the occupied parents in ascending parent order, and one over the
-occupied positions.  A trajectory is therefore a pure function of
+spawn entries of every row the source has measured, in ascending position
+order, then one death/clone entry per row, built again only when the
+source has measured a new row.  A step (`advance`) is one binomial call
+over every entry of the table, with n = |count| walkers of the entry's
+row, 0 on an unoccupied row, and one scatter of the signed draws onto the
+counts.  numpy's binomial returns 0 for n = 0 or p = 0 without drawing from
+its stream, and draws the entries in order, so the stream is consumed as
+by one call over the concatenated rows of the occupied parents in
+ascending parent order followed by one over the occupied positions: the
+spawn step, then the death/clone step (`spawn_step`, `death_clone_step`,
+the two halves of the same draw).  A trajectory is therefore a pure function of
 (config, seed) no matter how the host schedules threads, and the basis the
 source was built over enters it only through the elements the source
 serves.
@@ -46,8 +48,6 @@ stream.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -160,6 +160,8 @@ class RunConfig:
             raise FciqmcError("damping must be finite and non-negative")
         if self.update_interval < 1:
             raise FciqmcError("update_interval must be at least 1")
+        if self.threshold < 0:  # would start shift control on the first step
+            raise FciqmcError("threshold must be non-negative")
         if not (0 <= self.equilibration_fraction < 1):
             raise FciqmcError("equilibration_fraction must lie in [0, 1)")
 
@@ -190,48 +192,66 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class SpawnTable:
-    """What the spawn and death/clone steps read of every row an element
-    source has measured, at one delta_tau, the rows in ascending position
-    order and each row's entries in CSR order: per entry the row (`parents`),
-    the target position, frac(delta_tau |H'_ji|), its integer part (None when
-    every delta_tau |H'_ji| < 1) and sign(-H'_ji) as int8; per row H'_ii.
-    `n_rows` is the source's count of measured rows when it was built;
-    `spawn_table` builds a new table when that count has moved.  The arrays
-    are read only; they take 25 bytes per entry, 33 with the integer part."""
+    """What a step reads of every row an element source has measured, at
+    one delta_tau, the rows (`rows`) in ascending position order.  Its
+    entries are the E = `n_spawn` spawn entries, each row's in CSR order,
+    then one diagonal entry per row, in four arrays of length E + R: the
+    position whose count gives the entry's walkers (`sources`: the parent,
+    then the row itself), the position its draw lands on (`dests`: the
+    target, then the row), its probability `p` (frac(delta_tau |H'_ji|),
+    then the death/clone probability |H'_ii - S| delta_tau clamped to 1) and
+    an int8 `factor` (sign(-H'_ji), then -1 where walkers die, H'_ii > S,
+    moving the count towards zero, and 1 where they clone).  `base` holds
+    the integer parts of delta_tau |H'_ji| over the spawn entries, None when
+    every one is 0; `diag` holds H'_ii per row, and `unclamped` the
+    death/clone probabilities before the clamp where one exceeds 1, else
+    None.  The diagonal entries hold the shift `shift` (None until
+    `set_shift`), and only a new shift rewrites them.  `n_rows` is the
+    source's count of measured rows when it was built; `spawn_table` builds
+    a new table when that count has moved.  The tables take 25 bytes per
+    entry plus 41 per row, 33 per spawn entry with the integer part."""
 
     def __init__(self, src: ElementSource, delta_tau: float):
         self.source, self.delta_tau, self.n_rows = src, delta_tau, src.n_measured
         self.rows = src.measured_positions()
-        self.targets, values, lens = row_arrays(src, self.rows)
-        self.parents = self.rows.repeat(lens)
+        e = self.n_spawn = int(row_lengths(src, self.rows).sum())
+        size = e + len(self.rows)
+        # each array is allocated once, the CSR gathered into its head: a
+        # table of the trained 2x4 basis covers about 21M entries
+        self.sources = np.empty(size, dtype=np.int64)
+        self.dests = np.empty(size, dtype=np.int64)
+        self.p = np.empty(size)
+        self.factor = np.empty(size, dtype=np.int8)
+        row_arrays(src, self.rows, out=(self.dests, self.p, self.sources))
+        self.sources[e:] = self.dests[e:] = self.rows
         # the projector's off-diagonal weight is -H'_ji delta_tau: its sign is
         # -sign(H'_ji), and |H'_ji| * delta_tau rounds to the bits of its
-        # magnitude.  Computed in place, as a table of the trained 2x4 basis
-        # covers about 21M entries.
-        self.signs = np.sign(values).astype(np.int8)
-        np.negative(self.signs, out=self.signs)
-        p = np.abs(values, out=values)
-        p *= delta_tau
-        base = np.floor(p)
-        p -= base
-        self.frac = p
-        self.base = base.astype(np.int64) if base.any() else None
+        # magnitude
+        head, signs = self.p[:e], self.factor[:e]
+        np.sign(head, out=signs, casting="unsafe")
+        np.negative(signs, out=signs)
+        np.abs(head, out=head)
+        head *= delta_tau
+        self.base = None
+        if head.max(initial=0.0) >= 1.0:
+            self.base = np.empty(e, dtype=np.int64)
+            np.floor(head, out=self.base, casting="unsafe")
+            head -= self.base
         self.diag = diagonal_elements(src, self.rows)
-        self._death_shift, self._death = None, None
+        self.shift, self.unclamped = None, None
 
-    def death(self, shift: float) -> tuple:
-        """Per row at shift S: the death/clone probability |H'_ii - S| delta_tau
-        clamped to 1; -1 where walkers die (H'_ii > S), moving the count
-        towards zero, and 1 where they clone; the unclamped probabilities
-        where one exceeds 1, else None.  Kept for the last shift asked, which
-        moves only on a shift update."""
-        if shift != self._death_shift:
-            d = (self.diag - shift) * self.delta_tau
-            p = np.abs(d)
-            self._death = (np.minimum(p, 1.0), np.where(d > 0, -1, 1),
-                           p if p.max(initial=0.0) > 1.0 else None)
-            self._death_shift = shift
-        return self._death
+    def set_shift(self, shift: float) -> None:
+        """Write the death/clone probabilities and factors at shift S into
+        the diagonal entries, unless they already hold that shift."""
+        if shift == self.shift:
+            return
+        e = self.n_spawn
+        d = (self.diag - shift) * self.delta_tau
+        p = np.abs(d)
+        np.minimum(p, 1.0, out=self.p[e:])
+        self.factor[e:] = np.where(d > 0, -1, 1)
+        self.unclamped = p if p.max(initial=0.0) > 1.0 else None
+        self.shift = shift
 
 
 def spawn_table(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
@@ -248,56 +268,77 @@ def spawn_table(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
     return SpawnTable(src, delta_tau)
 
 
+def _step(pop: WalkerPopulation, table: SpawnTable, rng: np.random.Generator,
+          spawn: bool, death: bool) -> WalkerPopulation:
+    """Draw the table's spawn entries, its diagonal entries or both, in one
+    binomial call, and add the draws at their destinations.
+
+    Per entry n = |count of its source| walkers each succeed with its p,
+    plus n times the integer part on a spawn entry, and the signed draw is
+    that count times the source's sign and the entry's factor.  n = 0 draws
+    nothing from the generator, and numpy draws the entries in order, so a
+    call over both parts consumes the stream as a call over the spawn
+    entries followed by one over the diagonal entries.  The death/clone
+    draws start from the population's counts, the spawn draws alone from
+    zero."""
+    e = table.n_spawn
+    lo, hi = (0 if spawn else e), (len(table.p) if death else e)
+    signed = pop.counts[table.sources[lo:hi]]
+    n = np.abs(signed)
+    if death and table.unclamped is not None:
+        worst = table.unclamped[n[e - lo:] > 0].max(initial=0.0)
+        if worst > 1.0:
+            warnings.warn(
+                f"death/clone probability {float(worst):.3f} clamped to 1; reduce delta_tau",
+                stacklevel=3,
+            )
+    draws = rng.binomial(n, table.p[lo:hi])
+    if spawn and table.base is not None:
+        head = n[:e]
+        head *= table.base
+        draws[:e] += head
+    draws *= np.sign(signed, out=signed)
+    draws *= table.factor[lo:hi]
+    counts = pop.counts.copy() if death else np.zeros_like(pop.counts)
+    np.add.at(counts, table.dests[lo:hi], draws)
+    return WalkerPopulation(pop.basis, counts)
+
+
+def advance(pop: WalkerPopulation, table: SpawnTable, shift: float,
+            rng: np.random.Generator) -> WalkerPopulation:
+    """One step at shift S: spawning, death/cloning and annihilation in one
+    binomial call over the table and one scatter.  Every occupied row must
+    be in the table (`spawn_table`).  The result, and the generator state
+    after it, are those of annihilate(death_clone_step(pop, table, shift,
+    rng), spawn_step(pop, table, rng)) with spawn_step drawn first."""
+    table.set_shift(shift)
+    return _step(pop, table, rng, spawn=True, death=True)
+
+
 def spawn_step(pop: WalkerPopulation, table: SpawnTable,
                rng: np.random.Generator) -> WalkerPopulation:
     """Children spawned off every occupied index; accumulated apart from parents.
 
     Per parent walker on i and connection j: count floor(p) + Bernoulli(frac)
     with p = |H'_ji| delta_tau, child sign = sign(i) * (-sign(H'_ji)), the
-    table's sign(-H'_ji) times sign(i).  The per-connection Bernoulli sums collapse to one
-    binomial draw per (i, j) of n_i = |count_i| walkers.  One binomial call
-    covers every row of the table, occupied or not, in ascending position
-    order; n = 0 draws nothing from the generator, so this consumes the
-    stream exactly as one call per occupied parent would.  Every occupied
-    row must be in the table (`spawn_table`).  Returns the children as a
-    population over the same basis, summed per target in int64."""
-    signed = pop.counts[table.parents]
-    n = np.abs(signed)
-    children = rng.binomial(n, table.frac)
-    if table.base is not None:
-        n *= table.base
-        children += n
-    del n
-    children *= np.sign(signed, out=signed)
-    children *= table.signs
-    counts = np.zeros(len(pop.counts), dtype=np.int64)
-    np.add.at(counts, table.targets, children)
-    return WalkerPopulation(pop.basis, counts)
+    table's sign(-H'_ji) times sign(i).  The per-connection Bernoulli sums
+    collapse to one binomial draw per (i, j) of n_i = |count_i| walkers,
+    over the table's spawn entries in ascending parent order; n = 0 draws
+    nothing, so this consumes the stream exactly as one call per occupied
+    parent would.  Returns the children as a population over the same
+    basis, summed per target in int64."""
+    return _step(pop, table, rng, spawn=True, death=False)
 
 
 def death_clone_step(pop: WalkerPopulation, table: SpawnTable, shift: float,
                      rng: np.random.Generator) -> WalkerPopulation:
     """Diagonal step: die with probability (H'_ii - S) dt if positive, else clone.
 
-    One vectorized binomial draw covers every row of the table, ascending;
-    an unoccupied row draws nothing.  The probability is clamped to 1 on
+    One binomial draw covers the table's diagonal entries, ascending; an
+    unoccupied row draws nothing.  The probability is clamped to 1 on
     every row, with a warning when an occupied row needed it."""
-    signed = pop.counts[table.rows]
-    n = np.abs(signed)
-    p, direction, unclamped = table.death(shift)
-    if unclamped is not None:
-        worst = unclamped[n > 0].max(initial=0.0)
-        if worst > 1.0:
-            warnings.warn(
-                f"death/clone probability {float(worst):.3f} clamped to 1; reduce delta_tau",
-                stacklevel=2,
-            )
-    flips = rng.binomial(n, p)
-    flips *= direction  # dying walkers move the count towards zero, cloned ones away
-    flips *= np.sign(signed)
-    counts = pop.counts.copy()
-    counts[table.rows] += flips
-    return WalkerPopulation(pop.basis, counts)
+    table.set_shift(shift)
+    return _step(pop, table, rng, spawn=False, death=True)
 
 
 def annihilate(parents: WalkerPopulation, spawned: WalkerPopulation) -> WalkerPopulation:
@@ -384,9 +425,7 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
             if _check_timestep(src, fresh.tolist(), cfg.delta_tau, ctl.shift):
                 n_unchecked = 0
         table = spawn_table(pop, src, cfg.delta_tau, table)
-        spawned = spawn_step(pop, table, rng)
-        survivors = death_clone_step(pop, table, ctl.shift, rng)
-        pop = annihilate(survivors, spawned)
+        pop = advance(pop, table, ctl.shift, rng)
         total = pop.total_walkers
         if total == 0:
             raise ExtinctionError(f"population died out at step {step}")
@@ -494,19 +533,12 @@ CSV_HEADER = ["step", "tau", "shift", "n_walkers", "n_occupied", "e_mixed"]
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in traj.records:
-        writer.writerow([
-            r.step,
-            repr(r.tau),
-            repr(r.shift),
-            r.n_walkers,
-            r.n_occupied,
-            "" if r.e_mixed is None else repr(r.e_mixed),
-        ])
-    return buf.getvalue()
+    """One line per record, floats as their repr and an empty e_mixed where
+    the reference is unoccupied, each line ended by a newline.  No field
+    needs quoting, so these are the bytes `csv.writer` writes."""
+    rows = (f"{r.step},{r.tau!r},{r.shift!r},{r.n_walkers},{r.n_occupied},"
+            f"{'' if r.e_mixed is None else repr(r.e_mixed)}" for r in traj.records)
+    return "\n".join([",".join(CSV_HEADER), *rows, ""])
 
 
 def summary_record(traj: Trajectory, stats: Statistics) -> dict:

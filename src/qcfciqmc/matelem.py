@@ -375,17 +375,39 @@ def signed_row(src: ElementSource, i: int) -> list:
     return list(zip(targets.tolist(), values.tolist()))
 
 
-def row_arrays(src: ElementSource, positions) -> tuple:
+def row_arrays(src: ElementSource, positions, out=None) -> tuple:
     """The CSR rows at `positions`, concatenated in the order given, as
-    arrays (target positions, H'_ji, row lengths).  Rows not measured yet
-    are measured first, in the order given."""
+    arrays (target positions, H'_ji, the position of each entry's row).
+    Rows not measured yet are measured first, in the order given.  `out`,
+    three arrays (int64, float64, int64) at least as long as those entries,
+    takes them in its heads, which are returned: the gather then allocates
+    nothing of that length."""
     positions = np.asarray(positions, dtype=np.int64)
     lens = row_lengths(src, positions)
-    ends = lens.cumsum()
-    # entry k of the output reads entry start + (k - offset) of its row
-    pos = (src._row_start[positions] - ends + lens).repeat(lens)
-    pos += np.arange(len(pos))
-    return src._targets[pos], src._values[pos], lens
+    n = int(lens.sum())
+    if out is None:
+        out = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=np.int64)
+    targets, values, rows = (a[:n] for a in out)
+    # first the CSR entry that output entry k reads: entry start + (k - offset) of its row
+    _runs(rows, src._row_start[positions], lens, 1)
+    np.take(src._targets, rows, out=targets, mode="clip")  # "raise" would buffer a copy
+    np.take(src._values, rows, out=values, mode="clip")
+    _runs(rows, positions, lens, 0)
+    return targets, values, rows
+
+
+def _runs(out: np.ndarray, firsts: np.ndarray, lens: np.ndarray, step: int) -> None:
+    """Fill `out`, of lens.sum() entries, with the runs firsts[r],
+    firsts[r] + step, ... of lens[r] entries each, concatenated, in place."""
+    keep = lens > 0
+    firsts, lens = firsts[keep], lens[keep]
+    if not len(lens):
+        return
+    out.fill(step)
+    jumps = firsts.copy()
+    jumps[1:] -= firsts[:-1] + step * (lens[:-1] - 1)  # from each run's last entry
+    out[lens.cumsum() - lens] = jumps
+    np.cumsum(out, out=out)
 
 
 def diagonal_elements(src: ElementSource, positions) -> np.ndarray:

@@ -10,11 +10,16 @@ eigenvector rows, where `nsi.nsi_report` computes them together.
 angles and its walker sector.
 `apply_gates` applies a circuit gate by gate over all 2^n indices, the
 reference that the package's compiled runs are checked against.
+`trajectory_csv` writes a trajectory through `csv.writer`, the reference
+for the package's trajectory writer.
 """
+
+import csv
+import io
 
 import numpy as np
 
-from qcfciqmc import exactdiag, nsi, operators, simulator, vqa
+from qcfciqmc import exactdiag, fciqmc, nsi, operators, simulator, vqa
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -89,3 +94,16 @@ def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = Fa
         else:
             raise simulator.SimulatorError(f"unknown gate {g!r}")
     return vec
+
+
+def trajectory_csv(traj) -> str:
+    """The trajectory's CSV as `csv.writer` writes it: per record the step,
+    tau and shift as their repr, the counts, and e_mixed as its repr or
+    empty where it is None."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fciqmc.CSV_HEADER)
+    for r in traj.records:
+        writer.writerow([r.step, repr(r.tau), repr(r.shift), r.n_walkers, r.n_occupied,
+                         "" if r.e_mixed is None else repr(r.e_mixed)])
+    return buf.getvalue()

@@ -201,6 +201,7 @@ OUT_OF_RANGE = [
     ("qmc.damping = nan", "qmc: damping must be finite and non-negative"),
     ("qmc.damping = inf", "qmc: damping must be finite and non-negative"),
     ("qmc.damping = -1", "qmc: damping must be finite and non-negative"),
+    ("qmc.threshold = -5", "qmc: threshold must be non-negative"),
     ("qmc.initial_walkers = 100000000000000000000",
      "qmc: initial_walkers must fit in a signed 64-bit count"),
 ]

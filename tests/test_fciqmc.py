@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import trajectory_csv
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.fciqmc import (
     CSV_HEADER,
@@ -21,6 +22,7 @@ from qcfciqmc.fciqmc import (
     Trajectory,
     TrajectoryRecord,
     WalkerPopulation,
+    advance,
     annihilate,
     blocking_analysis,
     death_clone_step,
@@ -204,16 +206,26 @@ def test_death_clamp_on_an_unoccupied_row_neither_warns_nor_raises():
 
 
 def test_spawn_table_holds_what_the_steps_read():
-    """H = 2.3 X at delta_tau = 1: per entry frac 0.3, integer part 2 and
-    the sign of -H'_ji; per row H'_ii = 0."""
+    """H = 2.3 X at delta_tau = 1: per spawn entry frac 0.3, integer part 2
+    and the sign of -H'_ji; per row H'_ii = 0, and after the spawn entries
+    one diagonal entry per row that holds the death/clone probability and
+    direction of the last shift set."""
     src = x_source(2.3)
     table = spawn_table(WalkerPopulation.from_dict(src, {0: 1, 1: -1}), src, 1.0)
-    assert table.rows.tolist() == [0, 1] and table.parents.tolist() == [0, 1]
-    assert table.targets.tolist() == [1, 0]
-    assert table.frac == pytest.approx([0.3, 0.3], abs=1e-12)
+    assert table.rows.tolist() == [0, 1] and table.n_spawn == 2
+    assert table.sources.tolist() == [0, 1, 0, 1]
+    assert table.dests.tolist() == [1, 0, 0, 1]
+    assert table.p[:2] == pytest.approx([0.3, 0.3], abs=1e-12)
     assert table.base.tolist() == [2, 2]
-    assert table.signs.tolist() == [-1, -1] and table.signs.dtype == np.int8
+    assert table.factor[:2].tolist() == [-1, -1] and table.factor.dtype == np.int8
     assert table.diag.tolist() == [0.0, 0.0]
+    table.set_shift(0.5)  # (0 - 0.5) * 1 < 0: clone with probability 0.5
+    assert table.p[2:].tolist() == [0.5, 0.5] and table.factor[2:].tolist() == [1, 1]
+    assert table.unclamped is None
+    table.set_shift(-3.0)  # (0 + 3) * 1 > 0: die with probability 3, clamped to 1
+    assert table.p[2:].tolist() == [1.0, 1.0] and table.factor[2:].tolist() == [-1, -1]
+    assert table.unclamped.tolist() == [3.0, 3.0]
+    assert table.p[:2] == pytest.approx([0.3, 0.3], abs=1e-12)
     assert spawn_table(WalkerPopulation.single(src, 0, 1), src, 0.1).base is None
 
 
@@ -518,6 +530,46 @@ def test_engine_consumes_the_stream_as_the_per_parent_loop(backend):
         np.testing.assert_equal(rng_new.bit_generator.state, rng_oracle.bit_generator.state)
 
 
+@pytest.mark.parametrize("backend", [
+    ExactBackend(),
+    SampledBackend(shots_magnitude=10**4, shots_sign=10**3),
+])
+def test_advance_is_spawn_then_death_clone_then_annihilate(backend):
+    """One step drawn in one call gives the counts, the clamp warnings and
+    the final stream state of the spawn step, then the death/clone step on
+    the same generator, then annihilation; each side reads its own source
+    and table.  delta_tau 0.7 and 1.3 give spawns with an integer part and
+    death/clone probabilities above 1; the shift moves on a kept table."""
+    sector, (src_one, src_rules) = hubbard_2x2_sources(backend)
+    pick = np.random.default_rng(23)
+    table_one = table_rules = None
+    clamped = 0
+    for trial in range(16):
+        occ = pick.choice(sector, size=int(pick.integers(1, len(sector) + 1)), replace=False)
+        counts = pick.integers(1, 3000, size=len(occ)) * pick.choice([-1, 1], size=len(occ))
+        walkers = dict(zip(occ.tolist(), counts.tolist()))
+        pop_one = WalkerPopulation.from_dict(src_one, walkers)
+        pop_rules = WalkerPopulation.from_dict(src_rules, walkers)
+        dt = (0.003, 0.05, 0.7, 1.3)[trial // 4]  # four steps on each kept table
+        shift = float(pick.normal())
+        table_one = spawn_table(pop_one, src_one, dt, table_one)
+        table_rules = spawn_table(pop_rules, src_rules, dt, table_rules)
+        rng_one, rng_rules = rng_for(trial), rng_for(trial)
+        with warnings.catch_warnings(record=True) as caught_one:
+            warnings.simplefilter("always")
+            stepped = advance(pop_one, table_one, shift, rng_one)
+        with warnings.catch_warnings(record=True) as caught_rules:
+            warnings.simplefilter("always")
+            spawned = spawn_step(pop_rules, table_rules, rng_rules)
+            expected = annihilate(death_clone_step(pop_rules, table_rules, shift, rng_rules),
+                                  spawned)
+        assert stepped.counts.tolist() == expected.counts.tolist()
+        assert [str(w.message) for w in caught_one] == [str(w.message) for w in caught_rules]
+        np.testing.assert_equal(rng_one.bit_generator.state, rng_rules.bit_generator.state)
+        clamped += len(caught_one)
+    assert clamped > 0
+
+
 def mixed_energy_oracle(pop, src, phi0):
     """The mixed energy over a {index: count} dict, in signed-row order."""
     counts = counts_of(pop)
@@ -731,7 +783,7 @@ def test_run_extinction_raises(monkeypatch):
     import qcfciqmc.fciqmc as engine
 
     monkeypatch.setattr(
-        engine, "death_clone_step",
+        engine, "advance",
         lambda pop, table, s, rng: WalkerPopulation(pop.basis, np.zeros_like(pop.counts))
     )
     h = PauliSum([PauliTerm(0.3, PauliWord(1, 0, 1))])
@@ -850,6 +902,25 @@ def test_trajectory_csv_round_trip():
     back = trajectory_from_csv(text)
     assert back.records == traj.records
     assert text.splitlines()[0] == "step,tau,shift,n_walkers,n_occupied,e_mixed"
+
+
+def test_trajectory_csv_is_what_csv_writer_writes():
+    """The writer's bytes equal csv.writer's on a run and on records that
+    carry no e_mixed, nan, both infinities, -0.0, tiny and huge floats and
+    counts above 2^53."""
+    spec, h = hubbard_1x2_source()
+    cfg = RunConfig(total_time=0.05, initial_walkers=20, seed=9, threshold=30)
+    traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
+    assert trajectory_to_csv(traj) == trajectory_csv(traj)
+    odd = Trajectory()
+    for k, e in enumerate([None, float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                           -1.7976931348623157e308, 0.1 + 0.2]):
+        odd.records.append(TrajectoryRecord(k, k * 1e-3, -0.0 if e is None else -e,
+                                            2**53 + 2 * k + 1, 2**63 - 1, e))
+    assert trajectory_to_csv(odd) == trajectory_csv(odd)
+    assert trajectory_to_csv(Trajectory()) == trajectory_csv(Trajectory())
+    first = trajectory_to_csv(odd).splitlines()[1]
+    assert first == "0,0.0,-0.0,9007199254740993,9223372036854775807,"
 
 
 def test_trajectory_csv_missing_energy_field():

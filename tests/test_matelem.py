@@ -277,6 +277,26 @@ def test_csr_rows_past_the_initial_capacity_read_as_rows_measured_alone(monkeypa
         assert diagonal_element(src, i) == diagonal_element(alone, i)
 
 
+def test_row_arrays_into_given_arrays_read_what_the_csr_rows_hold():
+    """Gathered into the heads of longer arrays, the rows read as row by
+    row from the CSR, each entry's row position beside them, over a
+    selection out of order, with repeats and with an empty row."""
+    h = PauliSum([PauliTerm(0.5, PauliWord(2, 0b01, 0)), PauliTerm(0.3, PauliWord(2, 0, 0b11))])
+    src = ElementSource(h, Circuit(2, []))
+    positions = [3, 0, 3, 2]
+    out = (np.full(9, -7, dtype=np.int64), np.full(9, np.nan), np.full(9, -7, dtype=np.int64))
+    into = row_arrays(src, positions, out=out)
+    assert all(a.base is b for a, b in zip(into, out))
+    for targets, values, rows in (row_arrays(src, positions), into):
+        assert targets.tolist() == [2, 1, 2, 3]
+        assert values.tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert rows.tolist() == positions
+    assert out[2][4:].tolist() == [-7] * 5
+    diagonal = ElementSource(PauliSum([PauliTerm(0.3, PauliWord(2, 0, 0b11))]), Circuit(2, []))
+    assert [len(a) for a in row_arrays(diagonal, [1, 0], out=out)] == [0, 0, 0]
+    assert out[2][:4].tolist() == positions  # nothing written for empty rows
+
+
 @pytest.mark.parametrize("shape, layers, seed", [((2, 2), 2, 4), ((2, 3), 1, 2)])
 @pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend()])
 def test_sector_source_measures_what_the_full_space_source_does(shape, layers, seed,

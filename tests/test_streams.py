@@ -163,14 +163,14 @@ def test_engine_draws_are_no_element_draws(monkeypatch):
         return rng
 
     monkeypatch.setattr(src._streams, "stream", recorded_stream)
-    real_spawn_step = fciqmc.spawn_step
+    real_advance = fciqmc.advance
     engine_draws = []
 
-    def recorded_spawn_step(pop, table, rng):
+    def recorded_advance(pop, table, shift, rng):
         engine_draws.append(next_draws(rng))
-        return real_spawn_step(pop, table, rng)
+        return real_advance(pop, table, shift, rng)
 
-    monkeypatch.setattr(fciqmc, "spawn_step", recorded_spawn_step)
+    monkeypatch.setattr(fciqmc, "advance", recorded_advance)
     cfg = RunConfig(delta_tau=0.05, total_time=0.5, initial_walkers=200, seed=7)
     run(h, Circuit(2, []), (), cfg, source=src, phi0=0)
     assert (src._row_len >= 0).sum() == 4  # every row, so rows 1 to 3 had magnitude draws
@@ -210,10 +210,10 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
     ENGINE stream of the run's seed."""
     spec, h, ref = hubbard2x2()
     sector = number_sector_indices(spec.n_qubits, n_up=2, n_dn=2).tolist()
-    real_spawn_step = fciqmc.spawn_step
+    real_advance = fciqmc.advance
     seen = []
 
-    def resolve_a_row_then_spawn(pop, table, rng):
+    def resolve_a_row_then_advance(pop, table, shift, rng):
         src = table.source
         before, n_rows = next_draws(rng), (src._row_len >= 0).sum()
         # a full-space source: the position of walker index i is i
@@ -221,9 +221,9 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
         assert (src._row_len >= 0).sum() == n_rows + 1  # a fresh magnitude draw was made
         assert next_draws(rng) == before
         seen.append(before)
-        return real_spawn_step(pop, table, rng)
+        return real_advance(pop, table, shift, rng)
 
-    monkeypatch.setattr(fciqmc, "spawn_step", resolve_a_row_then_spawn)
+    monkeypatch.setattr(fciqmc, "advance", resolve_a_row_then_advance)
     cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
     run(h, Circuit(spec.n_qubits, []), (), cfg, backend=SampledBackend(10**4, 10**3), phi0=ref)
     assert len(seen) == 5

@@ -38,7 +38,16 @@ bound: `worse_by` is the relative gap of the medians in the metric's worse
 direction, and the verdict is "unresolved" when the parent's interquartile
 range, relative to its median, is wider than the bound and not every change
 run reads better than every parent run, else "inside" or "outside" as
-`worse_by` is or is not within it.
+`worse_by` is or is not within it.  `pair_ratio` gives the median and
+quartiles of change / parent within each pair: the two runs of a pair are
+next to each other in time, so a slow spell of the machine that widens
+both sides' quartiles moves the ratio much less.
+
+Imports from a tree with valid bytecode under `src/` start faster than
+from one without, which shows as a `setup_s` gap between identical trees.
+The header records, per tree, whether its `src/` holds a `__pycache__`,
+and the `PYTHONDONTWRITEBYTECODE` setting the runs inherit; trees that
+differ in the first are refused.
 """
 from __future__ import annotations
 
@@ -139,6 +148,10 @@ def git_commit(tree: Path) -> str | None:
     return out.stdout.strip() or None
 
 
+def has_bytecode(tree: Path) -> bool:
+    return any((tree / "src").rglob("__pycache__"))
+
+
 def header(parent: Path, change: Path) -> dict:
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -152,6 +165,9 @@ def header(parent: Path, change: Path) -> dict:
         "blas": f"{blas['name']} {blas['version']}",
         "parent_commit": git_commit(parent),
         "change_commit": git_commit(change),
+        "parent_src_bytecode": has_bytecode(parent),
+        "change_src_bytecode": has_bytecode(change),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
@@ -204,6 +220,7 @@ def summarize(pairs: list) -> dict:
         q1, q3 = np.percentile(par, [25, 75])
         med_par, med_chg = float(np.median(par)), float(np.median(chg))
         worse_by = (med_chg - med_par if better == "lower" else med_par - med_chg) / med_par
+        ratio = chg / par
         all_better = chg.max() < par.min() if better == "lower" else chg.min() > par.max()
         if (q3 - q1) / med_par > bound and not all_better:
             verdict = "unresolved"
@@ -218,6 +235,8 @@ def summarize(pairs: list) -> dict:
             "change_over_parent": med_chg / med_par,
             "parent_iqr": float(q3 - q1),
             "change_better_in": f"{int(wins.sum())} of {len(pairs)}",
+            "pair_ratio": {"median": float(np.median(ratio)),
+                           "quartiles": np.percentile(ratio, [25, 75]).tolist()},
             "bound": bound,
             "worse_by": worse_by,
             "verdict": verdict,
@@ -236,6 +255,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     head = header(trees["parent"], trees["change"])
+    if head["parent_src_bytecode"] != head["change_src_bytecode"]:
+        raise SystemExit("one tree's src/ holds a __pycache__ and the other's does not; "
+                         "remove them or give both trees one")
     record = {"header": head, "runs": []}
     if args.out.exists():
         record = json.loads(args.out.read_text())
