@@ -422,6 +422,8 @@ def parse_circuit(text: str):
         raise ConfigError("circuit file has no params line")
     if params.shape != (n_slots,):
         raise ConfigError("circuit file: params length does not match slots")
+    if not np.isfinite(params).all():
+        raise ConfigError("circuit file: params must be finite")
     try:
         circuit = Circuit(n_qubits, gates)
     except SimulatorError as exc:

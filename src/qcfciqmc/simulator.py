@@ -17,13 +17,15 @@ basis positions, plus one zero sentinel slot that stands for every label
 outside the basis; the run's closed label set, the union of its labels L
 and L ^ x, laid out in pairs (t, t ^ x); and each gate's word phases on that
 set.  A basis flip moves no data: it relabels the positions.  H's X groups
-are compiled over the output labels once per sum.  `CircuitLayout.compile`
-is the step run once per parameter vector: it composes each run over its
-closed set only, gate by gate in circuit order, and keeps a and b at the
-run's labels.  Each entry is computed as it would be over the full space, so
-a and b at the labels do not depend on the basis.  A run that would move
-weight out of the basis is an error there.  `compile_circuit` does both in
-one call.
+are compiled over the output labels once per sum.  The layout also lays all
+runs' closed sets side by side, longest run first, with per gate position
+tables of the runs that have a gate there.  `CircuitLayout.compile` is the
+step run once per parameter vector: it composes every run over its closed
+set at once, one vector update per gate position for all runs that have a
+gate there, and keeps a and b at each run's labels.  Each entry is computed
+as it would be over the full space, so a and b at the labels do not depend
+on the basis.  A run that would move weight out of the basis is an error
+there.  `compile_circuit` does both in one call.
 
 `transformed_columns`, the one source of columns of H' = U^dag H U, applies
 the compiled form and the X-grouped H, compiled over the same positions, and
@@ -72,8 +74,8 @@ class BasisFlip:
 class Circuit:
     """An immutable gate sequence; `n_slots` (one past the highest parameter
     slot a rotation reads) is taken once, when the circuit is built.  A gate
-    word of another size, a flip outside [0, n_qubits) and a negative slot
-    are errors."""
+    word of another size, a flip outside [0, n_qubits), a negative slot and
+    a rotation with a non-finite scale or fixed angle are errors."""
 
     n_qubits: int
     gates: tuple = ()
@@ -87,17 +89,14 @@ class Circuit:
                 raise SimulatorError("gate word size mismatch")
             if isinstance(g, BasisFlip) and not 0 <= g.qubit < self.n_qubits:
                 raise SimulatorError(f"flip of qubit {g.qubit} outside [0, {self.n_qubits})")
+            if isinstance(g, PauliRotation) and not np.isfinite([g.scale, g.angle]).all():
+                raise SimulatorError(f"rotation with scale {g.scale} and angle {g.angle}: "
+                                     "both must be finite")
         slots = [g.slot for g in gates if isinstance(g, PauliRotation) and g.slot is not None]
         if slots and min(slots) < 0:
             raise SimulatorError(f"negative parameter slot {min(slots)}")
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "n_slots", max(slots) + 1 if slots else 0)
-
-
-def _gate_angle(g: PauliRotation, params) -> float:
-    if g.slot is None:
-        return g.angle
-    return g.scale * float(params[g.slot])
 
 
 def _full_space(vec: np.ndarray, circuit: Circuit, params) -> CompiledCircuit:
@@ -159,25 +158,6 @@ class RunLayout:
     slots: np.ndarray
     scales: np.ndarray
 
-    def compose(self, params) -> np.ndarray:
-        """[A, B] over the closed set, as a (2, 2, h) array.  A gate
-        (a2, b2) after (A, B) gives A' = a2 A + b2 B[t ^ x] and
-        B' = a2 B + b2 A[t ^ x]: one product with the (B, A) swap, read with
-        its rows swapped."""
-        ab = None
-        for g, p in zip(self.gates, self.phases):
-            if isinstance(g, PauliRotation):
-                half = 0.5 * _gate_angle(g, params)
-                ga, gb = np.cos(half), -1j * np.sin(half) * p
-            else:
-                ga, gb = 0.0, p
-            if ab is None:
-                ab = np.empty((2,) + p.shape, dtype=complex)
-                ab[0], ab[1] = ga, gb
-            else:
-                ab = ga * ab + gb * ab[::-1, ::-1]
-        return ab
-
 
 @dataclass(frozen=True)
 class GateRun:
@@ -187,22 +167,68 @@ class GateRun:
     `partner[p]` is the position of label t ^ x for the label t at position
     p.  Every array has one more entry than the basis, the zero sentinel slot
     that stands for every label outside it; `a` and `b` are (d + 1, 1), so
-    they act on a (d + 1, k) batch column by column."""
+    they act on a (d + 1, k) batch column by column.  `a_conj` and `b_conj`
+    are their conjugates, taken once at compile time (the arrays themselves
+    for a real run)."""
 
     x: int
     partner: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    a_conj: np.ndarray
+    b_conj: np.ndarray
 
     def inverse(self, vec: np.ndarray) -> np.ndarray:
         """The run's adjoint on a padded batch: conj(a) * v + (conj(b) * v)[t ^ x]."""
-        return self.a.conj() * vec + (self.b.conj() * vec).take(self.partner, axis=0)
+        return self.a_conj * vec + (self.b_conj * vec).take(self.partner, axis=0)
+
+
+@dataclass(frozen=True)
+class Lockstep:
+    """The parameter-free tables that compose every run of a layout at once,
+    gate position by gate position; built once per layout.
+
+    The runs' closed sets sit side by side on one column axis of width w,
+    longest run first (`order` holds their run indices, ties in circuit
+    order, and `starts` each one's first column), so the runs that have a
+    k-th gate hold a prefix of the columns, `widths[k]` wide.  The gates
+    are listed position by position, each position's in that order: their
+    parameter slot (-1 for a fixed angle or a PauliApply), scale and fixed
+    angle, and `fixed`, which marks the gates that take their fixed angle
+    (None when no gate does).  The per-column tables run over the positions'
+    prefixes one after the other, not padded: `column_gate` names each
+    column's gate, `applies` marks a PauliApply's columns (None when there
+    is none), and `phases` (2, sum of widths) holds the gates' word phases.
+
+    The composed a and b sit in a (2, 2 w + 1) stack: a run's closed-set
+    entry (row, column) at row * w + column, then one zero entry.
+    `gather[r]` holds the stack indices of run r's labels at the basis
+    positions and the zero for the sentinel.  `edge` holds the stack
+    indices of every run's edge, run after run in circuit order;
+    `edge_starts` marks where each run's begin and `edge_runs` gives those
+    runs' places in `order`."""
+
+    order: np.ndarray  # (R,)
+    starts: np.ndarray  # (R,)
+    widths: tuple
+    slots: np.ndarray
+    scales: np.ndarray
+    angles: np.ndarray
+    fixed: np.ndarray | None
+    column_gate: np.ndarray
+    applies: np.ndarray | None
+    phases: np.ndarray
+    gather: np.ndarray  # (R, d + 1)
+    edge: np.ndarray
+    edge_starts: np.ndarray
+    edge_runs: np.ndarray
 
 
 @dataclass(frozen=True)
 class CircuitLayout:
     """What compiling a circuit over a sorted basis of d indices needs
-    besides the parameters: its runs' layouts and the labels.
+    besides the parameters: its runs' layouts, the lockstep tables that
+    compose them and the labels.
 
     Basis flips move no data: they relabel the positions, so position p
     holds label basis[p] before U and labels[p] after it.  A Pauli sum is
@@ -213,29 +239,74 @@ class CircuitLayout:
     labels: np.ndarray  # (d,) the label at each position after U
     position: np.ndarray  # (2^n,) the position of each basis index; d outside
     runs: tuple  # RunLayout per run
+    lockstep: Lockstep
     _sums: dict = field(default_factory=dict, compare=False, repr=False)
 
     def compile(self, params) -> CompiledCircuit:
-        """The circuit at `params`: each run composed over its closed set and
-        kept at its labels.  A run stays float64 when its arrays are real,
-        which holds for the real-rotation layered ansatz.  A run that moves
-        weight above LEAK_TOL of its largest coefficient out of the basis
-        raises LeakError naming it."""
+        """The circuit at `params`, every run composed over its closed set at
+        once, gate position by gate position, and kept at its labels.
+
+        A gate (a2, b2) after a run's (A, B) gives A' = a2 A + b2 B[t ^ x]
+        and B' = a2 B + b2 A[t ^ x]: one product with the (B, A) swap, read
+        with its rows swapped.  A rotation by angle a has a2 = cos(a/2) and
+        b2 = -i sin(a/2) times its phases; a PauliApply has a2 = 0 and
+        b2 = its phases.  Each entry goes through the same operations in the
+        same order as when the run is composed alone, gate by gate.  A run
+        stays float64 when its arrays are real, which holds for the
+        real-rotation layered ansatz.  A run that moves weight above
+        LEAK_TOL of its largest coefficient out of the basis raises
+        LeakError naming it, the first such run in circuit order."""
         if self.n_slots > len(params):
             raise SimulatorError(f"need {self.n_slots} parameters, got {len(params)}")
-        d = len(self.basis)
-        out = []
-        for r in self.runs:
-            ab = r.compose(params).reshape(2, -1)
-            if not ab.imag.any():
-                ab = ab.real
-            if len(r.edge):
-                _check_conserved(r.name, ab[1, r.edge], np.abs(ab).max())
-            at = np.zeros((2, d + 1), dtype=ab.dtype)  # a and b with the sentinel
-            at[:, :d] = ab[:, r.labels_at]
-            out.append(GateRun(r.x, r.partner, at[0, :, None], at[1, :, None]))
-        dtype = np.result_type(float, *(r.a for r in out))
-        return CompiledCircuit(self, tuple(out), dtype)
+        if not self.runs:
+            return CompiledCircuit(self, (), np.dtype(float))
+        s = self.lockstep
+        values = np.append(np.asarray(params, dtype=float), 0.0)  # slot -1 reads the 0
+        angle = s.scales * values[s.slots]
+        if s.fixed is not None:
+            angle = np.where(s.fixed, s.angles, angle)
+        half = 0.5 * angle
+        ga = np.cos(half)[s.column_gate]
+        gb = (-1j * np.sin(half))[s.column_gate] * s.phases
+        if s.applies is not None:
+            ga = np.where(s.applies, 0.0, ga)
+            gb = np.where(s.applies, s.phases, gb)
+        w = s.widths[0]
+        stack = np.zeros((2, 2 * w + 1), dtype=complex)
+        ab = stack[:, :-1].reshape(2, 2, w)
+        ab[0], ab[1] = ga[:w], gb[:, :w]
+        swapped = np.empty_like(ab)
+        column = w
+        for width in s.widths[1:]:
+            live, term = ab[:, :, :width], swapped[:, :, :width]
+            np.multiply(gb[:, column:column + width], ab[::-1, ::-1, :width], out=term)
+            live *= ga[column:column + width]
+            live += term
+            column += width
+        runs = self.runs
+        complex_runs = np.zeros(len(runs), dtype=bool)
+        if stack.imag.any():
+            nonzero = (stack.imag[:, :-1].reshape(2, 2, w) != 0).any(axis=(0, 1))
+            complex_runs[s.order] = np.logical_or.reduceat(nonzero, s.starts)
+        else:
+            stack = stack.real
+        if len(s.edge):
+            magnitude = np.abs(stack)
+            largest = np.maximum.reduceat(magnitude[:, :-1].reshape(4, w).max(axis=0),
+                                          s.starts)[s.edge_runs]
+            leak = np.maximum.reduceat(magnitude[1, s.edge], s.edge_starts)
+            bad = np.flatnonzero(leak > LEAK_TOL * largest)
+            if len(bad):
+                k = bad[0]
+                _check_conserved(runs[s.order[s.edge_runs[k]]].name, leak[k:k + 1], largest[k])
+        at = stack.take(s.gather, axis=1)[..., None]  # a and b with the sentinel, (2, R, d + 1, 1)
+        conj, real = (at.conj() if complex_runs.any() else at), at.real
+        out = tuple(
+            GateRun(run.x, run.partner, a, b, ca, cb) if is_complex
+            else GateRun(run.x, run.partner, ra, rb, ra, rb)
+            for run, is_complex, a, b, ca, cb, ra, rb in zip(
+                runs, complex_runs.tolist(), at[0], at[1], conj[0], conj[1], real[0], real[1]))
+        return CompiledCircuit(self, out, at.dtype if complex_runs.any() else np.dtype(float))
 
     def grouped(self, h: PauliSum) -> tuple:
         """H's X groups over `labels` as ((partner, phases), ...), phases
@@ -341,6 +412,56 @@ def _run_key(g) -> tuple:
     raise SimulatorError(f"unknown gate {g!r}")
 
 
+def _lockstep(runs: list, d: int) -> Lockstep:
+    """The lockstep tables of `runs` over a basis of d positions."""
+    lengths = np.array([len(r.gates) for r in runs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.array([runs[j].phases.shape[2] for j in order], dtype=np.int64)  # closed sets
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    w = int(ends[-1]) if len(runs) else 0
+    gates, column_gate, phases, widths = [], [], [], []
+    for k in range(int(lengths.max()) if len(runs) else 0):
+        n = np.count_nonzero(lengths > k)
+        column_gate.append(np.repeat(np.arange(len(gates), len(gates) + n), sizes[:n]))
+        gates += [runs[j].gates[k] for j in order[:n]]
+        phases += [runs[j].phases[k] for j in order[:n]]
+        widths.append(int(ends[n - 1]))
+    column_gate = np.concatenate(column_gate) if gates else np.zeros(0, dtype=np.int64)
+    slotted = np.array([isinstance(g, PauliRotation) and g.slot is not None for g in gates],
+                       dtype=bool)
+    applies = np.array([isinstance(g, PauliApply) for g in gates], dtype=bool)[column_gate]
+    place = np.empty(len(runs), dtype=np.int64)
+    place[order] = np.arange(len(runs))
+
+    def at_stack(j: int, flat: np.ndarray) -> np.ndarray:
+        """Stack indices of run j's flat closed-set indices."""
+        h = runs[j].phases.shape[2]
+        return flat // h * w + starts[place[j]] + flat % h
+
+    gather = np.full((len(runs), d + 1), 2 * w, dtype=np.int64)
+    for j, r in enumerate(runs):
+        gather[j, :d] = at_stack(j, r.labels_at)
+    with_edge = [j for j, r in enumerate(runs) if len(r.edge)]
+    edges = [at_stack(j, runs[j].edge) for j in with_edge]
+    return Lockstep(
+        order=order,
+        starts=starts,
+        widths=tuple(widths),
+        slots=np.array([g.slot if s else -1 for g, s in zip(gates, slotted)], dtype=np.int64),
+        scales=np.array([g.scale if s else 1.0 for g, s in zip(gates, slotted)]),
+        angles=np.array([getattr(g, "angle", 0.0) for g in gates]),
+        fixed=None if slotted.all() else ~slotted,
+        column_gate=column_gate,
+        applies=applies if applies.any() else None,
+        phases=np.concatenate(phases, axis=1) if phases else np.zeros((2, 0), dtype=complex),
+        gather=gather,
+        edge=np.concatenate(edges) if edges else np.zeros(0, dtype=np.int64),
+        edge_starts=np.cumsum([0] + [len(e) for e in edges[:-1]]).astype(np.int64),
+        edge_runs=place[with_edge],
+    )
+
+
 def circuit_layout(circuit: Circuit, basis=None) -> CircuitLayout:
     """The parameter-free part of compiling `circuit` over `basis`, a sorted
     array of indices (all 2^n when None).  Consecutive basis flips merge
@@ -393,7 +514,8 @@ def circuit_layout(circuit: Circuit, basis=None) -> CircuitLayout:
             slots=np.array([gates[k].slot for k in slot_rows], dtype=np.int64),
             scales=np.array([gates[k].scale for k in slot_rows], dtype=float),
         ))
-    return CircuitLayout(circuit.n_slots, basis, labels, position, tuple(runs))
+    return CircuitLayout(circuit.n_slots, basis, labels, position, tuple(runs),
+                         _lockstep(runs, d))
 
 
 def compile_circuit(circuit: Circuit, params=(), basis=None) -> CompiledCircuit:

@@ -10,6 +10,9 @@ eigenvector rows, where `nsi.nsi_report` computes them together.
 angles and its walker sector.
 `apply_gates` applies a circuit gate by gate over all 2^n indices, the
 reference that the package's compiled runs are checked against.
+`compose` composes one run of a circuit layout gate by gate, and
+`compile_runs` compiles a layout run by run with it: the reference that the
+package's lockstep compile is checked against bit for bit.
 `trajectory_csv` writes a trajectory through `csv.writer`, the reference
 for the package's trajectory writer.
 """
@@ -94,6 +97,45 @@ def apply_gates(vec: np.ndarray, n_qubits: int, gates, params, invert: bool = Fa
         else:
             raise simulator.SimulatorError(f"unknown gate {g!r}")
     return vec
+
+
+def compose(run: simulator.RunLayout, params) -> np.ndarray:
+    """[A, B] over a run's closed set, as a (2, 2, h) array, composed gate by
+    gate in circuit order.  A gate (a2, b2) after (A, B) gives
+    A' = a2 A + b2 B[t ^ x] and B' = a2 B + b2 A[t ^ x]: one product with
+    the (B, A) swap, read with its rows swapped."""
+    ab = None
+    for g, p in zip(run.gates, run.phases):
+        if isinstance(g, simulator.PauliRotation):
+            angle = g.angle if g.slot is None else g.scale * float(params[g.slot])
+            half = 0.5 * angle
+            ga, gb = np.cos(half), -1j * np.sin(half) * p
+        else:
+            ga, gb = 0.0, p
+        if ab is None:
+            ab = np.empty((2,) + p.shape, dtype=complex)
+            ab[0], ab[1] = ga, gb
+        else:
+            ab = ga * ab + gb * ab[::-1, ::-1]
+    return ab
+
+
+def compile_runs(layout: simulator.CircuitLayout, params) -> list:
+    """(a, b) per run, each (d + 1,) with the sentinel's zero: every run
+    composed alone, kept real when its arrays are, checked for leaks in
+    circuit order and read at its labels."""
+    d = len(layout.basis)
+    out = []
+    for r in layout.runs:
+        ab = compose(r, params).reshape(2, -1)
+        if not ab.imag.any():
+            ab = ab.real
+        if len(r.edge):
+            simulator._check_conserved(r.name, ab[1, r.edge], np.abs(ab).max())
+        at = np.zeros((2, d + 1), dtype=ab.dtype)
+        at[:, :d] = ab[:, r.labels_at]
+        out.append((at[0], at[1]))
+    return out
 
 
 def trajectory_csv(traj) -> str:

@@ -304,11 +304,15 @@ def test_circuit_parse_rejects_garbage():
             parse_circuit(text)
 
 
-# well-formed lines whose gates no 4-qubit circuit can hold
+# well-formed lines whose gates or parameters no 4-qubit circuit can hold
 BAD_GATES = {
     "flip past the last qubit": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nflip 99\nparams\n",
     "flip of a negative qubit": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nflip -1\nparams\n",
     "negative slot": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nrot 0x3 0x2 -1 1.0\nparams\n",
+    "nan param": "qcfciqmc-circuit 1\nqubits 4\nslots 1\nrot 0x3 0x2 0 1.0\nparams nan\n",
+    "infinite param": "qcfciqmc-circuit 1\nqubits 4\nslots 1\nrot 0x3 0x2 0 1.0\nparams -inf\n",
+    "infinite rot scale": "qcfciqmc-circuit 1\nqubits 4\nslots 1\nrot 0x3 0x2 0 inf\nparams 0.1\n",
+    "nan frot angle": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nfrot 0x3 0x2 nan\nparams\n",
 }
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import PauliWord, apply_gates, basis_state, layered_walkers
+from helpers import PauliWord, apply_gates, basis_state, compile_runs, layered_walkers
+from qcfciqmc import simulator
 from qcfciqmc.operators import PauliSum, PauliTerm, apply_word, to_dense
 from qcfciqmc.simulator import (
     BasisFlip,
@@ -15,6 +16,7 @@ from qcfciqmc.simulator import (
     SimulatorError,
     amplitude_vector,
     apply_circuit,
+    circuit_layout,
     compile_circuit,
     expectation,
     transformed_columns,
@@ -70,6 +72,17 @@ def test_circuit_is_frozen_with_slots_counted_once():
 def test_circuit_rejects_a_flip_outside_its_qubits_and_a_negative_slot(gate):
     with pytest.raises(SimulatorError):
         Circuit(2, [BasisFlip(0), gate])
+
+
+@pytest.mark.parametrize("gate", [
+    PauliRotation(PauliWord.from_label("XY"), slot=0, scale=np.inf),
+    PauliRotation(PauliWord.from_label("XY"), slot=0, scale=np.nan),
+    PauliRotation(PauliWord.from_label("XY"), angle=-np.inf),
+    PauliRotation(PauliWord.from_label("XY"), angle=np.nan),
+], ids=["inf scale", "nan scale", "inf angle", "nan angle"])
+def test_circuit_rejects_a_non_finite_rotation(gate):
+    with pytest.raises(SimulatorError, match="must be finite"):
+        Circuit(2, [gate])
 
 
 def test_empty_circuit_identity():
@@ -271,6 +284,98 @@ def test_transformed_columns_match_per_gate_oracle(trial):
         w = per_word_sum(h, state)
         np.testing.assert_allclose(cols[:, i], apply_gates(w, n, c.gates, params, invert=True),
                                    atol=1e-12)
+
+
+def tail_runs(n_qubits):
+    """A run with X mask 0 that mixes a slotted rotation, a PauliApply and a
+    fixed-angle rotation, then a lone rotation by -0.0 of X0 times Z on the
+    other qubits, whose b holds signed zeros."""
+    return (PauliRotation(PauliWord(n_qubits, 0, 1), slot=0, scale=0.7),
+            PauliApply(PauliWord(n_qubits, 0, (1 << n_qubits) - 1)),
+            PauliRotation(PauliWord(n_qubits, 0, 1 << (n_qubits - 1)), angle=-0.4),
+            PauliRotation(PauliWord(n_qubits, 1, (1 << n_qubits) - 2), angle=-0.0))
+
+
+def lockstep_cases():
+    """Run-heavy circuits with `tail_runs` at the end (five of the eight mix
+    real and complex runs), the layered ansätze over their walker
+    sectors (real runs with edges), and circuits with no run."""
+    cases = []
+    for trial in range(8):
+        rng = np.random.default_rng(900 + trial)
+        n = 1 + trial % 4
+        c, params = run_heavy_circuit(rng, n)
+        cases.append((f"heavy{trial}", Circuit(n, c.gates + tail_runs(n)), params, None))
+    for shape, layers, seed in (((2, 2), 3, 7), ((2, 3), 1, 2)):
+        _, c, params, walkers = layered_walkers(shape, layers, seed)
+        cases.append((f"layered{shape[0]}x{shape[1]}", c, params, walkers))
+    cases.append(("empty", Circuit(3, []), (), None))
+    cases.append(("flips", Circuit(3, [BasisFlip(0), BasisFlip(2), BasisFlip(0)]), (), None))
+    return cases
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("name, c, params, basis", lockstep_cases(),
+                         ids=[case[0] for case in lockstep_cases()])
+def test_lockstep_compile_is_the_per_run_compose_bit_for_bit(name, c, params, basis):
+    """Every run's a and b, real or complex, equal the per-run oracle's to
+    the bit, and the kept conjugates are theirs (the arrays themselves for a
+    real run)."""
+    layout = circuit_layout(c, basis)
+    compiled = layout.compile(params)
+    oracle = compile_runs(layout, params)
+    assert len(compiled.runs) == len(oracle)
+    for run, (a, b) in zip(compiled.runs, oracle):
+        assert run.a.shape == run.b.shape == (len(layout.basis) + 1, 1)
+        for got, want in ((run.a[:, 0], a), (run.b[:, 0], b)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(bits(got), bits(want))
+        if run.a.dtype == np.float64:
+            assert run.a_conj is run.a and run.b_conj is run.b
+        else:
+            np.testing.assert_array_equal(bits(run.a_conj), bits(run.a.conj()))
+            np.testing.assert_array_equal(bits(run.b_conj), bits(run.b.conj()))
+    real = all(a.dtype == np.float64 for a, _ in oracle)
+    assert compiled.dtype == (np.float64 if real else np.complex128)
+
+
+@pytest.mark.parametrize("angle, first", [(0.3, "gate run 0 (gates 0-0, X mask 0x3)"),
+                                          (0.0, "gate run 1 (gates 1-2, X mask 0x9)")])
+def test_lockstep_compile_names_the_first_leaking_run_in_circuit_order(angle, first):
+    """Over the one-up, one-down sector of 4 qubits an X0 Y1 rotation and an
+    X0 Y3 / Y0 X3 pair both leave the basis.  The longer second run composes
+    first, yet the error names the first leaking run in circuit order, with
+    the per-run oracle's message."""
+    sector = np.array([i for i in range(16) if bin(i & 0b0101).count("1") == 1
+                       and bin(i & 0b1010).count("1") == 1])
+    c = Circuit(4, [PauliRotation(PauliWord.from_label("XYII"), angle=angle),
+                    PauliRotation(PauliWord.from_label("XIIY"), slot=0),
+                    PauliRotation(PauliWord.from_label("YIIX"), slot=0, scale=-0.5)])
+    layout = circuit_layout(c, sector)
+    with pytest.raises(LeakError) as want:
+        compile_runs(layout, [0.4])
+    with pytest.raises(LeakError) as got:
+        layout.compile([0.4])
+    assert str(got.value) == str(want.value) and str(got.value).startswith(first)
+
+
+def test_lockstep_tables_are_built_once_per_layout(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return lockstep(*args)
+
+    lockstep = simulator._lockstep
+    monkeypatch.setattr(simulator, "_lockstep", counted)
+    _, c, params, walkers = layered_walkers((2, 2), 3, 7)
+    layout = circuit_layout(c, walkers)
+    for scale in (1.0, 0.5, -2.0):
+        layout.compile(scale * params)
+    assert len(built) == 1 and layout.lockstep.widths[0] > layout.lockstep.widths[-1]
 
 
 def test_compile_rejects_missing_parameters():
