@@ -37,6 +37,7 @@ space's compiled runs for states indexed by basis index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,8 @@ class Circuit:
                 raise SimulatorError("gate word size mismatch")
             if isinstance(g, BasisFlip) and not 0 <= g.qubit < self.n_qubits:
                 raise SimulatorError(f"flip of qubit {g.qubit} outside [0, {self.n_qubits})")
-            if isinstance(g, PauliRotation) and not np.isfinite([g.scale, g.angle]).all():
+            if isinstance(g, PauliRotation) and not (math.isfinite(g.scale)
+                                                    and math.isfinite(g.angle)):
                 raise SimulatorError(f"rotation with scale {g.scale} and angle {g.angle}: "
                                      "both must be finite")
         slots = [g.slot for g in gates if isinstance(g, PauliRotation) and g.slot is not None]
@@ -190,15 +192,15 @@ class Lockstep:
 
     The runs' closed sets sit side by side on one column axis of width w,
     longest run first (`order` holds their run indices, ties in circuit
-    order, and `starts` each one's first column), so the runs that have a
-    k-th gate hold a prefix of the columns, `widths[k]` wide.  The gates
-    are listed position by position, each position's in that order: their
-    parameter slot (-1 for a fixed angle or a PauliApply), scale and fixed
-    angle, and `fixed`, which marks the gates that take their fixed angle
-    (None when no gate does).  The per-column tables run over the positions'
-    prefixes one after the other, not padded: `column_gate` names each
-    column's gate, `applies` marks a PauliApply's columns (None when there
-    is none), and `phases` (2, sum of widths) holds the gates' word phases.
+    order; `sizes` and `starts` their closed sets' sizes and first columns),
+    so the `active[k]` runs that have a k-th gate hold a prefix of the
+    columns, `widths[k]` wide.  The gates are listed position by position,
+    each position's in that order: their parameter slot (-1 for a fixed
+    angle or a PauliApply), scale and fixed angle, and `fixed`, which marks
+    the gates that take their fixed angle (None when no gate does).  The
+    per-column tables run over the positions' prefixes one after the other,
+    not padded: `applies` marks a PauliApply's columns (None when there is
+    none), and `phases` (2, sum of widths) holds the gates' word phases.
 
     The composed a and b sit in a (2, 2 w + 1) stack: a run's closed-set
     entry (row, column) at row * w + column, then one zero entry.
@@ -209,13 +211,14 @@ class Lockstep:
     runs' places in `order`."""
 
     order: np.ndarray  # (R,)
+    sizes: np.ndarray  # (R,)
     starts: np.ndarray  # (R,)
+    active: tuple
     widths: tuple
     slots: np.ndarray
     scales: np.ndarray
     angles: np.ndarray
     fixed: np.ndarray | None
-    column_gate: np.ndarray
     applies: np.ndarray | None
     phases: np.ndarray
     gather: np.ndarray  # (R, d + 1)
@@ -266,23 +269,29 @@ class CircuitLayout:
         if s.fixed is not None:
             angle = np.where(s.fixed, s.angles, angle)
         half = 0.5 * angle
-        ga = np.cos(half)[s.column_gate]
-        gb = (-1j * np.sin(half))[s.column_gate] * s.phases
-        if s.applies is not None:
-            ga = np.where(s.applies, 0.0, ga)
-            gb = np.where(s.applies, s.phases, gb)
+        a2, i_sin = np.cos(half), -1j * np.sin(half)
         w = s.widths[0]
         stack = np.zeros((2, 2 * w + 1), dtype=complex)
         ab = stack[:, :-1].reshape(2, 2, w)
-        ab[0], ab[1] = ga[:w], gb[:, :w]
-        swapped = np.empty_like(ab)
-        column = w
-        for width in s.widths[1:]:
-            live, term = ab[:, :, :width], swapped[:, :, :width]
-            np.multiply(gb[:, column:column + width], ab[::-1, ::-1, :width], out=term)
-            live *= ga[column:column + width]
-            live += term
-            column += width
+        gate = column = 0
+        for k, (n, width) in enumerate(zip(s.active, s.widths)):
+            sizes, phases = s.sizes[:n], s.phases[:, column:column + width]
+            ga = np.repeat(a2[gate:gate + n], sizes)
+            gb = np.repeat(i_sin[gate:gate + n], sizes) * phases
+            if s.applies is not None:
+                applies = s.applies[column:column + width]
+                ga, gb = np.where(applies, 0.0, ga), np.where(applies, phases, gb)
+            if k == 0:
+                ab[0], ab[1] = ga, gb
+            else:
+                a_now, b_now = ab[0, :, :width], ab[1, :, :width]
+                b_term = gb * a_now[::-1]
+                a_term = np.multiply(gb, b_now[::-1], out=gb)
+                a_now *= ga
+                a_now += a_term
+                b_now *= ga
+                b_now += b_term
+            gate, column = gate + n, column + width
         runs = self.runs
         complex_runs = np.zeros(len(runs), dtype=bool)
         if stack.imag.any():
@@ -416,21 +425,20 @@ def _lockstep(runs: list, d: int) -> Lockstep:
     """The lockstep tables of `runs` over a basis of d positions."""
     lengths = np.array([len(r.gates) for r in runs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
-    sizes = np.array([runs[j].phases.shape[2] for j in order], dtype=np.int64)  # closed sets
+    sizes = np.array([runs[j].phases.shape[2] for j in order], dtype=np.int64)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     w = int(ends[-1]) if len(runs) else 0
-    gates, column_gate, phases, widths = [], [], [], []
+    gates, phases, active, applies = [], [], [], []
     for k in range(int(lengths.max()) if len(runs) else 0):
-        n = np.count_nonzero(lengths > k)
-        column_gate.append(np.repeat(np.arange(len(gates), len(gates) + n), sizes[:n]))
-        gates += [runs[j].gates[k] for j in order[:n]]
-        phases += [runs[j].phases[k] for j in order[:n]]
-        widths.append(int(ends[n - 1]))
-    column_gate = np.concatenate(column_gate) if gates else np.zeros(0, dtype=np.int64)
+        active.append(int(np.count_nonzero(lengths > k)))
+        step = [runs[j] for j in order[:active[-1]]]
+        gates += [r.gates[k] for r in step]
+        phases += [r.phases[k] for r in step]
+        applies += [np.full(r.phases.shape[2], isinstance(r.gates[k], PauliApply)) for r in step]
     slotted = np.array([isinstance(g, PauliRotation) and g.slot is not None for g in gates],
                        dtype=bool)
-    applies = np.array([isinstance(g, PauliApply) for g in gates], dtype=bool)[column_gate]
+    applies = np.concatenate(applies) if applies else np.zeros(0, dtype=bool)
     place = np.empty(len(runs), dtype=np.int64)
     place[order] = np.arange(len(runs))
 
@@ -446,15 +454,18 @@ def _lockstep(runs: list, d: int) -> Lockstep:
     edges = [at_stack(j, runs[j].edge) for j in with_edge]
     return Lockstep(
         order=order,
+        sizes=sizes,
         starts=starts,
-        widths=tuple(widths),
+        active=tuple(active),
+        widths=tuple(int(ends[n - 1]) for n in active),
         slots=np.array([g.slot if s else -1 for g, s in zip(gates, slotted)], dtype=np.int64),
         scales=np.array([g.scale if s else 1.0 for g, s in zip(gates, slotted)]),
         angles=np.array([getattr(g, "angle", 0.0) for g in gates]),
         fixed=None if slotted.all() else ~slotted,
-        column_gate=column_gate,
         applies=applies if applies.any() else None,
-        phases=np.concatenate(phases, axis=1) if phases else np.zeros((2, 0), dtype=complex),
+        # complex64 holds the phases, +-1 and +-i, exactly, signed zeros included
+        phases=np.concatenate(phases, axis=1, dtype=np.complex64) if phases
+        else np.zeros((2, 0), dtype=np.complex64),
         gather=gather,
         edge=np.concatenate(edges) if edges else np.zeros(0, dtype=np.int64),
         edge_starts=np.cumsum([0] + [len(e) for e in edges[:-1]]).astype(np.int64),
