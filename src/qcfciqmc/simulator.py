@@ -200,7 +200,8 @@ class Lockstep:
     the gates that take their fixed angle (None when no gate does).  The
     per-column tables run over the positions' prefixes one after the other,
     not padded: `applies` marks a PauliApply's columns (None when there is
-    none), and `phases` (2, sum of widths) holds the gates' word phases.
+    none), and `phases` (2, sum of widths) holds the gates' word phases as
+    complex64, which holds their values, +-1 and +-i, exactly.
 
     The composed a and b sit in a (2, 2 w + 1) stack: a run's closed-set
     entry (row, column) at row * w + column, then one zero entry.
@@ -463,7 +464,6 @@ def _lockstep(runs: list, d: int) -> Lockstep:
         angles=np.array([getattr(g, "angle", 0.0) for g in gates]),
         fixed=None if slotted.all() else ~slotted,
         applies=applies if applies.any() else None,
-        # complex64 holds the phases, +-1 and +-i, exactly, signed zeros included
         phases=np.concatenate(phases, axis=1, dtype=np.complex64) if phases
         else np.zeros((2, 0), dtype=np.complex64),
         gather=gather,
