@@ -287,6 +287,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     cfg.circuit_path = conf.get_path("circuit.path", cfg.circuit_path)
     cfg.identity_basis = conf.get_bool("identity.basis", cfg.identity_basis)
     cfg.sweep_depths = conf.get_int_list("sweep.depths", cfg.sweep_depths)
+    if any(depth < 0 for depth in cfg.sweep_depths):
+        raise ConfigError(f"sweep.depths must be non-negative, got {cfg.sweep_depths}")
 
     unknown = conf.unknown_keys()
     if unknown:
@@ -567,8 +569,7 @@ def _run_qmc(cfg: ExperimentConfig, model: BuiltModel, basis: WalkerBasis, seed)
     walker sector."""
     src = ElementSource(model.h, basis.circuit, basis.params, backend=cfg.backend,
                         seed=seed, basis=basis.walkers)
-    traj = run(model.h, basis.circuit, basis.params, replace(cfg.run, seed=seed),
-               source=src, phi0=basis.phi0)
+    traj = run(src, replace(cfg.run, seed=seed), phi0=basis.phi0)
     return traj, statistics(traj)
 
 

@@ -40,10 +40,10 @@ def diagonalize(h: np.ndarray) -> Spectrum:
     return Spectrum(*np.linalg.eigh(h))
 
 
-def number_sector_indices(n_modes: int, n_up=None, n_dn=None, n_total=None) -> np.ndarray:
+def number_sector_indices(n_modes: int, n_up=None, n_dn=None) -> np.ndarray:
     """Basis indices with fixed particle content; spin up = even modes.
 
-    Any of n_up / n_dn / n_total may be None to leave that count free."""
+    n_up or n_dn may be None to leave that count free."""
     idx = np.arange(1 << n_modes, dtype=np.int64)
     up = np.zeros(idx.shape, dtype=np.int64)
     dn = np.zeros(idx.shape, dtype=np.int64)
@@ -58,8 +58,6 @@ def number_sector_indices(n_modes: int, n_up=None, n_dn=None, n_total=None) -> n
         keep &= up == n_up
     if n_dn is not None:
         keep &= dn == n_dn
-    if n_total is not None:
-        keep &= (up + dn) == n_total
     return idx[keep]
 
 

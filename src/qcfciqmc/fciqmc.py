@@ -38,9 +38,9 @@ the two halves of the same draw).  A trajectory is therefore a pure function of
 source was built over enters it only through the elements the source
 serves.
 
-The engine's generator is not the element source's, because the timestep
-check and `spawn_table` measure rows, and so make element draws that re-key
-the source's generator, in the middle of a step.  Those draws are keyed by
+The engine's generator is not the element source's, because `spawn_table`,
+the only call of a run that measures rows, makes element draws that re-key
+the source's generator, at the start of a step.  Those draws are keyed by
 row, and every H'_ji is read from row i's own measurement, so the order in
 which the walkers reach rows changes neither an element nor the engine's
 stream.
@@ -54,9 +54,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matelem import (ENGINE, ElementSource, KeyedStreams, csr_row, diagonal_elements,
-                      row_arrays, row_lengths)
-from .simulator import Circuit
+from .matelem import ENGINE, ElementSource, KeyedStreams, csr_row, row_arrays, row_lengths
 
 
 class FciqmcError(RuntimeError):
@@ -237,7 +235,7 @@ class SpawnTable:
             self.base = np.empty(e, dtype=np.int64)
             np.floor(head, out=self.base, casting="unsafe")
             head -= self.base
-        self.diag = diagonal_elements(src, self.rows)
+        self.diag = src.diagonal[self.rows]
         self.shift, self.unclamped = None, None
 
     def set_shift(self, shift: float) -> None:
@@ -378,9 +376,10 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, ref: int):
 def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
                     shift: float) -> bool:
     """Warn if delta_tau * (|H'_ii - S| + sum_j |H'_ji|) >= 1 on one of the
-    newly occupied positions `fresh`; True once the warning is given."""
+    newly occupied positions `fresh`, whose rows are measured; True once the
+    warning is given."""
     for p in fresh:
-        l1 = abs(diagonal_elements(src, [p])[0] - shift) + sum(np.abs(csr_row(src, p)[1]).tolist())
+        l1 = abs(src.diagonal[p] - shift) + sum(np.abs(csr_row(src, p)[1]).tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
                 f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index "
@@ -390,19 +389,15 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
     return False
 
 
-def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
-        source: ElementSource | None = None, phi0: int = 0) -> Trajectory:
-    """Full trajectory from walkers on phi0: spawn, death/clone, annihilate
-    each step; shift control; per-step mixed energy against phi0.
-    Bit-reproducible from (cfg, seed)."""
-    src = source if source is not None else ElementSource(
-        h, circuit, params, backend=backend, seed=cfg.seed
-    )
+def run(src: ElementSource, cfg: RunConfig, phi0: int = 0) -> Trajectory:
+    """Full trajectory over the elements of `src` from walkers on phi0: spawn,
+    death/clone, annihilate each step; shift control; per-step mixed energy
+    against phi0.  Bit-reproducible from (cfg, seed) and the source's seed."""
     pop = WalkerPopulation.single(src, phi0, cfg.initial_walkers)
     ref = src.position_of(phi0)
-    e_ref = float(diagonal_elements(src, [ref])[0])
+    table = spawn_table(pop, src, cfg.delta_tau)  # measures the reference row
     ctl = ShiftController(
-        shift=e_ref,
+        shift=float(src.diagonal[ref]),
         damping=cfg.damping,
         update_interval=cfg.update_interval,
         threshold=cfg.threshold,
@@ -413,18 +408,17 @@ def run(h, circuit: Circuit, params, cfg: RunConfig, backend=None,
     # warns or every position has been checked
     unchecked = np.ones(len(src.basis), dtype=bool)
     n_unchecked = len(unchecked)
-    table = None
     traj.records.append(TrajectoryRecord(
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, ref)
     ))
     for step in range(1, cfg.n_steps + 1):
+        table = spawn_table(pop, src, cfg.delta_tau, table)
         if n_unchecked:
             fresh = (unchecked & (pop.counts != 0)).nonzero()[0]
             unchecked[fresh] = False
             n_unchecked -= len(fresh)
             if _check_timestep(src, fresh.tolist(), cfg.delta_tau, ctl.shift):
                 n_unchecked = 0
-        table = spawn_table(pop, src, cfg.delta_tau, table)
         pop = advance(pop, table, ctl.shift, rng)
         total = pop.total_walkers
         if total == 0:

@@ -35,10 +35,10 @@ H'_ji itself; what the projector makes of it is `fciqmc`'s rule alone.
 Stream keys stay walker indices, and the row norm and the magnitude
 distribution are summed exactly rounded (`math.fsum`), so a sector source
 draws what the full-space source does.  The engine reads by position
-(`csr_row`, `row_arrays`, `row_lengths`, `diagonal_elements`, and
-`ElementSource.diagonal` once a row is measured) and rebuilds its spawn
-table when `ElementSource.n_measured` moves; the other readers take
-walker indices and refuse one outside the basis.  `row_magnitudes` returns
+(`csr_row`, `row_arrays`, `row_lengths`, and `ElementSource.diagonal` once
+a row is measured) and rebuilds its spawn table when
+`ElementSource.n_measured` moves; the other readers take walker indices
+and refuse one outside the basis.  `row_magnitudes` returns
 the draw itself, signs at every kept target included, drawn again from its
 keyed streams once the row is stored.  H'_ji is served from row i's
 measurement alone, so H'_ij and H'_ji are two estimates, each from its own

@@ -83,14 +83,14 @@ def _check_real_symmetric(h) -> np.ndarray:
     return h
 
 
-def split(h, split_tol: float = SPLIT_TOL) -> StoquasticSplit:
+def split(h) -> StoquasticSplit:
     """Separate H = H_plus + H_minus by off-diagonal sign.
 
-    Off-diagonal entries above split_tol go to H_plus; everything else,
+    Off-diagonal entries above SPLIT_TOL go to H_plus; everything else,
     including sub-tolerance positive noise, stays in H_minus so that the two
     parts reconstruct H exactly."""
     h = _check_real_symmetric(h)
-    plus = np.where(h > split_tol, h, 0.0)
+    plus = np.where(h > SPLIT_TOL, h, 0.0)
     np.fill_diagonal(plus, 0.0)
     return StoquasticSplit(h_minus=h - plus, h_plus=plus, alpha=float(np.diag(h).max()))
 
@@ -112,9 +112,9 @@ def _l1_alpha_minus(s: StoquasticSplit) -> float:
 
 
 def check_beta(beta: float) -> float:
-    """beta, if it is a positive inverse temperature; else an NsiError."""
-    if not beta > 0:  # NaN too
-        raise NsiError("beta must be positive")
+    """beta, if it is a positive finite inverse temperature; else an NsiError."""
+    if not 0 < beta < np.inf:  # NaN too
+        raise NsiError("beta must be positive and finite")
     return beta
 
 
@@ -233,11 +233,10 @@ def nsi_report(h, beta: float, phi0: int | None = None) -> NsiReport:
     return rep
 
 
-def transformed_dense(h: PauliSum, u: Circuit, params=(), basis=None,
-                      imag_tol: float = IMAG_TOL) -> np.ndarray:
+def transformed_dense(h: PauliSum, u: Circuit, params=(), basis=None) -> np.ndarray:
     """The d x d block of U^dag H U over `basis`, a sorted array of d indices
     (all 2^n when None), all columns in one batched pass through the circuit
-    compiled over the basis.  The result must be real to imag_tol (the
+    compiled over the basis.  The result must be real to IMAG_TOL (the
     real-Hamiltonian scope of this package); smaller imaginary parts are
     truncated."""
     dim = 1 << u.n_qubits if basis is None else len(basis)
@@ -248,9 +247,9 @@ def transformed_dense(h: PauliSum, u: Circuit, params=(), basis=None,
     if not np.iscomplexobj(hp):  # a real circuit: nothing to check or truncate
         return hp
     worst = float(np.abs(hp.imag).max())
-    if worst > imag_tol:
+    if worst > IMAG_TOL:
         raise NsiError(f"transformed Hamiltonian has imaginary residue {worst:.3e} above "
-                       f"{imag_tol:.0e}; complex-valued bases are out of scope")
+                       f"{IMAG_TOL:.0e}; complex-valued bases are out of scope")
     return hp.real.copy()
 
 

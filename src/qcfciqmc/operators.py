@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 PRUNE_TOL = 1e-12
+HERMITIAN_TOL = 1e-10  # largest imaginary part of a Hermitian sum's coefficients
 DENSE_DIM_LIMIT = 4900  # dimension of every dense matrix: the paper's 2x4 Hubbard sector
 
 _PAULI_LABELS = "IXYZ"
@@ -170,7 +171,7 @@ class PauliSum:
             phases = phases.real.copy()
         return PauliGroups(tuple(acc), phases, np.arange(dim))
 
-    def simplify(self, prune_tol: float = PRUNE_TOL) -> "PauliSum":
+    def simplify(self) -> "PauliSum":
         acc: dict = {}
         order: list = []
         for t in self.terms:
@@ -182,19 +183,19 @@ class PauliSum:
         out = []
         for key, nq in order:
             c = complex(acc[key])
-            if abs(c) <= prune_tol:
+            if abs(c) <= PRUNE_TOL:
                 continue
-            coeff = c.real if abs(c.imag) <= prune_tol else c
+            coeff = c.real if abs(c.imag) <= PRUNE_TOL else c
             out.append(PauliTerm(coeff, PauliWord(nq, key[0], key[1])))
         return PauliSum(out)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
         # Pauli words are Hermitian, so Hermiticity = real coefficients.
-        return all(abs(np.imag(t.coefficient)) <= tol for t in self.simplify().terms)
+        return all(abs(np.imag(t.coefficient)) <= HERMITIAN_TOL for t in self.simplify().terms)
 
     @cached_property
     def hermitian(self) -> bool:
-        """is_hermitian() at its default tolerance, decided once per sum."""
+        """is_hermitian(), decided once per sum."""
         return self.is_hermitian()
 
     def scaled(self, c) -> "PauliSum":

@@ -160,7 +160,7 @@ def test_ac02_identity_basis_engine_agrees_with_diagonalization(hub2x2):
     h, ref, e0 = hub2x2["h"], hub2x2["ref"], hub2x2["e0"]
     cfg = RunConfig(delta_tau=1e-3, total_time=15.0, initial_walkers=100, seed=7,
                     threshold=5000)
-    traj = run(h, Circuit(8, []), (), cfg, phi0=ref)
+    traj = run(ElementSource(h, Circuit(8, []), seed=cfg.seed), cfg, phi0=ref)
     stats = statistics(traj)
     post = traj.records[int(len(traj.records) * cfg.equilibration_fraction):]
     _, plateau = blocking_analysis([r.shift for r in post])
@@ -181,9 +181,9 @@ def test_ac03a_prepared_basis_cuts_estimator_variance(hub2x2, trained2x2):
     circuit, res = trained2x2
     cfg = RunConfig(delta_tau=1e-3, total_time=10.0, initial_walkers=6000, seed=11,
                     threshold=5000)
-    s_id = statistics(run(h, Circuit(8, []), (), cfg, phi0=ref))
+    s_id = statistics(run(ElementSource(h, Circuit(8, []), seed=cfg.seed), cfg, phi0=ref))
     # the circuit owns its preparation flips, so its reference index is 0
-    s_tr = statistics(run(h, circuit, res.params, cfg, phi0=0))
+    s_tr = statistics(run(ElementSource(h, circuit, res.params, seed=cfg.seed), cfg, phi0=0))
     ratio = s_id.std / s_tr.std
     _report(
         "AC3a",

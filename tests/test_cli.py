@@ -826,10 +826,10 @@ def test_walker_basis_carries_the_determinant_through_leading_flips():
 
 
 def test_nsi_bad_beta_is_a_config_error(tmp_path, capsys):
-    """nsi.beta must be positive: nsi and sweep stop at load with exit 2,
-    before sweep trains any depth, and write nothing."""
+    """nsi.beta must be positive and finite: nsi and sweep stop at load with
+    exit 2, before sweep trains any depth, and write nothing."""
     out = tmp_path / "out"
-    for beta in ("0", "-0.5", "nan"):
+    for beta in ("0", "-0.5", "nan", "inf", "1e400"):
         conf = write_conf(tmp_path, SWEEP_1X2.format(out=out) + f"nsi.beta = {beta}\n")
         for command in ("nsi", "sweep"):
             assert cli.main([command, conf]) == 2
@@ -1225,6 +1225,16 @@ def test_sweep_hv_ansatz_on_an_fcidump_model_fails_before_the_first_row(tmp_path
     assert cli.main(["sweep", write_conf(tmp_path, body + "sweep.depths = 0\n",
                                          name="zero.conf")]) == 0
     assert json.loads((out / "sweep.json").read_text())["rows"][0]["error"] == ""
+
+
+def test_sweep_negative_depth_is_a_config_error(tmp_path, capsys):
+    """A negative depth is no basis: sweep stops at load with exit 2, before
+    its first row, and writes nothing."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, BASE_1X2.format(out=out) + "sweep.depths = 0,-1\n")
+    assert cli.main(["sweep", conf]) == 2
+    assert "config error: sweep.depths must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_depths(tmp_path):

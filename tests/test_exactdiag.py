@@ -74,6 +74,7 @@ def test_sector_indices_counts():
     assert len(number_sector_indices(4, n_up=1, n_dn=1)) == 4
     # 8 modes: half filling sector C(4,2)^2 = 36
     assert len(number_sector_indices(8, n_up=2, n_dn=2)) == 36
-    assert len(number_sector_indices(8, n_total=4)) == 70
+    # 8 modes, 4 particles of either spin: C(8,4) = 70
+    assert sum(len(number_sector_indices(8, n_up=k, n_dn=4 - k)) for k in range(5)) == 70
     free = number_sector_indices(4)
     assert len(free) == 16

@@ -263,7 +263,7 @@ def test_run_builds_a_spawn_table_only_when_the_measured_rows_change(monkeypatch
     src = ElementSource(h, circuit, params, seed=3, basis=walkers)
     cfg = RunConfig(delta_tau=0.01, total_time=1.0, initial_walkers=2000, seed=3,
                     threshold=2500)
-    run(h, circuit, params, cfg, source=src, phi0=phi0)
+    run(src, cfg, phi0=phi0)
     assert built == sorted(set(built))
     assert built[-1] == src.n_measured == len(walkers)
 
@@ -627,7 +627,7 @@ def hubbard_1x2_source():
 def test_run_zero_time_only_initial_record():
     spec, h = hubbard_1x2_source()
     cfg = RunConfig(total_time=0.0, initial_walkers=30, seed=3)
-    traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
+    traj = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=0b0110)
     assert len(traj.records) == 1
     r = traj.records[0]
     assert (r.step, r.tau, r.n_walkers) == (0, 0.0, 30)
@@ -637,8 +637,8 @@ def test_run_zero_time_only_initial_record():
 def test_run_deterministic_given_seed():
     spec, h = hubbard_1x2_source()
     cfg = RunConfig(total_time=0.3, initial_walkers=40, seed=11, threshold=60)
-    t1 = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
-    t2 = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
+    t1 = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=0b0110)
+    t2 = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=0b0110)
     assert trajectory_to_csv(t1) == trajectory_to_csv(t2)
 
 
@@ -646,8 +646,8 @@ def test_run_seed_changes_trajectory():
     spec, h = hubbard_1x2_source()
     cfg_a = RunConfig(total_time=0.3, initial_walkers=40, seed=11, threshold=60)
     cfg_b = RunConfig(total_time=0.3, initial_walkers=40, seed=12, threshold=60)
-    t1 = run(h, Circuit(spec.n_qubits, []), (), cfg_a, phi0=0b0110)
-    t2 = run(h, Circuit(spec.n_qubits, []), (), cfg_b, phi0=0b0110)
+    t1 = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg_a.seed), cfg_a, phi0=0b0110)
+    t2 = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg_b.seed), cfg_b, phi0=0b0110)
     assert trajectory_to_csv(t1) != trajectory_to_csv(t2)
 
 
@@ -655,7 +655,7 @@ def test_run_diagonalizing_basis_is_frozen():
     h = PauliSum([PauliTerm(0.7, PauliWord(1, 1, 0))])
     u = Circuit(1, [PauliRotation(PauliWord(1, 1, 1), angle=np.pi / 2)])
     cfg = RunConfig(total_time=0.5, initial_walkers=25, seed=5, threshold=10**9)
-    traj = run(h, u, (), cfg, phi0=1)
+    traj = run(ElementSource(h, u, seed=cfg.seed), cfg, phi0=1)
     for r in traj.records:
         assert r.n_occupied == 1
         assert r.e_mixed == pytest.approx(-0.7, abs=1e-10)
@@ -669,7 +669,7 @@ def test_run_classical_1x2_converges_to_ed():
         total_time=12.0, delta_tau=2e-3, initial_walkers=50, seed=7,
         threshold=400, equilibration_fraction=0.5,
     )
-    traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
+    traj = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=0b0110)
     stats = statistics(traj)
     assert abs(stats.mean - exact) < 3 * stats.std_error + 1e-9
     # equilibrated shift agrees too
@@ -702,11 +702,44 @@ def test_run_measures_each_row_once(monkeypatch, backend):
     cfg = RunConfig(total_time=0.2, delta_tau=0.01, initial_walkers=200, seed=9,
                     threshold=10**6)
     src = ElementSource(h, circuit, params, backend=backend, seed=4)
-    run(h, circuit, params, cfg, source=src, phi0=0)
+    run(src, cfg, phi0=0)
     assert len(set(columns)) > 1
     assert sorted(columns) == sorted(set(columns))  # one column per distinct row
     assert sorted(measured) == sorted(columns)
     assert sorted(drawn) == sorted(columns)
+
+
+@pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend()],
+                         ids=["exact", "sampled"])
+def test_run_measures_rows_only_inside_spawn_table(monkeypatch, backend):
+    """Every row measurement of a run, the reference's included, happens
+    inside a `spawn_table` call; the timestep check, the mixed energy and
+    the shift read stored rows."""
+    import qcfciqmc.fciqmc as engine
+
+    inside, measured = [], []
+    real_table, real_measure = engine.spawn_table, ElementSource._measure
+
+    def flagged_table(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_table(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def checked_measure(self, i):
+        assert inside, f"row {i} measured outside spawn_table"
+        measured.append(i)
+        return real_measure(self, i)
+
+    monkeypatch.setattr(engine, "spawn_table", flagged_table)
+    monkeypatch.setattr(ElementSource, "_measure", checked_measure)
+    h, circuit, params, walkers, phi0 = hubbard_walker_run((2, 2), 1)
+    cfg = RunConfig(delta_tau=0.01, total_time=0.4, initial_walkers=2000, seed=3,
+                    threshold=2500)
+    src = ElementSource(h, circuit, params, backend=backend, seed=cfg.seed, basis=walkers)
+    run(src, cfg, phi0=phi0)
+    assert measured[0] == phi0 and len(measured) > 10
 
 
 def hubbard_walker_run(shape, layers):
@@ -743,7 +776,7 @@ def test_sector_and_full_space_sources_run_the_same_trajectory(shape, layers, ba
     texts = []
     for basis in (walkers, None):
         src = ElementSource(h, circuit, params, backend=backend, seed=3, basis=basis)
-        traj = run(h, circuit, params, cfg, source=src, phi0=phi0)
+        traj = run(src, cfg, phi0=phi0)
         texts.append(trajectory_to_csv(traj))
     assert texts[0] == texts[1]
     assert max(r.n_occupied for r in traj.records) > 10
@@ -770,7 +803,7 @@ def test_run_warns_once_when_a_row_l1_reaches_one_over_delta_tau(delta_tau, n_wa
                     seed=3, threshold=10**9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        traj = run(h, circuit, (), cfg, phi0=0)
+        traj = run(ElementSource(h, circuit, seed=cfg.seed), cfg, phi0=0)
     assert max(r.n_occupied for r in traj.records) == 4
     l1 = [str(w.message) for w in caught if "row L1" in str(w.message)]
     assert len(l1) == n_warnings
@@ -789,7 +822,7 @@ def test_run_extinction_raises(monkeypatch):
     h = PauliSum([PauliTerm(0.3, PauliWord(1, 0, 1))])
     cfg = RunConfig(total_time=1.0, delta_tau=0.1, initial_walkers=5, seed=2)
     with pytest.raises(ExtinctionError, match="died out at step 1"):
-        run(h, Circuit(1, []), (), cfg, phi0=0)
+        run(ElementSource(h, Circuit(1, []), seed=cfg.seed), cfg, phi0=0)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +930,7 @@ def trajectory_from_csv(text: str) -> Trajectory:
 def test_trajectory_csv_round_trip():
     spec, h = hubbard_1x2_source()
     cfg = RunConfig(total_time=0.05, initial_walkers=20, seed=9, threshold=30)
-    traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
+    traj = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=0b0110)
     text = trajectory_to_csv(traj)
     back = trajectory_from_csv(text)
     assert back.records == traj.records
@@ -910,7 +943,7 @@ def test_trajectory_csv_is_what_csv_writer_writes():
     counts above 2^53."""
     spec, h = hubbard_1x2_source()
     cfg = RunConfig(total_time=0.05, initial_walkers=20, seed=9, threshold=30)
-    traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=0b0110)
+    traj = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=0b0110)
     assert trajectory_to_csv(traj) == trajectory_csv(traj)
     odd = Trajectory()
     for k, e in enumerate([None, float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,

@@ -68,7 +68,7 @@ def test_identity_exact_trajectory_pinned():
     spec, h, ref = hubbard2x2()
     cfg = RunConfig(delta_tau=0.01, total_time=3.0, initial_walkers=500, seed=5,
                     damping=0.1, threshold=2000)
-    traj = run(h, Circuit(spec.n_qubits, []), (), cfg, phi0=ref)
+    traj = run(ElementSource(h, Circuit(spec.n_qubits, []), seed=cfg.seed), cfg, phi0=ref)
     assert len(traj.records) == 301
     assert digest(traj) == IDENTITY_EXACT_SHA256
 
@@ -78,7 +78,8 @@ def test_layered_sampled_trajectory_pinned():
     circuit = layered_ansatz(hubbard_hv_generator_groups(spec), 1, ref, spec.n_qubits)
     params = 0.03 * (-1.0) ** np.arange(circuit.n_slots)  # fixed angles
     cfg = RunConfig(delta_tau=0.01, total_time=0.1, initial_walkers=2000, seed=7)
-    traj = run(h, circuit, params, cfg, backend=SampledBackend(), phi0=0)
+    src = ElementSource(h, circuit, params, backend=SampledBackend(), seed=cfg.seed)
+    traj = run(src, cfg, phi0=0)
     assert len(traj.records) == 11
     assert digest(traj) == LAYERED_SAMPLED_SHA256
 
@@ -172,7 +173,7 @@ def test_engine_draws_are_no_element_draws(monkeypatch):
 
     monkeypatch.setattr(fciqmc, "advance", recorded_advance)
     cfg = RunConfig(delta_tau=0.05, total_time=0.5, initial_walkers=200, seed=7)
-    run(h, Circuit(2, []), (), cfg, source=src, phi0=0)
+    run(src, cfg, phi0=0)
     assert (src._row_len >= 0).sum() == 4  # every row, so rows 1 to 3 had magnitude draws
     assert sorted(k for k in keys if k[0] == SIGN) == [(SIGN, i) for i in range(4)]
     assert len(engine_draws) == 10
@@ -225,6 +226,7 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
 
     monkeypatch.setattr(fciqmc, "advance", resolve_a_row_then_advance)
     cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
-    run(h, Circuit(spec.n_qubits, []), (), cfg, backend=SampledBackend(10**4, 10**3), phi0=ref)
+    run(ElementSource(h, Circuit(spec.n_qubits, []), backend=SampledBackend(10**4, 10**3),
+                      seed=cfg.seed), cfg, phi0=ref)
     assert len(seen) == 5
     assert seen[0] == tuple(layout_rng(11, ENGINE).random(4).tolist())
