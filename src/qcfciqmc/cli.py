@@ -386,7 +386,7 @@ def parse_circuit(text: str):
         raise ConfigError(f"unsupported circuit format version {head[1]}")
 
     def want(idx, name):
-        parts = lines[idx].split()
+        parts = lines[idx].split() if idx < len(lines) else []
         if len(parts) != 2 or parts[0] != name:
             raise ConfigError(f"circuit file: expected '{name} N' on line {idx + 1}")
         try:

@@ -8,10 +8,10 @@ FCIQMC on the raw determinant basis.
 
 Sign convention that must not be broken: the projector's off-diagonal weight
 is -H'_ji, so a child on j inherits sign(i) * (-sign(H'_ji)).  The source's
-CSR holds H'_ji as measured; only `SpawnTable`, which takes sign(-H'_ji),
-and the step, which multiplies it by sign(i), apply this rule.  The
-diagonal step uses (H'_ii - S) directly.  Getting either sign wrong still
-"runs" but projects onto the wrong vector.
+stored rows hold H'_ji as measured; only `SpawnTable`, which takes
+sign(-H'_ji), and the step, which multiplies it by sign(i), apply this
+rule.  The diagonal step uses (H'_ii - S) directly.  Getting either sign
+wrong still "runs" but projects onto the wrong vector.
 
 Walkers are integers; fractional probabilities round stochastically.  The
 population is one int64 vector of signed counts, one entry per basis
@@ -19,7 +19,8 @@ position of the element source (`ElementSource.basis`, ascending walker
 indices): the walker sector for every command-line run, all 2^n indices for
 a source built without one.  The engine works in positions end to end: each
 update rule is a handful of vector operations over the population and over
-the source's CSR and diagonal, which are indexed by position too.  All
+the source's stored rows (one array pair of target positions and H'_ji per
+measured row) and diagonal, which are indexed by position too.  All
 randomness of a run comes from one counter-based Philox stream, the ENGINE
 stream of the run's seed (`matelem.KeyedStreams`), keyed once per run.
 The steps read H' through a spawn table (`SpawnTable`): per run, the
@@ -192,7 +193,7 @@ class Trajectory:
 class SpawnTable:
     """What a step reads of every row an element source has measured, at
     one delta_tau, the rows (`rows`) in ascending position order.  Its
-    entries are the E = `n_spawn` spawn entries, each row's in CSR order,
+    entries are the E = `n_spawn` spawn entries, each row's in stored order,
     then one diagonal entry per row, in four arrays of length E + R: the
     position whose count gives the entry's walkers (`sources`: the parent,
     then the row itself), the position its draw lands on (`dests`: the
@@ -214,8 +215,8 @@ class SpawnTable:
         self.rows = src.measured_positions()
         e = self.n_spawn = int(row_lengths(src, self.rows).sum())
         size = e + len(self.rows)
-        # each array is allocated once, the CSR gathered into its head: a
-        # table of the trained 2x4 basis covers about 21M entries
+        # each array is allocated once, the stored rows concatenated into
+        # its head: a table of the trained 2x4 basis covers about 21M entries
         self.sources = np.empty(size, dtype=np.int64)
         self.dests = np.empty(size, dtype=np.int64)
         self.p = np.empty(size)

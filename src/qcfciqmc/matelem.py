@@ -28,9 +28,9 @@ Row i is one measurement event, `ElementSource._measure`: from one
 transformed column it takes the magnitude draw, the sign draw (a Hadamard
 test for every j != i with q(j) > 0, in one binomial call) and the diagonal,
 exact or drawn.  The first measurement writes them into the only row store,
-indexed like the engine's walkers by basis position: the CSR (target
-positions and H'_ji as measured, an unresolved sign left out, in entry
-arrays that double when full) and the diagonal vector.  The source serves
+indexed like the engine's walkers by basis position: one array pair per
+measured row (target positions and H'_ji as measured, an unresolved sign
+left out, never changed) and the diagonal vector.  The source serves
 H'_ji itself; what the projector makes of it is `fciqmc`'s rule alone.
 Stream keys stay walker indices, and the row norm and the magnitude
 distribution are summed exactly rounded (`math.fsum`), so a sector source
@@ -61,9 +61,6 @@ from .simulator import Circuit, compile_circuit, transformed_columns
 # magnitude draw: its probability is under 1e-26, so at 1e6 shots its
 # expected count per row is below 1e-16
 RESIDUE_FLOOR = 1e-13
-
-# entries the engine CSR of a source holds before it first doubles
-CSR_CAPACITY = 1024
 
 
 class MatelemError(ValueError):
@@ -168,17 +165,12 @@ class ElementSource:
         # fixed for the run; columns run over its basis, all 2^n indices by default
         self._compiled = compile_circuit(circuit, params, basis)
         d = len(self.basis)
-        # engine CSR over basis positions: the measured row at position p
-        # occupies [_row_start[p], _row_start[p] + _row_len[p]) of the entry
-        # arrays, whose targets are positions too; -1 marks a row not measured
-        # yet.  The entry arrays double when full: only their first _filled
-        # entries hold rows.
-        self._row_start = np.full(d, -1, dtype=np.int64)
+        # the measured rows by basis position: row p is the array pair
+        # (target positions, H'_ji), None until it is measured; _row_len[p]
+        # is its length, -1 before
+        self._rows = [None] * d
         self._row_len = np.full(d, -1, dtype=np.int64)
-        self._filled = 0
         self.n_measured = 0  # rows measured so far, the count of _row_len >= 0
-        self._targets = np.zeros(CSR_CAPACITY, dtype=np.int64)
-        self._values = np.zeros(CSR_CAPACITY)  # H'_ji
         self._diag = np.full(d, np.nan)  # H'_ii of each measured row
 
     @property
@@ -216,9 +208,9 @@ class ElementSource:
 
     def _measure(self, i: int) -> RowRecord:
         """Row i's magnitudes, signs and diagonal, exact or drawn, each keyed
-        by the index i, never by a position.  The first measurement appends
-        the signed row to the CSR (entries that come out zero, an unresolved
-        sign, are left out) and stores H'_ii; every one returns the record."""
+        by the index i, never by a position.  The first measurement stores
+        the signed row (entries that come out zero, an unresolved sign, are
+        left out) and H'_ii; every one returns the record."""
         col = self.transformed_column(i)
         own = int(self.position[i])
         # <i|U^dag H^2 U|i>, exactly rounded: the sum does not depend on how
@@ -239,16 +231,8 @@ class ElementSource:
         kept = np.nonzero(keep)[0]
         if self._row_len[own] < 0:
             kept_nonzero = kept[signed[kept] != 0.0]
-            vals = signed[kept_nonzero]
-            start, end = self._filled, self._filled + len(vals)
-            if end > len(self._targets):  # double the entry arrays
-                size = max(2 * len(self._targets), end)
-                self._targets, self._values = (
-                    np.concatenate([a[:start], np.zeros(size - start, dtype=a.dtype)])
-                    for a in (self._targets, self._values))
-            self._targets[start:end] = kept_nonzero
-            self._values[start:end] = vals
-            self._row_start[own], self._row_len[own], self._filled = start, len(vals), end
+            self._rows[own] = kept_nonzero, signed[kept_nonzero]
+            self._row_len[own] = len(kept_nonzero)
             self._diag[own] = diag
             self.n_measured += 1
         return RowRecord(self.basis[kept], mags[kept], signs[kept])
@@ -306,13 +290,13 @@ def _residue_free(col: np.ndarray, nu_sq: float) -> np.ndarray:
 
 def row_magnitudes(src: ElementSource, i: int) -> RowRecord:
     """The record of row i, whose `targets` and `mags` are its magnitude draw.
-    The first request measures the row into the CSR; a later one draws it
+    The first request measures the row into the store; a later one draws it
     again from its keyed streams, which give the same bytes."""
     return src._measure(i)
 
 
 def element_sign(src: ElementSource, i: int, j: int) -> int:
-    """sign(Re H'_ji), read from row i's CSR row: exact, or its Hadamard
+    """sign(Re H'_ji), read from row i's stored row: exact, or its Hadamard
     test.  The row holds j exactly where row i's draw kept j and resolved
     its sign; any other j has no sign."""
     targets, values = resolved_row(src, i)
@@ -323,7 +307,7 @@ def element_sign(src: ElementSource, i: int, j: int) -> int:
 
 
 def row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
-    """The CSR row lengths at `positions`, once each of those rows not
+    """The stored row lengths at `positions`, once each of those rows not
     measured yet is measured, in the order given."""
     lens = src._row_len[positions]
     fresh = (lens < 0).nonzero()[0]
@@ -336,12 +320,14 @@ def row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
 
 def diagonal_element(src: ElementSource, i: int) -> float:
     """<phi_i|H|phi_i>; exact expectation, or shot-averaged on the sampled backend."""
-    return float(diagonal_elements(src, [src.position_of(i)])[0])
+    p = src.position_of(i)
+    csr_row(src, p)  # measures the row first if it is not yet
+    return float(src.diagonal[p])
 
 
 def get_element(src: ElementSource, i: int, j: int) -> float:
     """Signed real H'_ji: the diagonal from `diagonal_element`, the rest read
-    from row i's CSR row (0.0 where row i's draw has no entry j or left its
+    from row i's stored row (0.0 where row i's draw has no entry j or left its
     sign unresolved)."""
     if i == j:
         return diagonal_element(src, i)
@@ -353,66 +339,43 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
 
 
 def csr_row(src: ElementSource, p: int) -> tuple:
-    """The CSR row at position p, measured first if it has not been, as
-    views (target positions, H'_ji)."""
+    """The row at position p, measured first if it has not been, as its
+    stored arrays (target positions, H'_ji)."""
     if src._row_len[p] < 0:
         row_magnitudes(src, int(src.basis[p]))
-    start = src._row_start[p]
-    end = start + src._row_len[p]
-    return src._targets[start:end], src._values[start:end]
+    return src._rows[p]
 
 
 def resolved_row(src: ElementSource, i: int) -> tuple:
-    """Row i of the engine CSR as (targets j, H'_ji), the targets walker
-    indices."""
+    """Row i as stored, (targets j, H'_ji), the targets walker indices."""
     targets, values = csr_row(src, src.position_of(i))
     return src.basis[targets], values
 
 
 def signed_row(src: ElementSource, i: int) -> list:
-    """All (j, H'_ji) connections from i with signs resolved, from the CSR."""
+    """All (j, H'_ji) connections from i with signs resolved, as stored."""
     targets, values = resolved_row(src, i)
     return list(zip(targets.tolist(), values.tolist()))
 
 
 def row_arrays(src: ElementSource, positions, out=None) -> tuple:
-    """The CSR rows at `positions`, concatenated in the order given, as
-    arrays (target positions, H'_ji, the position of each entry's row).
-    Rows not measured yet are measured first, in the order given.  `out`,
-    three arrays (int64, float64, int64) at least as long as those entries,
-    takes them in its heads, which are returned: the gather then allocates
-    nothing of that length."""
+    """The rows at `positions`, concatenated in the order given, as arrays
+    (target positions, H'_ji, the position of each entry's row).  Rows not
+    measured yet are measured first, in the order given.  `out`, three
+    arrays (int64, float64, int64) at least as long as those entries, takes
+    them in its heads, which are returned: the gather then allocates nothing
+    of that length."""
     positions = np.asarray(positions, dtype=np.int64)
     lens = row_lengths(src, positions)
     n = int(lens.sum())
     if out is None:
         out = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=np.int64)
     targets, values, rows = (a[:n] for a in out)
-    # first the CSR entry that output entry k reads: entry start + (k - offset) of its row
-    _runs(rows, src._row_start[positions], lens, 1)
-    np.take(src._targets, rows, out=targets, mode="clip")  # "raise" would buffer a copy
-    np.take(src._values, rows, out=values, mode="clip")
-    _runs(rows, positions, lens, 0)
+    if len(positions):
+        row_targets, row_values = zip(*(src._rows[p] for p in positions.tolist()))
+        np.concatenate(row_targets, out=targets)
+        np.concatenate(row_values, out=values)
+    ends = lens.cumsum()
+    for p, start, end in zip(positions.tolist(), (ends - lens).tolist(), ends.tolist()):
+        rows[start:end] = p
     return targets, values, rows
-
-
-def _runs(out: np.ndarray, firsts: np.ndarray, lens: np.ndarray, step: int) -> None:
-    """Fill `out`, of lens.sum() entries, with the runs firsts[r],
-    firsts[r] + step, ... of lens[r] entries each, concatenated, in place."""
-    keep = lens > 0
-    firsts, lens = firsts[keep], lens[keep]
-    if not len(lens):
-        return
-    out.fill(step)
-    jumps = firsts.copy()
-    jumps[1:] -= firsts[:-1] + step * (lens[:-1] - 1)  # from each run's last entry
-    out[lens.cumsum() - lens] = jumps
-    np.cumsum(out, out=out)
-
-
-def diagonal_elements(src: ElementSource, positions) -> np.ndarray:
-    """H'_ii at `positions`, each stored when its row was measured; rows not
-    measured yet are measured first, in the order given."""
-    positions = np.asarray(positions, dtype=np.int64)
-    row_lengths(src, positions)
-    return src._diag[positions]

@@ -315,8 +315,15 @@ BAD_GATES = {
     "nan frot angle": "qcfciqmc-circuit 1\nqubits 4\nslots 0\nfrot 0x3 0x2 nan\nparams\n",
 }
 
+# files that end before their qubit or slot count
+CUT_SHORT = {
+    "header only": "qcfciqmc-circuit 1\n",
+    "no slots line": "qcfciqmc-circuit 1\nqubits 4\n",
+}
 
-@pytest.mark.parametrize("text", BAD_GATES.values(), ids=BAD_GATES.keys())
+
+@pytest.mark.parametrize("text", [*BAD_GATES.values(), *CUT_SHORT.values()],
+                         ids=[*BAD_GATES, *CUT_SHORT])
 def test_a_circuit_file_with_a_bad_gate_is_a_config_error(tmp_path, capsys, text):
     """qmc and nsi refuse such a file with exit 2, writing nothing."""
     out = tmp_path / "out"

@@ -17,11 +17,11 @@ from qcfciqmc.matelem import (
     SampledBackend,
     SignAmbiguityError,
     diagonal_element,
-    diagonal_elements,
     element_sign,
     get_element,
     resolved_row,
     row_arrays,
+    row_lengths,
     row_magnitudes,
     signed_row,
 )
@@ -259,19 +259,22 @@ def test_signed_row_matches_elements():
 
 
 @pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend(10**4, 10**3)])
-def test_csr_rows_past_the_initial_capacity_read_as_rows_measured_alone(monkeypatch,
-                                                                         backend):
-    """With room for 4 entries, measuring every row doubles the CSR several
-    times; each row still reads as in a source that measured only that row."""
-    monkeypatch.setattr(me, "CSR_CAPACITY", 4)
+def test_rows_measured_in_descending_order_gather_as_rows_measured_alone(backend):
+    """Every row measured in descending position order and then gathered
+    ascending reads, in the gather and alone, as in a source that measured
+    only that row."""
     h, circuit = _sampled_instance()
     src = ElementSource(h, circuit, backend=backend, seed=6)
     rows = range(1 << circuit.n_qubits)
-    row_arrays(src, rows)
-    assert src._filled > 4 * me.CSR_CAPACITY
-    assert len(src._targets) >= src._filled
+    for i in reversed(rows):
+        row_magnitudes(src, i)
+    targets, values, positions = row_arrays(src, rows)
+    assert (np.diff(positions) >= 0).all()
     for i in rows:
         alone = ElementSource(h, circuit, backend=backend, seed=6)
+        in_row = positions == i
+        for x, y in zip((targets[in_row], values[in_row]), row_arrays(alone, [i])):
+            assert x.tobytes() == y.tobytes()
         for x, y in zip(resolved_row(src, i), resolved_row(alone, i)):
             assert x.tobytes() == y.tobytes()
         assert diagonal_element(src, i) == diagonal_element(alone, i)
@@ -279,7 +282,7 @@ def test_csr_rows_past_the_initial_capacity_read_as_rows_measured_alone(monkeypa
 
 def test_row_arrays_into_given_arrays_read_what_the_csr_rows_hold():
     """Gathered into the heads of longer arrays, the rows read as row by
-    row from the CSR, each entry's row position beside them, over a
+    row from the store, each entry's row position beside them, over a
     selection out of order, with repeats and with an empty row."""
     h = PauliSum([PauliTerm(0.5, PauliWord(2, 0b01, 0)), PauliTerm(0.3, PauliWord(2, 0, 0b11))])
     src = ElementSource(h, Circuit(2, []))
@@ -304,7 +307,7 @@ def test_sector_source_measures_what_the_full_space_source_does(shape, layers, s
     """Over every walker-sector row, a source whose columns run over the
     walker sector measures what the full-space source does: draws are keyed
     by walker index, and row sums are exactly rounded.  The sampled records,
-    CSR rows and diagonals are byte-identical.  The exact backend keeps
+    stored rows and diagonals are byte-identical.  The exact backend keeps
     |H'_ji| as computed, and the full path's rounding leak out of the sector
     and back moves the last bit of a few small ones on the 2x3 circuit (by
     under 1e-20), so there targets, signs and diagonals are compared bytewise
@@ -326,8 +329,9 @@ def test_sector_source_measures_what_the_full_space_source_does(shape, layers, s
             else:
                 assert x.tobytes() == y.tobytes()
     # the full-space source keeps walker index i at position i
-    assert diagonal_elements(full, walkers).tobytes() == \
-        diagonal_elements(sector, np.arange(len(walkers))).tobytes()
+    row_lengths(full, walkers)
+    row_lengths(sector, np.arange(len(walkers)))
+    assert full.diagonal[walkers].tobytes() == sector.diagonal.tobytes()
 
 
 READERS = {
@@ -362,17 +366,18 @@ def test_sector_source_rejects_rows_outside_its_basis():
 def test_a_row_drawn_again_is_the_row_measured():
     """On a sampled layered 2x2 source with ambiguous signs, a second
     row_magnitudes call draws the record again from its keyed streams: the
-    same bytes, and nothing added to the CSR.  element_sign, read from the
-    CSR, raises exactly where the record's sign is 0 and returns it elsewhere."""
+    same bytes, and no row added to the store.  element_sign, read from the
+    stored row, raises exactly where the record's sign is 0 and returns it
+    elsewhere."""
     h, circuit, params, walkers = layered_walkers((2, 2), 1, seed=1)
     src = ElementSource(h, circuit, params, backend=SampledBackend(10**5, 100), seed=4,
                         basis=walkers)
     n_ambiguous = 0
     for i in walkers.tolist():
         first = row_magnitudes(src, i)
-        filled = src._filled
+        n_measured = src.n_measured
         again = row_magnitudes(src, i)
-        assert src._filled == filled
+        assert src.n_measured == n_measured
         for x, y in ((first.targets, again.targets), (first.mags, again.mags),
                      (first.signs, again.signs)):
             assert x.tobytes() == y.tobytes()

@@ -24,11 +24,9 @@ basis, exact backend, with the run settings and seed 1 of
 `qmc_identity_2x2` (6000 steps, about 7700 walkers once the shift holds
 them); a process runs it ENGINE_RUNS times and reports the minimum and the
 median of seconds per step, and the rounds are keyed on the minimum, which
-a slow spell of the shared machine moves less.  It calls `run(src, cfg,
-phi0)`, or `run(h, circuit, params, cfg, source=src, phi0)` in a tree whose
-`run` still has that older signature.  Per timer and side, the record keeps
-every round's report and the median and quartiles of the rounds' key, and
-the number of rounds that side was faster in.
+a slow spell of the shared machine moves less.  Per timer and side, the
+record keeps every round's report and the median and quartiles of the
+rounds' key, and the number of rounds that side was faster in.
 
 One invocation is one run: its protocol, every pair's end-to-end metrics and
 `failed` counts, a per-workload summary and the two timers' rounds.  The record
@@ -109,7 +107,7 @@ ENGINE_RUNS = 7
 TIMER_ROUNDS = 10
 
 ENGINE_TIMER = f"""
-import inspect, json, time
+import json, time
 import numpy as np
 from qcfciqmc.exactdiag import number_sector_indices
 from qcfciqmc.fciqmc import RunConfig, run
@@ -124,15 +122,11 @@ ref = lowest_diagonal_reference(h, sector)
 circuit = Circuit(spec.n_qubits, [])
 cfg = RunConfig(delta_tau=1e-2, total_time=60.0, initial_walkers=6000, threshold=5000,
                 damping=0.5, seed=1)  # qmc_identity_2x2 at seed 1
-if "source" in inspect.signature(run).parameters:  # a tree whose run builds its own source
-    run_on = lambda src: run(h, circuit, (), cfg, source=src, phi0=int(ref))
-else:
-    run_on = lambda src: run(src, cfg, phi0=int(ref))
 
 def one_run():
     src = ElementSource(h, circuit, (), backend=ExactBackend(), seed=cfg.seed, basis=sector)
     t0 = time.perf_counter()
-    traj = run_on(src)
+    traj = run(src, cfg, phi0=int(ref))
     return (time.perf_counter() - t0) / cfg.n_steps, traj.records[-1].n_walkers
 
 per_step, walkers = zip(*(one_run() for _ in range({ENGINE_RUNS})))
