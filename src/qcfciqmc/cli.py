@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactdiag import diagonalize, number_sector_indices
+from .exactdiag import ExactDiagError, diagonalize, number_sector_indices
 from .fciqmc import (
     MIN_SAMPLES,
     FciqmcError,
@@ -75,7 +75,7 @@ class ModelError(CliError):
 
 
 # a failed computation: exit 4 from main, the row's error in a sweep
-FAILURES = (CliError, FciqmcError, MatelemError, NsiError, VqaError,
+FAILURES = (CliError, ExactDiagError, FciqmcError, MatelemError, NsiError, VqaError,
             OperatorError, SimulatorError, np.linalg.LinAlgError)
 
 BACKENDS = {b.kind: b for b in (ExactBackend, SampledBackend)}

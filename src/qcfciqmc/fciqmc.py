@@ -26,7 +26,8 @@ stream of the run's seed (`matelem.KeyedStreams`), keyed once per run.
 The steps read H' through a spawn table (`SpawnTable`): per run, the
 spawn entries of every row the source has measured, in ascending position
 order, then one death/clone entry per row, built again only when the
-source has measured a new row.  A step (`advance`) is one binomial call
+source has measured a new row, after the old table is dropped, so one
+table is alive at a time.  A step (`advance`) is one binomial call
 over every entry of the table, with n = |count| walkers of the entry's
 row, 0 on an unoccupied row, and one scatter of the signed draws onto the
 counts.  numpy's binomial returns 0 for n = 0 or p = 0 without drawing from
@@ -39,7 +40,7 @@ the two halves of the same draw).  A trajectory is therefore a pure function of
 source was built over enters it only through the elements the source
 serves.
 
-The engine's generator is not the element source's, because `spawn_table`,
+The engine's generator is not the element source's, because `measure_rows`,
 the only call of a run that measures rows, makes element draws that re-key
 the source's generator, at the start of a step.  Those draws are keyed by
 row, and every H'_ji is read from row i's own measurement, so the order in
@@ -55,7 +56,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matelem import ENGINE, ElementSource, KeyedStreams, csr_row, row_arrays, row_lengths
+from .matelem import ENGINE, ElementSource, KeyedStreams, row_arrays, row_lengths, stored_row
 
 
 class FciqmcError(RuntimeError):
@@ -206,9 +207,10 @@ class SpawnTable:
     death/clone probabilities before the clamp where one exceeds 1, else
     None.  The diagonal entries hold the shift `shift` (None until
     `set_shift`), and only a new shift rewrites them.  `n_rows` is the
-    source's count of measured rows when it was built; `spawn_table` builds
-    a new table when that count has moved.  The tables take 25 bytes per
-    entry plus 41 per row, 33 per spawn entry with the integer part."""
+    source's count of measured rows when it was built; `spawn_table` and
+    `run` build a new table when that count has moved.  The tables take 25
+    bytes per entry plus 41 per row, 33 per spawn entry with the integer
+    part."""
 
     def __init__(self, src: ElementSource, delta_tau: float):
         self.source, self.delta_tau, self.n_rows = src, delta_tau, src.n_measured
@@ -253,16 +255,23 @@ class SpawnTable:
         self.shift = shift
 
 
+def measure_rows(pop: WalkerPopulation, src: ElementSource) -> int:
+    """Measure the occupied rows of `pop` that `src` has not measured yet,
+    ascending (the engine's only call that measures rows); `src.n_measured`."""
+    if src.n_measured < len(pop.counts):
+        row_lengths(src, pop.counts.nonzero()[0])
+    return src.n_measured
+
+
 def spawn_table(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
                 table: SpawnTable | None = None) -> SpawnTable:
     """The spawn table of `src` at delta_tau once every occupied row of `pop`
-    is measured (rows not measured yet are measured here, ascending): `table`
-    itself while it is that table and `src` has measured no row since it was
-    built, else a new one.  Once every row is measured it never changes."""
-    if src.n_measured < len(pop.counts):
-        row_lengths(src, pop.counts.nonzero()[0])
+    is measured (`measure_rows`): `table` itself while it is that table and
+    `src` has measured no row since it was built, else a new one.  Once
+    every row is measured it never changes."""
+    n_rows = measure_rows(pop, src)
     if (table is not None and table.source is src and table.delta_tau == delta_tau
-            and table.n_rows == src.n_measured):
+            and table.n_rows == n_rows):
         return table
     return SpawnTable(src, delta_tau)
 
@@ -362,7 +371,7 @@ def mixed_energy(pop: WalkerPopulation, src: ElementSource, ref: int):
     c_0 = int(counts[ref])
     if c_0 == 0:
         return None
-    targets, values = csr_row(src, ref)
+    targets, values = stored_row(src, ref)
     e = float(src.diagonal[ref])
     for h_j0, c_j in zip(values.tolist(), counts[targets].tolist()):
         if c_j:
@@ -380,7 +389,7 @@ def _check_timestep(src: ElementSource, fresh: list, delta_tau: float,
     newly occupied positions `fresh`, whose rows are measured; True once the
     warning is given."""
     for p in fresh:
-        l1 = abs(src.diagonal[p] - shift) + sum(np.abs(csr_row(src, p)[1]).tolist())
+        l1 = abs(src.diagonal[p] - shift) + sum(np.abs(stored_row(src, p)[1]).tolist())
         if delta_tau * l1 >= 1.0:
             warnings.warn(
                 f"delta_tau * row L1 magnitude = {delta_tau * l1:.3f} >= 1 on index "
@@ -413,7 +422,9 @@ def run(src: ElementSource, cfg: RunConfig, phi0: int = 0) -> Trajectory:
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, ref)
     ))
     for step in range(1, cfg.n_steps + 1):
-        table = spawn_table(pop, src, cfg.delta_tau, table)
+        if measure_rows(pop, src) != table.n_rows:
+            del table  # one table alive at a time: drop the old before the new allocates
+            table = SpawnTable(src, cfg.delta_tau)
         if n_unchecked:
             fresh = (unchecked & (pop.counts != 0)).nonzero()[0]
             unchecked[fresh] = False

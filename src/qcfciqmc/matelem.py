@@ -35,7 +35,7 @@ H'_ji itself; what the projector makes of it is `fciqmc`'s rule alone.
 Stream keys stay walker indices, and the row norm and the magnitude
 distribution are summed exactly rounded (`math.fsum`), so a sector source
 draws what the full-space source does.  The engine reads by position
-(`csr_row`, `row_arrays`, `row_lengths`, and `ElementSource.diagonal` once
+(`stored_row`, `row_arrays`, `row_lengths`, and `ElementSource.diagonal` once
 a row is measured) and rebuilds its spawn table when
 `ElementSource.n_measured` moves; the other readers take walker indices
 and refuse one outside the basis.  `row_magnitudes` returns
@@ -129,8 +129,9 @@ class SampledBackend:
     ambiguity_z: float = 3.0
 
     def __post_init__(self):
-        if self.shots_magnitude < 1 or self.shots_sign < 1:
-            raise MatelemError("shots_magnitude and shots_sign must be at least 1")
+        for name in ("shots_magnitude", "shots_sign"):
+            if not 1 <= getattr(self, name) <= np.iinfo(np.int64).max:  # numpy draws take a C long
+                raise MatelemError(f"{name} must lie in [1, 2**63 - 1]")
         _check_cut("magnitude_floor", self.magnitude_floor)
         _check_cut("ambiguity_z", self.ambiguity_z)
 
@@ -161,7 +162,6 @@ class ElementSource:
         self.seed = int(seed)
         # the magnitude, sign and diagonal draws; the engine owns another generator
         self._streams = KeyedStreams(self.seed)
-        self.n_qubits = circuit.n_qubits
         # fixed for the run; columns run over its basis, all 2^n indices by default
         self._compiled = compile_circuit(circuit, params, basis)
         d = len(self.basis)
@@ -321,7 +321,7 @@ def row_lengths(src: ElementSource, positions: np.ndarray) -> np.ndarray:
 def diagonal_element(src: ElementSource, i: int) -> float:
     """<phi_i|H|phi_i>; exact expectation, or shot-averaged on the sampled backend."""
     p = src.position_of(i)
-    csr_row(src, p)  # measures the row first if it is not yet
+    stored_row(src, p)  # measures the row first if it is not yet
     return float(src.diagonal[p])
 
 
@@ -338,7 +338,7 @@ def get_element(src: ElementSource, i: int, j: int) -> float:
     return float(values[k])
 
 
-def csr_row(src: ElementSource, p: int) -> tuple:
+def stored_row(src: ElementSource, p: int) -> tuple:
     """The row at position p, measured first if it has not been, as its
     stored arrays (target positions, H'_ji)."""
     if src._row_len[p] < 0:
@@ -348,7 +348,7 @@ def csr_row(src: ElementSource, p: int) -> tuple:
 
 def resolved_row(src: ElementSource, i: int) -> tuple:
     """Row i as stored, (targets j, H'_ji), the targets walker indices."""
-    targets, values = csr_row(src, src.position_of(i))
+    targets, values = stored_row(src, src.position_of(i))
     return src.basis[targets], values
 
 

@@ -22,7 +22,8 @@ runs' closed sets side by side, longest run first, with per gate position
 tables of the runs that have a gate there.  `CircuitLayout.compile` is the
 step run once per parameter vector: it composes every run over its closed
 set at once, one vector update per gate position for all runs that have a
-gate there, and keeps a and b at each run's labels.  Each entry is computed
+gate there, and keeps a and b at each run's labels, all real when the
+whole circuit is, else all complex.  Each entry is computed
 as it would be over the full space, so a and b at the labels do not depend
 on the basis.  A run that would move weight out of the basis is an error
 there.  `compile_circuit` does both in one call.
@@ -162,30 +163,6 @@ class RunLayout:
 
 
 @dataclass(frozen=True)
-class GateRun:
-    """One run at fixed parameters, v -> a * v + b * v[t ^ x], stored over
-    the positions of a basis.
-
-    `partner[p]` is the position of label t ^ x for the label t at position
-    p.  Every array has one more entry than the basis, the zero sentinel slot
-    that stands for every label outside it; `a` and `b` are (d + 1, 1), so
-    they act on a (d + 1, k) batch column by column.  `a_conj` and `b_conj`
-    are their conjugates, taken once at compile time (the arrays themselves
-    for a real run)."""
-
-    x: int
-    partner: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    a_conj: np.ndarray
-    b_conj: np.ndarray
-
-    def inverse(self, vec: np.ndarray) -> np.ndarray:
-        """The run's adjoint on a padded batch: conj(a) * v + (conj(b) * v)[t ^ x]."""
-        return self.a_conj * vec + (self.b_conj * vec).take(self.partner, axis=0)
-
-
-@dataclass(frozen=True)
 class Lockstep:
     """The parameter-free tables that compose every run of a layout at once,
     gate position by gate position; built once per layout.
@@ -255,15 +232,16 @@ class CircuitLayout:
         with its rows swapped.  A rotation by angle a has a2 = cos(a/2) and
         b2 = -i sin(a/2) times its phases; a PauliApply has a2 = 0 and
         b2 = its phases.  Each entry goes through the same operations in the
-        same order as when the run is composed alone, gate by gate.  A run
-        stays float64 when its arrays are real, which holds for the
-        real-rotation layered ansatz.  A run that moves weight above
+        same order as when the run is composed alone, gate by gate.  The
+        compiled arrays stay float64 when every run's are real, which holds
+        for the real-rotation layered ansatz and the ADAPT pool; otherwise
+        every run is complex.  A run that moves weight above
         LEAK_TOL of its largest coefficient out of the basis raises
         LeakError naming it, the first such run in circuit order."""
         if self.n_slots > len(params):
             raise SimulatorError(f"need {self.n_slots} parameters, got {len(params)}")
         if not self.runs:
-            return CompiledCircuit(self, (), np.dtype(float))
+            return CompiledCircuit(self, (), (), np.dtype(float))
         s = self.lockstep
         values = np.append(np.asarray(params, dtype=float), 0.0)  # slot -1 reads the 0
         angle = s.scales * values[s.slots]
@@ -293,12 +271,7 @@ class CircuitLayout:
                 b_now *= ga
                 b_now += b_term
             gate, column = gate + n, column + width
-        runs = self.runs
-        complex_runs = np.zeros(len(runs), dtype=bool)
-        if stack.imag.any():
-            nonzero = (stack.imag[:, :-1].reshape(2, 2, w) != 0).any(axis=(0, 1))
-            complex_runs[s.order] = np.logical_or.reduceat(nonzero, s.starts)
-        else:
+        if not stack.imag.any():
             stack = stack.real
         if len(s.edge):
             magnitude = np.abs(stack)
@@ -308,15 +281,13 @@ class CircuitLayout:
             bad = np.flatnonzero(leak > LEAK_TOL * largest)
             if len(bad):
                 k = bad[0]
-                _check_conserved(runs[s.order[s.edge_runs[k]]].name, leak[k:k + 1], largest[k])
+                _check_conserved(self.runs[s.order[s.edge_runs[k]]].name, leak[k:k + 1],
+                                 largest[k])
         at = stack.take(s.gather, axis=1)[..., None]  # a and b with the sentinel, (2, R, d + 1, 1)
-        conj, real = (at.conj() if complex_runs.any() else at), at.real
-        out = tuple(
-            GateRun(run.x, run.partner, a, b, ca, cb) if is_complex
-            else GateRun(run.x, run.partner, ra, rb, ra, rb)
-            for run, is_complex, a, b, ca, cb, ra, rb in zip(
-                runs, complex_runs.tolist(), at[0], at[1], conj[0], conj[1], real[0], real[1]))
-        return CompiledCircuit(self, out, at.dtype if complex_runs.any() else np.dtype(float))
+        partners = [r.partner for r in self.runs]
+        runs = tuple(zip(*at, partners))
+        inverse = tuple(zip(*at.conj(), partners)) if at.dtype.kind == "c" else runs
+        return CompiledCircuit(self, runs, inverse[::-1], at.dtype)
 
     def grouped(self, h: PauliSum) -> tuple:
         """H's X groups over `labels` as ((partner, phases), ...), phases
@@ -342,11 +313,17 @@ class CircuitLayout:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A circuit at fixed parameters: its layout and one GateRun per run."""
+    """A circuit at fixed parameters: its layout, `runs`, per run in circuit
+    order the arrays (a, b, partner) of v -> a * v + b * v[t ^ x] with the
+    run layout's partner, and `inverse`, per run from the last, those of
+    v -> conj(a) * v + (conj(b) * v)[t ^ x].  a and b are (d + 1, 1), the
+    zero sentinel last, and float64 when the whole circuit is real; the
+    conjugates are then the arrays themselves."""
 
     layout: CircuitLayout
     runs: tuple
-    dtype: np.dtype  # float64 when every run is real
+    inverse: tuple
+    dtype: np.dtype  # float64 when the whole circuit is real
 
     @property
     def basis(self) -> np.ndarray:
@@ -373,15 +350,23 @@ class CompiledCircuit:
 
     def forward(self, vec: np.ndarray) -> np.ndarray:
         """U on a (d + 1, k) batch whose last row is the zero sentinel."""
-        for r in self.runs:
-            vec = r.a * vec + r.b * vec.take(r.partner, axis=0)
+        for a, b, partner in self.runs:
+            vec = a * vec + b * vec.take(partner, axis=0)
         return vec
 
     def adjoint(self, vec: np.ndarray) -> np.ndarray:
         """U^dag on a padded batch."""
-        for r in reversed(self.runs):
-            vec = r.inverse(vec)
+        for vec in self.unwind(vec):
+            pass
         return vec
+
+    def unwind(self, vec: np.ndarray):
+        """U^dag on a padded batch one run at a time: yields the batch at
+        each run's output, last run first, then U^dag vec."""
+        for a, b, partner in self.inverse:
+            yield vec
+            vec = a * vec + (b * vec).take(partner, axis=0)
+        yield vec
 
     def apply_sum(self, h: PauliSum, vec: np.ndarray) -> np.ndarray:
         """H on a padded (d + 1, k) batch over `labels`; the result is real

@@ -291,18 +291,18 @@ def _adjoint_gradient(compiled: CompiledCircuit, h: PauliSum, psi: np.ndarray) -
     scale * Im<lambda|W_g|phi> to its slot: (W_g phi)[p] is the gate's phase
     at label p times phi at the partner position, and lambda lies in the
     basis, so the partner's sentinel zero drops what W_g moves out of it.
-    Then the pair steps back through the run's inverse."""
+    Then the pair steps back through the run's inverse
+    (`CompiledCircuit.unwind`)."""
     layout = compiled.layout
     d = len(layout.basis)
     grad = np.zeros(layout.n_slots)
     pair = np.concatenate([psi, compiled.apply_sum(h, psi)], axis=1)
-    for run, r in zip(reversed(compiled.runs), reversed(layout.runs)):
+    for r, pair in zip(reversed(layout.runs), compiled.unwind(pair)):
         if len(r.slots):
             overlap = np.zeros(r.phases[0].size, dtype=complex)
             overlap[r.labels_at] = pair[:d, 1].conj() * pair[r.partner[:d], 0]
             d_angle = (r.phases.reshape(len(r.phases), -1) @ overlap).imag[r.slot_rows]
             grad += np.bincount(r.slots, weights=r.scales * d_angle, minlength=len(grad))
-        pair = run.inverse(pair)
     return grad
 
 

@@ -204,6 +204,13 @@ OUT_OF_RANGE = [
     ("qmc.threshold = -5", "qmc: threshold must be non-negative"),
     ("qmc.initial_walkers = 100000000000000000000",
      "qmc: initial_walkers must fit in a signed 64-bit count"),
+    # the default shots_sign set last keeps this row's id apart from the
+    # shots_magnitude = 0 row's
+    ("backend.kind = sampled\nbackend.shots_magnitude = 100000000000000000000\n"
+     "backend.shots_sign = 10000",
+     r"backend: shots_magnitude must lie in \[1, 2\*\*63 - 1\]"),
+    ("backend.kind = sampled\nbackend.shots_sign = 100000000000000000000",
+     r"backend: shots_sign must lie in \[1, 2\*\*63 - 1\]"),
 ]
 
 
@@ -420,6 +427,20 @@ def test_fcidump_nelec_and_ms2_that_disagree_is_a_model_error(tmp_path, capsys):
     conf = write_conf(tmp_path, f"output.dir = {tmp_path / 'out'}\nmodel.fcidump.path = {path}\n")
     assert cli.main(["ed", conf]) == 3
     assert "MS2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ed.json").exists()
+
+
+def test_ed_on_an_overflowing_fcidump_is_a_numerical_failure(tmp_path, capsys):
+    """One-body integrals of 6e307 overflow the sector Hamiltonian to inf:
+    exit 4, not a traceback, and no ed.json."""
+    path = tmp_path / "huge.fcidump"
+    path.write_text("&FCI NORB=2,NELEC=4,MS2=0,\n&END\n"
+                    " 6.0E+307 1 1 0 0\n 6.0E+307 2 2 0 0\n 0.0 0 0 0 0\n")
+    conf = write_conf(tmp_path, f"output.dir = {tmp_path / 'out'}\nmodel.fcidump.path = {path}\n")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli.main(["ed", conf]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite" in err
     assert not (tmp_path / "out" / "ed.json").exists()
 
 
@@ -770,6 +791,36 @@ nsi.beta = 0.1
     assert record["transformed"]["phi0"] == 0
     s_id = identity["s_thermal"]
     assert abs(record["ratio"] - s_tr / s_id) < 1e-9
+
+
+# a 1x2 Hubbard circuit file whose ZZ phase rotation on qubits 0 and 1 is a
+# complex run, followed by a real hop pair on qubits 0 and 2
+COMPLEX_RUN_CIRCUIT = """qcfciqmc-circuit 1
+qubits 4
+slots 2
+flip 1
+flip 2
+rot 0x0 0x3 0 1.0
+rot 0x5 0x1 1 -2.0
+rot 0x5 0x4 1 2.0
+params 0.3 0.2
+"""
+
+
+def test_a_circuit_with_a_complex_run_reads_through_the_cli(tmp_path, capsys):
+    """nsi refuses its complex H' with exit 4 (imaginary residue); qmc runs
+    it to a finite mixed energy on both backends."""
+    out = tmp_path / "out"
+    path = tmp_path / "complex.txt"
+    path.write_text(COMPLEX_RUN_CIRCUIT)
+    body = BASE_1X2.format(out=out) + f"circuit.path = {path}\n"
+    assert cli.main(["nsi", write_conf(tmp_path, body)]) == 4
+    assert "imaginary residue" in capsys.readouterr().err
+    for backend in ("exact", "sampled"):
+        conf = write_conf(tmp_path, body + f"backend.kind = {backend}\n", name=f"{backend}.conf")
+        assert cli.main(["qmc", conf]) == 0
+        record = json.loads((out / "summary.json").read_text())
+        assert math.isfinite(record["mean_e_mixed"])
 
 
 def test_nsi_phi0_names_a_model_determinant_in_every_basis(tmp_path):

@@ -4,8 +4,10 @@ Statistical oracles are binomial moments; dynamical oracles are dense
 linear-algebra results computed in the tests themselves."""
 
 import csv
+import gc
 import io
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -266,6 +268,31 @@ def test_run_builds_a_spawn_table_only_when_the_measured_rows_change(monkeypatch
     run(src, cfg, phi0=phi0)
     assert built == sorted(set(built))
     assert built[-1] == src.n_measured == len(walkers)
+
+
+def test_run_holds_one_spawn_table_at_a_time(monkeypatch):
+    """When a run builds a new spawn table, no earlier table of the run is
+    alive: the old one is dropped before the new one allocates."""
+    import qcfciqmc.fciqmc as engine
+
+    earlier = []
+    real_table = engine.SpawnTable
+
+    def tracked(src, delta_tau):
+        gc.collect()
+        alive = [ref for ref in earlier if ref() is not None]
+        assert not alive, f"{len(alive)} earlier table(s) alive at table {len(earlier)}"
+        table = real_table(src, delta_tau)
+        earlier.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(engine, "SpawnTable", tracked)
+    h, circuit, params, walkers, phi0 = hubbard_walker_run((2, 2), 0)
+    src = ElementSource(h, circuit, params, seed=3, basis=walkers)
+    cfg = RunConfig(delta_tau=0.01, total_time=1.0, initial_walkers=2000, seed=3,
+                    threshold=2500)
+    run(src, cfg, phi0=phi0)
+    assert len(earlier) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -711,28 +738,28 @@ def test_run_measures_each_row_once(monkeypatch, backend):
 
 @pytest.mark.parametrize("backend", [ExactBackend(), SampledBackend()],
                          ids=["exact", "sampled"])
-def test_run_measures_rows_only_inside_spawn_table(monkeypatch, backend):
+def test_run_measures_rows_only_inside_measure_rows(monkeypatch, backend):
     """Every row measurement of a run, the reference's included, happens
-    inside a `spawn_table` call; the timestep check, the mixed energy and
+    inside a `measure_rows` call; the timestep check, the mixed energy and
     the shift read stored rows."""
     import qcfciqmc.fciqmc as engine
 
     inside, measured = [], []
-    real_table, real_measure = engine.spawn_table, ElementSource._measure
+    real_rows, real_measure = engine.measure_rows, ElementSource._measure
 
-    def flagged_table(*args, **kwargs):
+    def flagged_rows(*args, **kwargs):
         inside.append(True)
         try:
-            return real_table(*args, **kwargs)
+            return real_rows(*args, **kwargs)
         finally:
             inside.pop()
 
     def checked_measure(self, i):
-        assert inside, f"row {i} measured outside spawn_table"
+        assert inside, f"row {i} measured outside measure_rows"
         measured.append(i)
         return real_measure(self, i)
 
-    monkeypatch.setattr(engine, "spawn_table", flagged_table)
+    monkeypatch.setattr(engine, "measure_rows", flagged_rows)
     monkeypatch.setattr(ElementSource, "_measure", checked_measure)
     h, circuit, params, walkers, phi0 = hubbard_walker_run((2, 2), 1)
     cfg = RunConfig(delta_tau=0.01, total_time=0.4, initial_walkers=2000, seed=3,

@@ -280,7 +280,7 @@ def test_rows_measured_in_descending_order_gather_as_rows_measured_alone(backend
         assert diagonal_element(src, i) == diagonal_element(alone, i)
 
 
-def test_row_arrays_into_given_arrays_read_what_the_csr_rows_hold():
+def test_row_arrays_into_given_arrays_read_what_the_stored_rows_hold():
     """Gathered into the heads of longer arrays, the rows read as row by
     row from the store, each entry's row position beside them, over a
     selection out of order, with repeats and with an empty row."""

@@ -321,25 +321,36 @@ def bits(x):
 @pytest.mark.parametrize("name, c, params, basis", lockstep_cases(),
                          ids=[case[0] for case in lockstep_cases()])
 def test_lockstep_compile_is_the_per_run_compose_bit_for_bit(name, c, params, basis):
-    """Every run's a and b, real or complex, equal the per-run oracle's to
-    the bit, and the kept conjugates are theirs (the arrays themselves for a
-    real run)."""
+    """Every run's a and b equal the per-run oracle's to the bit, beside the
+    run layout's partner.  The whole circuit is real or complex: where the
+    oracle keeps a run of a mixed circuit real, the compiled run's real
+    parts are the oracle's and its imaginary parts are exactly zero.  The
+    inverse holds the conjugates, last run first (the arrays themselves for
+    a real circuit)."""
     layout = circuit_layout(c, basis)
     compiled = layout.compile(params)
     oracle = compile_runs(layout, params)
-    assert len(compiled.runs) == len(oracle)
-    for run, (a, b) in zip(compiled.runs, oracle):
-        assert run.a.shape == run.b.shape == (len(layout.basis) + 1, 1)
-        for got, want in ((run.a[:, 0], a), (run.b[:, 0], b)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(bits(got), bits(want))
-        if run.a.dtype == np.float64:
-            assert run.a_conj is run.a and run.b_conj is run.b
-        else:
-            np.testing.assert_array_equal(bits(run.a_conj), bits(run.a.conj()))
-            np.testing.assert_array_equal(bits(run.b_conj), bits(run.b.conj()))
+    assert len(compiled.runs) == len(oracle) == len(compiled.inverse)
     real = all(a.dtype == np.float64 for a, _ in oracle)
     assert compiled.dtype == (np.float64 if real else np.complex128)
+    for (a_got, b_got, partner), (a, b), r in zip(compiled.runs, oracle, layout.runs):
+        assert partner is r.partner
+        assert a_got.shape == b_got.shape == (len(layout.basis) + 1, 1)
+        for got, want in ((a_got[:, 0], a), (b_got[:, 0], b)):
+            assert got.dtype == compiled.dtype
+            if want.dtype == got.dtype:
+                np.testing.assert_array_equal(bits(got), bits(want))
+            else:
+                np.testing.assert_array_equal(bits(got.real), bits(want))
+                assert not got.imag.any()
+    for (a_conj, b_conj, partner), (a, b, run_partner) in zip(compiled.inverse,
+                                                              reversed(compiled.runs)):
+        assert partner is run_partner
+        if real:
+            assert a_conj is a and b_conj is b
+        else:
+            np.testing.assert_array_equal(bits(a_conj), bits(a.conj()))
+            np.testing.assert_array_equal(bits(b_conj), bits(b.conj()))
 
 
 @pytest.mark.parametrize("angle, first", [(0.3, "gate run 0 (gates 0-0, X mask 0x3)"),
@@ -391,7 +402,7 @@ def test_real_circuit_compiles_to_real_runs():
     c = Circuit(2, [BasisFlip(0), PauliRotation(w, angle=0.3), PauliRotation(w, slot=0)])
     compiled = compile_circuit(c, [0.7])
     assert compiled.dtype == np.float64
-    assert len(compiled.runs) == 1 and compiled.runs[0].a.dtype == np.float64
+    assert len(compiled.runs) == 1 and compiled.runs[0][0].dtype == np.float64
     assert compiled.labels.tolist() == [1, 0, 3, 2]
     h = PauliSum([PauliTerm(0.5, PauliWord.from_label("XX")),
                   PauliTerm(-1.0, PauliWord.from_label("ZI"))])

@@ -542,7 +542,7 @@ def test_anticommuting_same_x_words_split_the_run():
                                                                         slot=1)])
     params = np.array([0.7, -0.4])
     compiled = compile_circuit(c, params)
-    assert [r.x for r in compiled.runs] == [0b011, 0b011, 0b011, 0b110]
+    assert [r.x for r in compiled.layout.runs] == [0b011, 0b011, 0b011, 0b110]
     v = RNG.normal(size=8) + 1j * RNG.normal(size=8)
     np.testing.assert_allclose(compiled.apply(v), apply_gates(v, 3, c.gates, params)[compiled.labels],
                                rtol=0, atol=1e-12)
