@@ -35,6 +35,7 @@ from .matelem import ElementSource, ExactBackend, MatelemError, SampledBackend
 from .nsi import NsiError, check_beta, nsi_report, transformed_dense
 from .operators import (
     DENSE_DIM_LIMIT,
+    QUBIT_LIMIT,
     FcidumpError,
     HubbardSpec,
     OperatorError,
@@ -174,7 +175,7 @@ def _checked(prefix, make, *args, **kwargs):
     on the `prefix` section."""
     try:
         return make(*args, **kwargs)
-    except (FciqmcError, MatelemError, NsiError, VqaError) as exc:
+    except (FciqmcError, MatelemError, NsiError, OperatorError, VqaError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
@@ -315,8 +316,8 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
     try:
         if cfg.hubbard is not None:
             spec = cfg.hubbard
+            n = _within_qubit_limit(spec.n_qubits)
             h = jordan_wigner(build_hubbard(spec))
-            n = spec.n_qubits
             if cfg.sector_override is not None:
                 n_up, n_dn = cfg.sector_override
             else:
@@ -329,8 +330,8 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         else:
             data = parse_fcidump(cfg.fcidump_path.read_text())
             ferm = build_molecular(data, cfg.fcidump_frozen)
+            n = _within_qubit_limit(ferm.n_modes)
             h = jordan_wigner(ferm)
-            n = ferm.n_modes
             n_active_elec = data.n_electrons - 2 * len(cfg.fcidump_frozen)
             n_up = (n_active_elec + data.ms2) // 2
             n_dn = (n_active_elec - data.ms2) // 2
@@ -341,6 +342,13 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         raise ModelError(str(exc)) from exc
     return BuiltModel(h=h, n_qubits=n, sector=sector, reference=int(ref),
                       label=label, hubbard=cfg.hubbard)
+
+
+def _within_qubit_limit(n: int) -> int:
+    """n, or a model error when a model of n qubits is over QUBIT_LIMIT."""
+    if n > QUBIT_LIMIT:
+        raise ModelError(f"{n} qubits exceed the limit of {QUBIT_LIMIT}")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,19 @@ The steps read H' through a spawn table (`SpawnTable`): per run, the
 spawn entries of every row the source has measured, in ascending position
 order, then one death/clone entry per row, built again only when the
 source has measured a new row, after the old table is dropped, so one
-table is alive at a time.  A step (`advance`) is one binomial call
+table is alive at a time.  The table keeps per row, not per entry,
+which row its entries belong to.  A step (`advance`) is one binomial call
 over every entry of the table, with n = |count| walkers of the entry's
-row, 0 on an unoccupied row, and one scatter of the signed draws onto the
-counts.  numpy's binomial returns 0 for n = 0 or p = 0 without drawing from
-its stream, and draws the entries in order, so the stream is consumed as
-by one call over the concatenated rows of the occupied parents in
-ascending parent order followed by one over the occupied positions: the
-spawn step, then the death/clone step (`spawn_step`, `death_clone_step`,
-the two halves of the same draw).  A trajectory is therefore a pure function of
-(config, seed) no matter how the host schedules threads, and the basis the
-source was built over enters it only through the elements the source
-serves.
+row (each row's count repeated over its entries), 0 on an unoccupied row,
+and one scatter of the signed draws onto the counts.  numpy's binomial
+returns 0 for n = 0 or p = 0 without drawing from its stream, and draws
+the entries in order, so the stream is consumed as by one call over the
+concatenated rows of the occupied parents in ascending parent order
+followed by one over the occupied positions: the spawn step, then the
+death/clone step (`spawn_step`, `death_clone_step`, the two halves of the
+same draw).  A trajectory is therefore a pure function of (config, seed)
+no matter how the host schedules threads, and the basis the source was
+built over enters it only through the elements the source serves.
 
 The engine's generator is not the element source's, because `measure_rows`,
 the only call of a run that measures rows, makes element draws that re-key
@@ -195,36 +196,39 @@ class SpawnTable:
     """What a step reads of every row an element source has measured, at
     one delta_tau, the rows (`rows`) in ascending position order.  Its
     entries are the E = `n_spawn` spawn entries, each row's in stored order,
-    then one diagonal entry per row, in four arrays of length E + R: the
-    position whose count gives the entry's walkers (`sources`: the parent,
-    then the row itself), the position its draw lands on (`dests`: the
-    target, then the row), its probability `p` (frac(delta_tau |H'_ji|),
-    then the death/clone probability |H'_ii - S| delta_tau clamped to 1) and
-    an int8 `factor` (sign(-H'_ji), then -1 where walkers die, H'_ii > S,
-    moving the count towards zero, and 1 where they clone).  `base` holds
-    the integer parts of delta_tau |H'_ji| over the spawn entries, None when
-    every one is 0; `diag` holds H'_ii per row, and `unclamped` the
-    death/clone probabilities before the clamp where one exceeds 1, else
-    None.  The diagonal entries hold the shift `shift` (None until
-    `set_shift`), and only a new shift rewrites them.  `n_rows` is the
-    source's count of measured rows when it was built; `spawn_table` and
-    `run` build a new table when that count has moved.  The tables take 25
-    bytes per entry plus 41 per row, 33 per spawn entry with the integer
-    part."""
+    then one diagonal entry per row, in three arrays of length E + R: the
+    position its draw lands on (`dests`: the target, then the row), its
+    probability `p` (frac(delta_tau |H'_ji|), then the death/clone
+    probability |H'_ii - S| delta_tau clamped to 1) and an int8 `factor`
+    (sign(-H'_ji), then -1 where walkers die, H'_ii > S, moving the count
+    towards zero, and 1 where they clone).  Which row an entry belongs to
+    is kept per row, in two arrays of length 2R: `parents`, the rows twice
+    (once for their spawn entries, once for their diagonal entries), and
+    `repeats`, the number of entries each holds (the row's length, then
+    1), so the walkers of the entries are the parents' counts repeated.
+    `base` holds the integer parts of delta_tau |H'_ji| over the spawn
+    entries, None when every one is 0; `diag` holds H'_ii per row, and
+    `unclamped` the death/clone probabilities before the clamp where one
+    exceeds 1, else None.  The diagonal entries hold the shift `shift`
+    (None until `set_shift`), and only a new shift rewrites them.  The
+    tables take 17 bytes per spawn entry plus 65 per row, 25 per spawn entry
+    with the integer part."""
 
     def __init__(self, src: ElementSource, delta_tau: float):
-        self.source, self.delta_tau, self.n_rows = src, delta_tau, src.n_measured
+        self.delta_tau = delta_tau
         self.rows = src.measured_positions()
-        e = self.n_spawn = int(row_lengths(src, self.rows).sum())
+        lens = row_lengths(src, self.rows)
+        e = self.n_spawn = int(lens.sum())
         size = e + len(self.rows)
+        self.parents = np.concatenate([self.rows, self.rows])
+        self.repeats = np.concatenate([lens, np.ones_like(lens)])
         # each array is allocated once, the stored rows concatenated into
         # its head: a table of the trained 2x4 basis covers about 21M entries
-        self.sources = np.empty(size, dtype=np.int64)
         self.dests = np.empty(size, dtype=np.int64)
         self.p = np.empty(size)
         self.factor = np.empty(size, dtype=np.int8)
-        row_arrays(src, self.rows, out=(self.dests, self.p, self.sources))
-        self.sources[e:] = self.dests[e:] = self.rows
+        row_arrays(src, self.rows, out=(self.dests, self.p))
+        self.dests[e:] = self.rows
         # the projector's off-diagonal weight is -H'_ji delta_tau: its sign is
         # -sign(H'_ji), and |H'_ji| * delta_tau rounds to the bits of its
         # magnitude
@@ -263,16 +267,10 @@ def measure_rows(pop: WalkerPopulation, src: ElementSource) -> int:
     return src.n_measured
 
 
-def spawn_table(pop: WalkerPopulation, src: ElementSource, delta_tau: float,
-                table: SpawnTable | None = None) -> SpawnTable:
-    """The spawn table of `src` at delta_tau once every occupied row of `pop`
-    is measured (`measure_rows`): `table` itself while it is that table and
-    `src` has measured no row since it was built, else a new one.  Once
-    every row is measured it never changes."""
-    n_rows = measure_rows(pop, src)
-    if (table is not None and table.source is src and table.delta_tau == delta_tau
-            and table.n_rows == n_rows):
-        return table
+def spawn_table(pop: WalkerPopulation, src: ElementSource, delta_tau: float) -> SpawnTable:
+    """A new spawn table of `src` at delta_tau, built once every occupied
+    row of `pop` is measured (`measure_rows`)."""
+    measure_rows(pop, src)
     return SpawnTable(src, delta_tau)
 
 
@@ -281,17 +279,17 @@ def _step(pop: WalkerPopulation, table: SpawnTable, rng: np.random.Generator,
     """Draw the table's spawn entries, its diagonal entries or both, in one
     binomial call, and add the draws at their destinations.
 
-    Per entry n = |count of its source| walkers each succeed with its p,
-    plus n times the integer part on a spawn entry, and the signed draw is
-    that count times the source's sign and the entry's factor.  n = 0 draws
-    nothing from the generator, and numpy draws the entries in order, so a
-    call over both parts consumes the stream as a call over the spawn
-    entries followed by one over the diagonal entries.  The death/clone
-    draws start from the population's counts, the spawn draws alone from
-    zero."""
-    e = table.n_spawn
+    Per entry n = |count of its row| walkers each succeed with its p, plus
+    n times the integer part on a spawn entry, and the signed draw is that
+    count times the row's sign and the entry's factor.  n = 0 draws nothing
+    from the generator, and numpy draws the entries in order, so a call
+    over both parts consumes the stream as a call over the spawn entries
+    followed by one over the diagonal entries.  The death/clone draws start
+    from the population's counts, the spawn draws alone from zero."""
+    e, r = table.n_spawn, len(table.rows)
     lo, hi = (0 if spawn else e), (len(table.p) if death else e)
-    signed = pop.counts[table.sources[lo:hi]]
+    a, b = (0 if spawn else r), (2 * r if death else r)
+    signed = pop.counts[table.parents[a:b]].repeat(table.repeats[a:b])
     n = np.abs(signed)
     if death and table.unclamped is not None:
         worst = table.unclamped[n[e - lo:] > 0].max(initial=0.0)
@@ -422,7 +420,7 @@ def run(src: ElementSource, cfg: RunConfig, phi0: int = 0) -> Trajectory:
         0, 0.0, ctl.shift, pop.total_walkers, pop.n_occupied, mixed_energy(pop, src, ref)
     ))
     for step in range(1, cfg.n_steps + 1):
-        if measure_rows(pop, src) != table.n_rows:
+        if measure_rows(pop, src) != len(table.rows):
             del table  # one table alive at a time: drop the old before the new allocates
             table = SpawnTable(src, cfg.delta_tau)
         if n_unchecked:

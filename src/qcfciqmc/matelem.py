@@ -360,22 +360,17 @@ def signed_row(src: ElementSource, i: int) -> list:
 
 def row_arrays(src: ElementSource, positions, out=None) -> tuple:
     """The rows at `positions`, concatenated in the order given, as arrays
-    (target positions, H'_ji, the position of each entry's row).  Rows not
-    measured yet are measured first, in the order given.  `out`, three
-    arrays (int64, float64, int64) at least as long as those entries, takes
-    them in its heads, which are returned: the gather then allocates nothing
-    of that length."""
+    (target positions, H'_ji).  Rows not measured yet are measured first,
+    in the order given.  `out`, two arrays (int64, float64) at least as long
+    as those entries, takes them in its heads, which are returned: the
+    gather then allocates nothing of that length."""
     positions = np.asarray(positions, dtype=np.int64)
-    lens = row_lengths(src, positions)
-    n = int(lens.sum())
+    n = int(row_lengths(src, positions).sum())
     if out is None:
-        out = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=np.int64)
-    targets, values, rows = (a[:n] for a in out)
+        out = np.empty(n, dtype=np.int64), np.empty(n)
+    targets, values = (a[:n] for a in out)
     if len(positions):
         row_targets, row_values = zip(*(src._rows[p] for p in positions.tolist()))
         np.concatenate(row_targets, out=targets)
         np.concatenate(row_values, out=values)
-    ends = lens.cumsum()
-    for p, start, end in zip(positions.tolist(), (ends - lens).tolist(), ends.tolist()):
-        rows[start:end] = p
-    return targets, values, rows
+    return targets, values

@@ -30,6 +30,11 @@ import numpy as np
 PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-10  # largest imaginary part of a Hermitian sum's coefficients
 DENSE_DIM_LIMIT = 4900  # dimension of every dense matrix: the paper's 2x4 Hubbard sector
+# the most qubits a model may have: building one allocates index arrays over
+# all 2^n determinants, and its peak RSS grows 3-4x per two qubits (281 MB
+# at 18 qubits, 1.1 GB at 20, 3.4 GB at 22; x86-64, numpy 2.4), so 20 keeps
+# the paper's 16-qubit system and the 3x3 lattice within a desktop's memory
+QUBIT_LIMIT = 20
 
 _PAULI_LABELS = "IXYZ"
 
@@ -315,6 +320,10 @@ class HubbardSpec:
     t: float = 1.0
     u: float = 0.0
     periodic: bool = False
+
+    def __post_init__(self):
+        if not (np.isfinite(self.t) and np.isfinite(self.u)):
+            raise OperatorError(f"t and u must be finite, got t={self.t}, u={self.u}")
 
     @property
     def n_sites(self) -> int:

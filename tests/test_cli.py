@@ -211,6 +211,8 @@ OUT_OF_RANGE = [
      r"backend: shots_magnitude must lie in \[1, 2\*\*63 - 1\]"),
     ("backend.kind = sampled\nbackend.shots_sign = 100000000000000000000",
      r"backend: shots_sign must lie in \[1, 2\*\*63 - 1\]"),
+    ("model.hubbard.t = nan", "model.hubbard: t and u must be finite, got t=nan"),
+    ("model.hubbard.u = inf", "model.hubbard: t and u must be finite, got t=1.0, u=inf"),
 ]
 
 
@@ -499,6 +501,23 @@ model.hubbard.t = 1.0
 model.hubbard.u = 4.0
 """)
     assert cli.main(["ed", conf]) == 3
+
+
+def test_ed_over_the_qubit_limit_is_a_model_error(tmp_path, capsys):
+    """The 4x4 lattice has 32 qubits, and 12 orbitals written as integrals
+    24, both over the limit of 20: ed stops with a model error before it
+    builds anything over the 2^n determinants."""
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path, f"output.dir = {out}\nmodel.hubbard.shape = 4x4\n")
+    assert cli.main(["ed", conf]) == 3
+    assert "model error: 32 qubits exceed the limit of 20" in capsys.readouterr().err
+    assert not (out / "ed.json").exists()
+    path = tmp_path / "chain.fcidump"
+    path.write_text(serialize_fcidump(lattice_fcidump(HubbardSpec((1, 12), 1.0, 4.0))))
+    conf = write_conf(tmp_path, f"output.dir = {out}\nmodel.fcidump.path = {path}\n")
+    assert cli.main(["ed", conf]) == 3
+    assert "model error: 24 qubits exceed the limit of 20" in capsys.readouterr().err
+    assert not (out / "ed.json").exists()
 
 
 def test_the_dense_limit_counts_the_sector_dimension(tmp_path, capsys, monkeypatch):

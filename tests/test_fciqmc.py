@@ -215,7 +215,7 @@ def test_spawn_table_holds_what_the_steps_read():
     src = x_source(2.3)
     table = spawn_table(WalkerPopulation.from_dict(src, {0: 1, 1: -1}), src, 1.0)
     assert table.rows.tolist() == [0, 1] and table.n_spawn == 2
-    assert table.sources.tolist() == [0, 1, 0, 1]
+    assert table.parents.tolist() == [0, 1, 0, 1] and table.repeats.tolist() == [1, 1, 1, 1]
     assert table.dests.tolist() == [1, 0, 0, 1]
     assert table.p[:2] == pytest.approx([0.3, 0.3], abs=1e-12)
     assert table.base.tolist() == [2, 2]
@@ -231,21 +231,37 @@ def test_spawn_table_holds_what_the_steps_read():
     assert spawn_table(WalkerPopulation.single(src, 0, 1), src, 0.1).base is None
 
 
+def test_spawn_table_keeps_17_bytes_per_entry():
+    """Over every row of the 2x2 sector the table's arrays of entry length
+    take 17 bytes per entry (target, probability, int8 factor), and which
+    row an entry belongs to is the rows repeated by their lengths."""
+    sector, (src, _) = hubbard_2x2_sources(ExactBackend())
+    pop = WalkerPopulation(src.basis, np.ones(len(sector), dtype=np.int64))
+    table = spawn_table(pop, src, 0.01)
+    assert table.base is None and len(table.rows) == len(sector)
+    size = len(table.p)
+    entry_arrays = [a for a in vars(table).values()
+                    if isinstance(a, np.ndarray) and a.shape == (size,)]
+    assert sum(a.nbytes for a in entry_arrays) / size == 17
+    lens = matelem.row_lengths(src, table.rows)
+    assert table.repeats.tolist() == lens.tolist() + [1] * len(sector)
+    assert np.repeat(table.parents, table.repeats).tolist() == (
+        np.repeat(table.rows, lens).tolist() + table.rows.tolist())
+
+
 def test_spawn_table_is_rebuilt_only_when_a_row_is_measured():
-    """A table is kept while the source measures no new row; an occupied
-    row not measured yet is measured and gives a new table, and so does a
-    new delta_tau."""
+    """A table covers the rows measured when it was built: an unoccupied row
+    is not measured, and an occupied row not measured yet is measured and
+    enters the next table, built at its own delta_tau."""
     src = x_source(0.5, n_qubits=2)  # rows 0 and 1 connect, and rows 2 and 3
     pop = WalkerPopulation.single(src, 0, 10)
     table = spawn_table(pop, src, 0.1)
     assert table.rows.tolist() == [0] and src.n_measured == 1
-    assert spawn_table(pop, src, 0.1, table) is table
-    assert spawn_table(WalkerPopulation.single(src, 1, 0), src, 0.1, table) is table
+    assert spawn_table(WalkerPopulation.single(src, 1, 0), src, 0.1).rows.tolist() == [0]
     pop = WalkerPopulation.from_dict(src, {0: 10, 2: -3})
-    rebuilt = spawn_table(pop, src, 0.1, table)
-    assert rebuilt is not table and rebuilt.rows.tolist() == [0, 2]
-    assert spawn_table(pop, src, 0.1, rebuilt) is rebuilt
-    assert spawn_table(pop, src, 0.2, rebuilt).delta_tau == 0.2
+    rebuilt = spawn_table(pop, src, 0.1)
+    assert rebuilt.rows.tolist() == [0, 2] and src.n_measured == 2
+    assert spawn_table(pop, src, 0.2).delta_tau == 0.2
 
 
 def test_run_builds_a_spawn_table_only_when_the_measured_rows_change(monkeypatch):
@@ -566,10 +582,9 @@ def test_advance_is_spawn_then_death_clone_then_annihilate(backend):
     the final stream state of the spawn step, then the death/clone step on
     the same generator, then annihilation; each side reads its own source
     and table.  delta_tau 0.7 and 1.3 give spawns with an integer part and
-    death/clone probabilities above 1; the shift moves on a kept table."""
+    death/clone probabilities above 1."""
     sector, (src_one, src_rules) = hubbard_2x2_sources(backend)
     pick = np.random.default_rng(23)
-    table_one = table_rules = None
     clamped = 0
     for trial in range(16):
         occ = pick.choice(sector, size=int(pick.integers(1, len(sector) + 1)), replace=False)
@@ -577,10 +592,10 @@ def test_advance_is_spawn_then_death_clone_then_annihilate(backend):
         walkers = dict(zip(occ.tolist(), counts.tolist()))
         pop_one = WalkerPopulation.from_dict(src_one, walkers)
         pop_rules = WalkerPopulation.from_dict(src_rules, walkers)
-        dt = (0.003, 0.05, 0.7, 1.3)[trial // 4]  # four steps on each kept table
+        dt = (0.003, 0.05, 0.7, 1.3)[trial // 4]
         shift = float(pick.normal())
-        table_one = spawn_table(pop_one, src_one, dt, table_one)
-        table_rules = spawn_table(pop_rules, src_rules, dt, table_rules)
+        table_one = spawn_table(pop_one, src_one, dt)
+        table_rules = spawn_table(pop_rules, src_rules, dt)
         rng_one, rng_rules = rng_for(trial), rng_for(trial)
         with warnings.catch_warnings(record=True) as caught_one:
             warnings.simplefilter("always")

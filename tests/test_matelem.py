@@ -268,11 +268,11 @@ def test_rows_measured_in_descending_order_gather_as_rows_measured_alone(backend
     rows = range(1 << circuit.n_qubits)
     for i in reversed(rows):
         row_magnitudes(src, i)
-    targets, values, positions = row_arrays(src, rows)
-    assert (np.diff(positions) >= 0).all()
+    targets, values = row_arrays(src, rows)
+    ends = row_lengths(src, np.asarray(rows)).cumsum()
     for i in rows:
         alone = ElementSource(h, circuit, backend=backend, seed=6)
-        in_row = positions == i
+        in_row = slice(ends[i - 1] if i else 0, ends[i])
         for x, y in zip((targets[in_row], values[in_row]), row_arrays(alone, [i])):
             assert x.tobytes() == y.tobytes()
         for x, y in zip(resolved_row(src, i), resolved_row(alone, i)):
@@ -282,22 +282,22 @@ def test_rows_measured_in_descending_order_gather_as_rows_measured_alone(backend
 
 def test_row_arrays_into_given_arrays_read_what_the_stored_rows_hold():
     """Gathered into the heads of longer arrays, the rows read as row by
-    row from the store, each entry's row position beside them, over a
-    selection out of order, with repeats and with an empty row."""
+    row from the store, each row's entries as many as its stored length,
+    over a selection out of order, with repeats and with an empty row."""
     h = PauliSum([PauliTerm(0.5, PauliWord(2, 0b01, 0)), PauliTerm(0.3, PauliWord(2, 0, 0b11))])
     src = ElementSource(h, Circuit(2, []))
     positions = [3, 0, 3, 2]
-    out = (np.full(9, -7, dtype=np.int64), np.full(9, np.nan), np.full(9, -7, dtype=np.int64))
+    out = (np.full(9, -7, dtype=np.int64), np.full(9, np.nan))
     into = row_arrays(src, positions, out=out)
     assert all(a.base is b for a, b in zip(into, out))
-    for targets, values, rows in (row_arrays(src, positions), into):
+    assert row_lengths(src, np.asarray(positions)).tolist() == [1, 1, 1, 1]
+    for targets, values in (row_arrays(src, positions), into):
         assert targets.tolist() == [2, 1, 2, 3]
         assert values.tolist() == [0.5, 0.5, 0.5, 0.5]
-        assert rows.tolist() == positions
-    assert out[2][4:].tolist() == [-7] * 5
+    assert out[0][4:].tolist() == [-7] * 5
     diagonal = ElementSource(PauliSum([PauliTerm(0.3, PauliWord(2, 0, 0b11))]), Circuit(2, []))
-    assert [len(a) for a in row_arrays(diagonal, [1, 0], out=out)] == [0, 0, 0]
-    assert out[2][:4].tolist() == positions  # nothing written for empty rows
+    assert [len(a) for a in row_arrays(diagonal, [1, 0], out=out)] == [0, 0]
+    assert out[0][:4].tolist() == [2, 1, 2, 3]  # nothing written for empty rows
 
 
 @pytest.mark.parametrize("shape, layers, seed", [((2, 2), 2, 4), ((2, 3), 1, 2)])

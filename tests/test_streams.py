@@ -213,9 +213,11 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
     sector = number_sector_indices(spec.n_qubits, n_up=2, n_dn=2).tolist()
     real_advance = fciqmc.advance
     seen = []
+    cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
+    src = ElementSource(h, Circuit(spec.n_qubits, []), backend=SampledBackend(10**4, 10**3),
+                        seed=cfg.seed)
 
     def resolve_a_row_then_advance(pop, table, shift, rng):
-        src = table.source
         before, n_rows = next_draws(rng), (src._row_len >= 0).sum()
         # a full-space source: the position of walker index i is i
         row_arrays(src, [next(i for i in sector if src._row_len[i] < 0)])
@@ -225,8 +227,6 @@ def test_rows_resolved_mid_step_leave_the_step_stream_alone(monkeypatch):
         return real_advance(pop, table, shift, rng)
 
     monkeypatch.setattr(fciqmc, "advance", resolve_a_row_then_advance)
-    cfg = RunConfig(delta_tau=0.01, total_time=0.05, initial_walkers=50, seed=11)
-    run(ElementSource(h, Circuit(spec.n_qubits, []), backend=SampledBackend(10**4, 10**3),
-                      seed=cfg.seed), cfg, phi0=ref)
+    run(src, cfg, phi0=ref)
     assert len(seen) == 5
     assert seen[0] == tuple(layout_rng(11, ENGINE).random(4).tolist())

@@ -28,6 +28,16 @@ a slow spell of the shared machine moves less.  Per timer and side, the
 record keeps every round's report and the median and quartiles of the
 rounds' key, and the number of rounds that side was faster in.
 
+Last, the memory probe runs once per tree, in a fresh process: on the
+2x4 open Hubbard lattice at U/t = 4 it builds a one-layer layered ansatz
+at angles 0.1 N(0, 1) (seed 1) and its 4900-dim walker sector, measures
+every row on the exact backend, builds one spawn table at delta_tau 5e-3
+over all of them and steps a population with one walker on every row
+PROBE_STEPS times.  It reports the seconds of the measurement, the build
+and each step, the table's bytes per entry (every array attribute of the
+table's entry length, summed, over the entry count) and the peak RSS
+after each phase.
+
 One invocation is one run: its protocol, every pair's end-to-end metrics and
 `failed` counts, a per-workload summary and the two timers' rounds.  The record
 holds a header (CPUs, RAM, Python, numpy, BLAS, the trees' commits) and the
@@ -134,6 +144,50 @@ print(json.dumps({{"basis_dim": len(sector), "steps": cfg.n_steps,
                   "final_walkers": walkers[0], "runs": len(per_step),
                   "median_s_per_step": float(np.median(per_step)),
                   "min_s_per_step": min(per_step)}}))
+"""
+
+PROBE_STEPS = 3
+
+MEMORY_PROBE = f"""
+import json, resource, time
+import numpy as np
+from qcfciqmc.exactdiag import number_sector_indices
+from qcfciqmc.fciqmc import WalkerPopulation, advance, spawn_table
+from qcfciqmc.matelem import ElementSource, ExactBackend, row_lengths
+from qcfciqmc.operators import HubbardSpec, build_hubbard, jordan_wigner
+from qcfciqmc.vqa import hubbard_hv_generator_groups, layered_ansatz, lowest_diagonal_reference
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+spec = HubbardSpec((2, 4), t=1.0, u=4.0)
+h = jordan_wigner(build_hubbard(spec))
+sector = number_sector_indices(spec.n_qubits, n_up=4, n_dn=4)
+ref = lowest_diagonal_reference(h, sector)
+circuit = layered_ansatz(hubbard_hv_generator_groups(spec), 1, ref, spec.n_qubits)
+params = 0.1 * np.random.default_rng(1).standard_normal(circuit.n_slots)
+walkers = np.sort(sector ^ ref)
+src = ElementSource(h, circuit, params, backend=ExactBackend(), seed=1, basis=walkers)
+pop = WalkerPopulation(src.basis, np.ones(len(walkers), dtype=np.int64))
+t0 = time.perf_counter()
+row_lengths(src, np.arange(len(walkers)))
+t1 = time.perf_counter()
+peaks = {{"measure": peak_mb()}}
+table = spawn_table(pop, src, 5e-3)
+t2 = time.perf_counter()
+peaks["build"] = peak_mb()
+size = len(table.p)
+entry_bytes = sum(a.nbytes for a in vars(table).values()
+                  if isinstance(a, np.ndarray) and a.shape == (size,))
+shift, rng, steps = float(src.diagonal[src.position_of(0)]), np.random.default_rng(1), []
+for _ in range({PROBE_STEPS}):
+    t = time.perf_counter()
+    pop = advance(pop, table, shift, rng)
+    steps.append(time.perf_counter() - t)
+peaks["advance"] = peak_mb()
+print(json.dumps({{"basis_dim": len(walkers), "entries": size, "measure_s": t1 - t0,
+                  "build_s": t2 - t1, "advance_s": steps, "bytes_per_entry": entry_bytes / size,
+                  "peak_rss_mb": peaks, "final_walkers": pop.total_walkers}}))
 """
 
 
@@ -283,6 +337,7 @@ def main(argv=None) -> int:
         run["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
     run["gradient_per_call"] = timer_rounds(trees, GRADIENT_TIMER, "median_s")
     run["engine_step_per_call"] = timer_rounds(trees, ENGINE_TIMER, "min_s_per_step")
+    run["engine_memory_2x4"] = {side: timed(trees[side], MEMORY_PROBE) for side in trees}
     record["runs"].append(run)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
